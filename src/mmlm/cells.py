@@ -125,7 +125,7 @@ def project_context(fusion: FusionParams, ctx, batch_size: int | None = None,
             raise DimensionError(
                 f"context rows {ctx.rows} do not match batch size {batch_size}"
             )
-        base = tz.matmul(ctx, tz.transpose(fusion.M))
+        base = tz.matmul_t(ctx, fusion.M)
     if fusion.use_bias:
         return tz.add_row(base, fusion.b_M)
     return base
@@ -150,7 +150,7 @@ def delta_rnn_step(p: DeltaRnnParams, emb: Tensor, h_prev: Tensor,
     the result passes through a linear rectifier.
     """
     _check_fusion(p.fusion, ctx_gain, "delta-rnn")
-    d_rec = tz.matmul(h_prev, tz.transpose(p.V))
+    d_rec = tz.matmul_t(h_prev, p.V)
     d_dat = emb
     d1 = tz.mul_row(d_rec * d_dat, p.alpha)
     d2 = tz.mul_row(d_rec, p.beta1) + tz.mul_row(d_dat, p.beta2)
@@ -174,9 +174,9 @@ def gru_step(p: GruParams, embs: tuple, h_prev: Tensor,
     """
     _check_fusion(p.fusion, ctx_gain, "gru")
     e_z, e_r, e_h = embs
-    z = tz.sigmoid(e_z + tz.matmul(h_prev, tz.transpose(p.V_z)))
-    r = tz.sigmoid(e_r + tz.matmul(h_prev, tz.transpose(p.V_r)))
-    cand = tz.tanh(e_h + tz.matmul(r * h_prev, tz.transpose(p.V_h)))
+    z = tz.sigmoid(e_z + tz.matmul_t(h_prev, p.V_z))
+    r = tz.sigmoid(e_r + tz.matmul_t(h_prev, p.V_r))
+    cand = tz.tanh(e_h + tz.matmul_t(r * h_prev, p.V_h))
     h = z * h_prev + tz.one_minus(z) * cand
     if p.fusion is not None:
         h = h * ctx_gain
@@ -198,11 +198,11 @@ def lstm_step(p: LstmParams, embs: tuple, state: StepState,
     phi = act[p.activation]
     e_z, e_i, e_f, e_r = embs
     h_prev, c_prev = state.h, state.cell
-    z = phi(e_z + tz.matmul(h_prev, tz.transpose(p.V_z)))
-    i = tz.sigmoid(e_i + tz.matmul(h_prev, tz.transpose(p.V_i)) + tz.mul_row(c_prev, p.U_i))
-    f = tz.sigmoid(e_f + tz.matmul(h_prev, tz.transpose(p.V_f)) + tz.mul_row(c_prev, p.U_f))
+    z = phi(e_z + tz.matmul_t(h_prev, p.V_z))
+    i = tz.sigmoid(e_i + tz.matmul_t(h_prev, p.V_i) + tz.mul_row(c_prev, p.U_i))
+    f = tz.sigmoid(e_f + tz.matmul_t(h_prev, p.V_f) + tz.mul_row(c_prev, p.U_f))
     c = f * c_prev + i * z
-    r = tz.sigmoid(e_r + tz.matmul(h_prev, tz.transpose(p.V_r)) + tz.mul_row(c, p.U_r))
+    r = tz.sigmoid(e_r + tz.matmul_t(h_prev, p.V_r) + tz.mul_row(c, p.U_r))
     h = r * phi(c)
     if p.fusion is not None:
         h = h * ctx_gain
@@ -290,13 +290,27 @@ _CELL_FIELDS = {
 }
 
 
+_CELL_CLASSES = {"delta-rnn": DeltaRnnParams, "gru": GruParams, "lstm": LstmParams}
+
+
+def cell_param_shapes(arch: str, hidden: int, vocab: int) -> dict:
+    """Field name -> shape for one cell: input matrices W* are H x V,
+    recurrences V* are H x H, and every other field is a 1 x H row."""
+    return {name: {"W": (hidden, vocab), "V": (hidden, hidden)}.get(name[0], (1, hidden))
+            for name in _CELL_FIELDS[arch]}
+
+
+def cell_from_params(arch: str, params: dict, fusion: FusionParams | None = None,
+                     lstm_activation: str = "tanh"):
+    """Cell around existing leaves, keyed by field name; no draw, no copy."""
+    extra = {"activation": lstm_activation} if arch == "lstm" else {}
+    return _CELL_CLASSES[arch](**params, fusion=fusion, **extra)
+
+
 def cell_arch(params) -> str:
-    if isinstance(params, DeltaRnnParams):
-        return "delta-rnn"
-    if isinstance(params, GruParams):
-        return "gru"
-    if isinstance(params, LstmParams):
-        return "lstm"
+    for arch, cls in _CELL_CLASSES.items():
+        if isinstance(params, cls):
+            return arch
     raise ConfigError(f"not a cell parameter set: {type(params).__name__}")
 
 

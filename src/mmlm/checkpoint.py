@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Vocabulary
 from .errors import FormatError
-from .model import ModelConfig, SequenceModel, build_model
+from .model import ModelConfig, SequenceModel, model_from_arrays, parameter_shapes
 from .train import TrainConfig, TrainState
 
 CHECKPOINT_MAGIC = b"MMLM"
@@ -121,15 +121,14 @@ def save_checkpoint(path, model: SequenceModel, vocab: Vocabulary,
         chunks.append(raw)
     named = model.named_parameters()
     chunks.append(struct.pack("<I", len(named)))
-    for name, tensor in named.items():
-        raw = name.encode("utf-8")
-        rows, cols = tensor.shape
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<II", rows, cols))
-        chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
+        for name, tensor in named.items():
+            raw = name.encode("utf-8")
+            rows, cols = tensor.shape
+            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<II", rows, cols))
+            # the tensor's own buffer; a copy only for a 64-bit model
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -216,8 +215,12 @@ def load_checkpoint(path) -> Checkpoint:
         if name in tensors:
             raise FormatError(f"{spath}: duplicate tensor {name!r}")
         rows, cols = take("<II")
-        raw = take_bytes(rows * cols * 4)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
+        if offset + rows * cols * 4 > len(blob):
+            raise FormatError(f"{spath}: truncated checkpoint")
+        # the copy is the tensor's only allocation: owned, aligned, writable
+        tensors[name] = np.frombuffer(blob, dtype="<f4", count=rows * cols,
+                                      offset=offset).reshape(rows, cols).copy()
+        offset += rows * cols * 4
     if offset != len(blob):
         raise FormatError(f"{spath}: {len(blob) - offset} trailing bytes")
     return Checkpoint(version, model_config, train_config, vocab, state,
@@ -225,21 +228,23 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> SequenceModel:
-    """Rebuild the model with saved parameters (always 32-bit)."""
-    model = build_model(ckpt.model_config, seed=0, dtype=np.float32)
-    named = model.named_parameters()
-    missing = sorted(set(named) - set(ckpt.tensors))
-    extra = sorted(set(ckpt.tensors) - set(named))
+    """The model with saved parameters (always 32-bit).
+
+    The model's parameters are the arrays in ckpt.tensors themselves, so
+    training the model updates them too.
+    """
+    shapes = parameter_shapes(ckpt.model_config)
+    missing = sorted(set(shapes) - set(ckpt.tensors))
+    extra = sorted(set(ckpt.tensors) - set(shapes))
     if missing or extra:
         raise FormatError(
             f"checkpoint tensors do not match config: missing {missing}, extra {extra}")
-    for name, tensor in named.items():
+    for name, shape in shapes.items():
         saved = ckpt.tensors[name]
-        if saved.shape != tensor.shape:
+        if saved.shape != shape:
             raise FormatError(f"checkpoint tensor {name!r} has shape "
-                              f"{saved.shape}, expected {tensor.shape}")
-        tensor.data[:] = saved
-    return model
+                              f"{saved.shape}, expected {shape}")
+    return model_from_arrays(ckpt.model_config, ckpt.tensors)
 
 
 def render_manifest(ckpt: Checkpoint) -> str:

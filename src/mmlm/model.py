@@ -119,7 +119,7 @@ class SequenceModel:
         return cells.lstm_step(self.cell, emb, state, gain)
 
     def _logits(self, h: Tensor) -> Tensor:
-        out = tz.matmul(h, tz.transpose(self.decoder.U))
+        out = tz.matmul_t(h, self.decoder.U)
         if self.decoder.b_U is not None:
             out = tz.add_row(out, self.decoder.b_U)
         return out
@@ -150,6 +150,11 @@ class SequenceModel:
     def sequence_nll(self, batch: SequenceBatch):
         """(loss tensor, counted targets): sum of -log P over masked targets.
 
+        The recurrence runs step by step; the decoder then scores every step
+        at once on the stacked hidden states. Each sequence's terms are added
+        in step order before the batch total, so padding a batch with extra
+        rows or columns leaves the loss bit-identical.
+
         A batch with no masked targets returns (constant zero, 0); the zero
         count is the caller's flag that nothing was scored.
         """
@@ -159,16 +164,15 @@ class SequenceModel:
             return tz.const(np.zeros((1, 1), dtype=self.dtype)), 0
         last = int(masked_rows[-1])
         state, gain = self.start_state(batch.batch_size, batch.contexts)
-        total = None
+        hs = []
         for t in range(last):  # consuming row t predicts row t+1
             state = self._step(batch.tokens[t], state, gain)
-            target = batch.tokens[t + 1]
-            logp = tz.log_softmax_rows(self._logits(state.h))
-            picked = tz.take_per_row(logp, target)
-            m = tz.const(batch.mask[t + 1].reshape(-1, 1).astype(self.dtype))
-            contrib = tz.hadamard(picked, m)
-            total = contrib if total is None else tz.add(total, contrib)
-        loss = tz.scale(tz.sum_all(total), -1.0)
+            hs.append(state.h)
+        logp = tz.log_softmax_rows(self._logits(tz.stack_rows(hs)))
+        picked = tz.take_per_row(logp, batch.tokens[1:last + 1].reshape(-1))
+        m = tz.const(batch.mask[1:last + 1].reshape(-1, 1).astype(self.dtype))
+        per_seq = tz.sum_row_blocks(tz.hadamard(picked, m), last)
+        loss = tz.scale(tz.sum_all(per_seq), -1.0)
         return loss, int(batch.mask.sum())
 
     def predict_next(self, prefix, context=None) -> np.ndarray:
@@ -208,4 +212,41 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceMod
         U=tz.param(rng.uniform(-0.1, 0.1, size=(config.vocab, config.hidden)).astype(dtype)),
         b_U=tz.param(np.zeros((1, config.vocab), dtype=dtype)) if config.decoder_bias else None,
     )
+    return SequenceModel(config, cell, decoder, dtype=dtype)
+
+
+def parameter_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every parameter, in named_parameters() order."""
+    config.validate()
+    h, v = config.hidden, config.vocab
+    out = {f"cell.{name}": shape
+           for name, shape in cells.cell_param_shapes(config.arch, h, v).items()}
+    if config.fusion != "none":
+        out["fusion.M"] = (h, config.context_dim)
+        if config.fusion_bias:
+            out["fusion.b_M"] = (1, h)
+    out["decoder.U"] = (v, h)
+    if config.decoder_bias:
+        out["decoder.b_U"] = (1, v)
+    return out
+
+
+def model_from_arrays(config: ModelConfig, arrays: dict) -> SequenceModel:
+    """Model whose parameters are the given arrays themselves, keyed as in
+    parameter_shapes(config): no random draw and no copy. The arrays'
+    dtype sets the model's precision."""
+    p = {name: tz.param(arrays[name]) for name in parameter_shapes(config)}
+    dtype = p["decoder.U"].dtype
+    fusion = None
+    if config.fusion != "none":
+        # a bias-free projection never reads b_M; it keeps its init value
+        b_M = (p["fusion.b_M"] if config.fusion_bias
+               else tz.param(np.ones((1, config.hidden), dtype=dtype)))
+        fusion = cells.FusionParams(M=p["fusion.M"], b_M=b_M, mode=config.fusion,
+                                    use_bias=config.fusion_bias)
+    cell = cells.cell_from_params(
+        config.arch, {name[len("cell."):]: t for name, t in p.items() if name.startswith("cell.")},
+        fusion=fusion, lstm_activation=config.lstm_activation,
+    )
+    decoder = DecoderParams(U=p["decoder.U"], b_U=p.get("decoder.b_U"))
     return SequenceModel(config, cell, decoder, dtype=dtype)

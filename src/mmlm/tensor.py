@@ -34,7 +34,7 @@ class Tensor:
             raise DimensionError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = np.zeros(arr.shape, arr.dtype) if requires_grad else None
         self._parents: tuple = ()
         self._backward = None
         self._back_done = False
@@ -126,6 +126,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _result(out, (a, b), back)
+
+
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.T for a weight b stored one output per row.
+
+    The backward accumulates b's gradient as one contiguous g.T @ a, where
+    matmul(a, transpose(b)) would add a transposed copy through an extra node.
+    """
+    if a.cols != b.cols:
+        raise DimensionError(f"matmul_t: {a.data.shape} x {b.data.shape}^T")
+    _need_same_dtype("matmul_t", a, b)
+
+    def back(g):
+        _accum(a, g @ b.data)
+        _accum(b, g.T @ a.data)
+
+    return _result(a.data @ b.data.T, (a, b), back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -246,10 +263,10 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     shifted = x.data - m
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     y = shifted - lse
-    p = np.exp(y)
 
     def back(g):
-        _accum(x, g - p * g.sum(axis=1, keepdims=True))
+        # the probabilities are only needed here, so scoring never computes them
+        _accum(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
     return _result(y, (x,), back)
 
@@ -305,9 +322,10 @@ def embed_columns(w: Tensor, ids) -> Tensor:
     out = w.data[:, idx].T.copy()
 
     def back(g):
-        buf = np.zeros((w.cols, w.rows), dtype=g.dtype)
-        np.add.at(buf, idx, g)  # duplicate ids in a batch must accumulate
-        _accum(w, buf.T)
+        if w.grad is None:
+            w.grad = np.zeros(w.data.shape, w.data.dtype)
+        # scatter into the looked-up columns only; duplicate ids accumulate
+        np.add.at(w.grad.T, idx, g)
 
     return _result(out, (w,), back)
 
@@ -330,6 +348,43 @@ def take_per_row(x: Tensor, cols) -> Tensor:
         buf = np.zeros_like(x.data)
         buf[rows_arange, idx] = g[:, 0]
         _accum(x, buf)
+
+    return _result(out, (x,), back)
+
+
+def stack_rows(parts) -> Tensor:
+    """Stack equally wide tensors top to bottom into one tall matrix."""
+    parts = tuple(parts)
+    if not parts:
+        raise DimensionError("stack_rows needs at least one tensor")
+    for p in parts[1:]:
+        if p.cols != parts[0].cols:
+            raise DimensionError(f"stack_rows: widths {parts[0].cols} and {p.cols} differ")
+        _need_same_dtype("stack_rows", parts[0], p)
+    ends = np.cumsum([p.rows for p in parts])
+
+    def back(g):
+        for p, stop in zip(parts, ends):
+            _accum(p, g[stop - p.rows:stop])
+
+    return _result(np.concatenate([p.data for p in parts]), parts, back)
+
+
+def sum_row_blocks(x: Tensor, blocks: int) -> Tensor:
+    """Sum the equal row blocks of x: x[0:n] + x[n:2n] + ..., first block first.
+
+    On a stack of T per-step B x C values this is the per-sequence total over
+    time, added in step order.
+    """
+    if blocks < 1 or x.rows % blocks:
+        raise DimensionError(f"sum_row_blocks: {x.rows} rows do not split into {blocks} blocks")
+    n = x.rows // blocks
+    out = x.data[:n].copy()
+    for k in range(1, blocks):
+        out += x.data[k * n:(k + 1) * n]
+
+    def back(g):
+        _accum(x, np.tile(g, (blocks, 1)))
 
     return _result(out, (x,), back)
 
@@ -385,7 +440,7 @@ def backward(loss: Tensor) -> None:
 
 def zero_grad(params: Iterable[Tensor]) -> None:
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        p.grad = np.zeros(p.data.shape, p.data.dtype)
 
 
 def clip_gradients(grads, bound: float):

@@ -1,11 +1,14 @@
 """Independent plain-numpy re-implementations used as test oracles.
 
-Nothing here touches the tape machinery: every function is a straight
-transcription of the model math with numpy arrays, so agreement between
-these and the package is evidence, not tautology.
+Apart from sequence_nll_per_step, nothing here touches the tape machinery:
+every function is a straight transcription of the model math with numpy
+arrays, so agreement between these and the package is evidence, not
+tautology.
 """
 
 import numpy as np
+
+import mmlm.tensor as T
 
 
 def np_sigmoid(x):
@@ -107,3 +110,25 @@ def sequence_nll_np(model, batch):
         picked = dist[np.arange(dist.shape[0]), target]
         total -= float((np.log(picked) * m).sum())
     return total, int(batch.mask.sum())
+
+
+def sequence_nll_per_step(model, batch):
+    """(loss tensor, target count) with the decoder run once per timestep.
+
+    This is the tape loop the time-batched sequence_nll replaced: a decoder
+    matmul, log-softmax and pick per step, summed over steps as they come.
+    Its gradients are the reference for the batched decoder's.
+    """
+    last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
+    state, gain = model.start_state(batch.batch_size, batch.contexts)
+    total = None
+    for t in range(last):
+        state = model._step(batch.tokens[t], state, gain)
+        logits = T.matmul(state.h, T.transpose(model.decoder.U))
+        if model.decoder.b_U is not None:
+            logits = T.add_row(logits, model.decoder.b_U)
+        picked = T.take_per_row(T.log_softmax_rows(logits), batch.tokens[t + 1])
+        m = T.const(batch.mask[t + 1].reshape(-1, 1).astype(model.dtype))
+        contrib = T.hadamard(picked, m)
+        total = contrib if total is None else T.add(total, contrib)
+    return T.scale(T.sum_all(total), -1.0), int(batch.mask.sum())

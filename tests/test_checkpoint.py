@@ -114,6 +114,46 @@ def test_lstm_checkpoint_round_trips(tmp_path):
     assert model.sequence_nll(batch)[0].item() == loaded.sequence_nll(batch)[0].item()
 
 
+@pytest.mark.parametrize("arch,fusion,fusion_bias", [
+    ("delta-rnn", "inner", True), ("gru", "none", True), ("lstm", "outer", False),
+])
+def test_loaded_parameters_are_owned_aligned_float32(tmp_path, arch, fusion, fusion_bias):
+    # numpy hands unaligned operands of @ to its own loops instead of BLAS
+    vocab = D.Vocabulary(["a", "b", "c"])
+    cfg = ModelConfig(arch=arch, hidden=5, vocab=len(vocab), context_dim=3,
+                      fusion=fusion, fusion_bias=fusion_bias, unroll=6)
+    model = build_model(cfg, seed=4)
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=6), TrainState())
+    loaded = C.model_from_checkpoint(C.load_checkpoint(path))
+    want = model.named_parameters()
+    got = loaded.named_parameters()
+    assert list(got) == list(want)
+    for name, p in got.items():
+        flags = p.data.flags
+        assert flags.owndata and flags.aligned and flags.c_contiguous and flags.writeable, name
+        assert p.data.dtype == np.float32, name
+        assert p.data.tobytes() == want[name].data.tobytes(), name
+    batch = fixed_batch(len(vocab))
+    if fusion == "none":
+        batch.contexts = None
+    assert model.sequence_nll(batch)[0].item() == loaded.sequence_nll(batch)[0].item()
+
+
+def test_save_writes_the_documented_layout(tmp_path):
+    model, vocab, tc, state = small_setup(fusion="none", decoder_bias=False)
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, model, vocab, tc, state)
+    blob = path.read_bytes()
+    tail = b""
+    named = model.named_parameters()
+    for name, p in named.items():
+        rows, cols = p.shape
+        tail += struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", rows, cols)
+        tail += p.data.astype("<f4").tobytes()
+    assert blob.endswith(struct.pack("<I", len(named)) + tail)
+
+
 def test_truncated_and_corrupt_files(tmp_path):
     model, vocab, tc, state = small_setup()
     path = tmp_path / "m.mmlm"

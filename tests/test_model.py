@@ -8,7 +8,7 @@ import mmlm.data as D
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
 from mmlm.model import DecoderParams, ModelConfig, SequenceModel, build_model
-from oracles import forward_np, sequence_nll_np
+from oracles import forward_np, sequence_nll_np, sequence_nll_per_step
 
 
 def tiny_config(**kw):
@@ -95,6 +95,39 @@ def test_forward_matches_naive_oracle(arch, fusion):
     w_loss, w_count = sequence_nll_np(m, batch)
     assert count == w_count == 3 + 4 + 2 + 3  # words + EOS each
     npt.assert_allclose(loss.item(), w_loss, atol=1e-10)
+
+
+WIRINGS = [(arch, fusion) for arch in ("delta-rnn", "gru", "lstm")
+           for fusion in ("none", "outer")] + [("delta-rnn", "inner")]
+
+
+@pytest.mark.parametrize("arch,fusion", WIRINGS)
+def test_batched_decoder_matches_per_step_loop(arch, fusion):
+    m = build_model(tiny_config(arch=arch, fusion=fusion), seed=16, dtype=np.float64)
+    rng = np.random.default_rng(1)
+    ctx = None if fusion == "none" else rng.uniform(-1, 1, (3, 3))
+    batch = make_batch([[4, 5, 6, 7, 8], [9, 10], [6, 4, 5]], contexts=ctx)
+    # a fourth, all-padding column: scored nowhere, but run through the recurrence
+    batch.tokens = np.hstack([batch.tokens, np.zeros((batch.tokens.shape[0], 1), np.int64)])
+    batch.mask = np.hstack([batch.mask, np.zeros((batch.mask.shape[0], 1), np.float32)])
+    batch.image_ids = batch.image_ids + [""]
+    if ctx is not None:
+        batch.contexts = np.vstack([batch.contexts, rng.uniform(-1, 1, (1, 3))])
+
+    def loss_and_grads(nll):
+        m.zero_grad()
+        loss, count = nll(batch)
+        T.backward(loss)
+        return loss.item(), count, {k: p.grad.copy() for k, p in m.named_parameters().items()}
+
+    got, got_n, got_g = loss_and_grads(m.sequence_nll)
+    want, want_n, want_g = loss_and_grads(lambda b: sequence_nll_per_step(m, b))
+    assert got_n == want_n == 5 + 1 + 2 + 1 + 3 + 1
+    npt.assert_allclose(got, want, rtol=1e-10, atol=0)
+    for name, g in want_g.items():
+        assert np.abs(g).max() > 0, name  # every parameter is exercised
+        npt.assert_allclose(got_g[name], g, rtol=1e-10, atol=1e-10 * np.abs(g).max(),
+                            err_msg=name)
 
 
 def test_hand_computed_two_token_nll():

@@ -183,6 +183,17 @@ def test_embed_columns_forward_and_backward():
     npt.assert_array_equal(w.grad, [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
 
 
+def test_embed_columns_backward_into_cleared_grad():
+    # a leaf whose grad is None gets a fresh buffer; repeated ids accumulate
+    w = T.param([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    w.grad = None
+    out = T.embed_columns(w, np.array([3, 1, 3, 3]))
+    T.backward(T.sum_all(T.hadamard(out, T.const([[1.0, 2.0], [3.0, 4.0],
+                                                   [5.0, 6.0], [7.0, 8.0]]))))
+    npt.assert_array_equal(w.grad, [[0.0, 3.0, 0.0, 13.0], [0.0, 4.0, 0.0, 16.0]])
+    assert w.grad.flags.c_contiguous
+
+
 def test_embed_columns_rejects_out_of_range():
     w = T.const(np.zeros((2, 3)))
     with pytest.raises(DataError):
@@ -296,6 +307,52 @@ def test_finite_diff_random_graphs_stay_tight():
 
         worst = max(worst, T.finite_diff_check(loss, [a, b, v], eps=1e-5))
     assert worst < 1e-6, worst
+
+
+def test_matmul_t_matches_matmul_of_transpose():
+    rng = np.random.default_rng(4)
+    a = T.const(rng.uniform(-1, 1, (3, 4)))
+    b = T.const(rng.uniform(-1, 1, (5, 4)))
+    npt.assert_array_equal(T.matmul_t(a, b).data, T.matmul(a, T.transpose(b)).data)
+    with pytest.raises(DimensionError):
+        T.matmul_t(a, T.const(np.zeros((4, 5))))
+    with pytest.raises(ConfigError):
+        T.matmul_t(a, T.const(np.zeros((5, 4), dtype=np.float32)))
+
+
+def test_stack_rows_and_sum_row_blocks_forward():
+    parts = [T.const([[1.0, 2.0]]), T.const([[3.0, 4.0], [5.0, 6.0]])]
+    npt.assert_array_equal(T.stack_rows(parts).data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    x = T.const(np.arange(12.0).reshape(6, 2))
+    npt.assert_array_equal(T.sum_row_blocks(x, 3).data, [[12.0, 15.0], [18.0, 21.0]])
+    npt.assert_array_equal(T.sum_row_blocks(x, 1).data, x.data)
+    with pytest.raises(DimensionError):
+        T.stack_rows([])
+    with pytest.raises(DimensionError):
+        T.stack_rows([T.const(np.zeros((1, 2))), T.const(np.zeros((1, 3)))])
+    with pytest.raises(DimensionError):
+        T.sum_row_blocks(x, 4)
+
+
+def test_sum_row_blocks_adds_blocks_in_order():
+    # 1 + 1e16 - 1e16 is 0 left to right; any other order gives 1
+    x = T.const([[1.0], [1e16], [-1e16]])
+    assert T.sum_row_blocks(x, 3).item() == 0.0
+
+
+def test_finite_diff_matmul_t_stack_rows_sum_row_blocks():
+    rng = np.random.default_rng(5)
+    a = T.param(rng.uniform(-1, 1, (3, 4)))
+    b = T.param(rng.uniform(-1, 1, (5, 4)))
+    c = T.param(rng.uniform(-1, 1, (2, 4)))
+    w = T.const(rng.uniform(-1, 1, (5, 5)))
+
+    def loss():
+        y = T.matmul_t(T.stack_rows([a, T.tanh(c)]), b)
+        picked = T.sum_row_blocks(T.hadamard(T.sigmoid(y), w), 5)
+        return T.sum_all(T.hadamard(picked, picked))
+
+    assert T.finite_diff_check(loss, [a, b, c], eps=1e-5) < 1e-7
 
 
 def test_seed_stream_deterministic_and_name_split():
