@@ -217,8 +217,22 @@ def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:
     return StepState(h=h)
 
 
-def _uniform(rng, rows, cols, dtype) -> Tensor:
-    return tz.param(rng.uniform(-0.1, 0.1, size=(rows, cols)).astype(dtype))
+def uniform_param(rng, rows, cols, dtype) -> Tensor:
+    """rows x cols parameter drawn from U(-0.1, 0.1), row-major.
+
+    The draws go in blocks straight into the parameter, so a V x H matrix
+    never has a float64 copy the size of itself; the values are the same
+    as one rng.uniform call of the full shape.
+    """
+    out = np.empty((rows, cols), dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, flat.size)
+        flat[start:stop] = rng.uniform(-0.1, 0.1, size=stop - start)
+    return tz.param(out)
+
+
+_DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
 
 
 def init_fusion(rng, hidden: int, context_dim: int, mode: str,
@@ -226,7 +240,7 @@ def init_fusion(rng, hidden: int, context_dim: int, mode: str,
     if mode not in ("inner", "outer"):
         raise ConfigError(f"fusion mode must be inner or outer, got {mode!r}")
     return FusionParams(
-        M=_uniform(rng, hidden, context_dim, dtype),
+        M=uniform_param(rng, hidden, context_dim, dtype),
         b_M=tz.param(np.ones((1, hidden), dtype=dtype)),
         mode=mode,
         use_bias=use_bias,
@@ -242,8 +256,8 @@ def init_cell(arch: str, hidden: int, vocab: int, rng, dtype=np.float32,
         raise ConfigError(f"hidden={hidden} and vocab={vocab} must be positive")
     if arch == "delta-rnn":
         return DeltaRnnParams(
-            W=_uniform(rng, hidden, vocab, dtype),
-            V=_uniform(rng, hidden, hidden, dtype),
+            W=uniform_param(rng, hidden, vocab, dtype),
+            V=uniform_param(rng, hidden, hidden, dtype),
             b_r=tz.param(np.zeros((1, hidden), dtype=dtype)),
             alpha=tz.param(np.ones((1, hidden), dtype=dtype)),
             beta1=tz.param(np.ones((1, hidden), dtype=dtype)),
@@ -254,29 +268,29 @@ def init_cell(arch: str, hidden: int, vocab: int, rng, dtype=np.float32,
         if fusion is not None and fusion.mode == "inner":
             raise ConfigError("inner fusion is only defined for delta-rnn")
         return GruParams(
-            W_z=_uniform(rng, hidden, vocab, dtype),
-            V_z=_uniform(rng, hidden, hidden, dtype),
-            W_r=_uniform(rng, hidden, vocab, dtype),
-            V_r=_uniform(rng, hidden, hidden, dtype),
-            W_h=_uniform(rng, hidden, vocab, dtype),
-            V_h=_uniform(rng, hidden, hidden, dtype),
+            W_z=uniform_param(rng, hidden, vocab, dtype),
+            V_z=uniform_param(rng, hidden, hidden, dtype),
+            W_r=uniform_param(rng, hidden, vocab, dtype),
+            V_r=uniform_param(rng, hidden, hidden, dtype),
+            W_h=uniform_param(rng, hidden, vocab, dtype),
+            V_h=uniform_param(rng, hidden, hidden, dtype),
             fusion=fusion,
         )
     if arch == "lstm":
         if fusion is not None and fusion.mode == "inner":
             raise ConfigError("inner fusion is only defined for delta-rnn")
         return LstmParams(
-            W_z=_uniform(rng, hidden, vocab, dtype),
-            V_z=_uniform(rng, hidden, hidden, dtype),
-            W_i=_uniform(rng, hidden, vocab, dtype),
-            V_i=_uniform(rng, hidden, hidden, dtype),
-            U_i=_uniform(rng, 1, hidden, dtype),
-            W_f=_uniform(rng, hidden, vocab, dtype),
-            V_f=_uniform(rng, hidden, hidden, dtype),
-            U_f=_uniform(rng, 1, hidden, dtype),
-            W_r=_uniform(rng, hidden, vocab, dtype),
-            V_r=_uniform(rng, hidden, hidden, dtype),
-            U_r=_uniform(rng, 1, hidden, dtype),
+            W_z=uniform_param(rng, hidden, vocab, dtype),
+            V_z=uniform_param(rng, hidden, hidden, dtype),
+            W_i=uniform_param(rng, hidden, vocab, dtype),
+            V_i=uniform_param(rng, hidden, hidden, dtype),
+            U_i=uniform_param(rng, 1, hidden, dtype),
+            W_f=uniform_param(rng, hidden, vocab, dtype),
+            V_f=uniform_param(rng, hidden, hidden, dtype),
+            U_f=uniform_param(rng, 1, hidden, dtype),
+            W_r=uniform_param(rng, hidden, vocab, dtype),
+            V_r=uniform_param(rng, hidden, hidden, dtype),
+            U_r=uniform_param(rng, 1, hidden, dtype),
             fusion=fusion,
             activation=lstm_activation,
         )

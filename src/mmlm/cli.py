@@ -236,12 +236,15 @@ def cmd_train(args) -> int:
                             model, vocab, train_config, st)
         _write_curve(os.path.join(out, "curve.csv"), st)
 
+    first_epoch = state.epoch if state is not None else 0
     state = fit(model, train_records, valid_records, vocab, train_config,
                 contexts=store, state=state, on_epoch=on_epoch)
-    # a resume that adds no epochs still leaves complete artifacts behind
-    save_checkpoint(os.path.join(out, "model_last.mmlm"),
-                    model, vocab, train_config, state)
-    _write_curve(os.path.join(out, "curve.csv"), state)
+    if state.epoch == first_epoch:
+        # a run that adds no epochs still leaves complete artifacts behind;
+        # otherwise the last epoch's on_epoch already wrote them
+        save_checkpoint(os.path.join(out, "model_last.mmlm"),
+                        model, vocab, train_config, state)
+        _write_curve(os.path.join(out, "curve.csv"), state)
     best = ("none" if state.best_epoch == 0
             else f"{state.best_valid_ppl:.3f} (epoch {state.best_epoch})")
     print(f"trained to epoch {state.epoch}; best valid ppl {best}")

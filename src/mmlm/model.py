@@ -209,7 +209,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceMod
     )
     rng = tz.seed_stream(seed, "init/decoder")
     decoder = DecoderParams(
-        U=tz.param(rng.uniform(-0.1, 0.1, size=(config.vocab, config.hidden)).astype(dtype)),
+        U=cells.uniform_param(rng, config.vocab, config.hidden, dtype),
         b_U=tz.param(np.zeros((1, config.vocab), dtype=dtype)) if config.decoder_bias else None,
     )
     return SequenceModel(config, cell, decoder, dtype=dtype)

@@ -53,6 +53,20 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert a.item() == b.item()  # bit-exact
 
 
+def test_save_replaces_an_existing_file(tmp_path):
+    model, vocab, tc, state = small_setup()
+    other, _, _, _ = small_setup(fusion="none")
+    path, fresh, link = tmp_path / "m.mmlm", tmp_path / "fresh.mmlm", tmp_path / "old.mmlm"
+    C.save_checkpoint(path, other, vocab, tc, state)
+    old = path.read_bytes()
+    link.hardlink_to(path)
+    C.save_checkpoint(path, model, vocab, tc, state)
+    C.save_checkpoint(fresh, model, vocab, tc, state)
+    assert path.read_bytes() == fresh.read_bytes()
+    # a new file takes the name; the old one is not rewritten in place
+    assert link.read_bytes() == old
+
+
 def test_state_round_trip_including_inf(tmp_path):
     model, vocab, tc, _ = small_setup()
     state = TrainState()  # fresh: inf sentinels, empty curve

@@ -151,6 +151,16 @@ def test_train_resume_is_bit_exact(prep):
     assert (full / "model_last.mmlm").read_bytes() == (half / "model_last.mmlm").read_bytes()
 
 
+def test_train_resume_without_new_epochs_still_writes_artifacts(prep):
+    first, again = prep / "first", prep / "again"
+    assert cli.main(train_args(prep, first, ["--max-epochs", "1"])) == 0
+    assert cli.main(train_args(prep, again, ["--max-epochs", "1", "--resume",
+                                             str(first / "model_last.mmlm")])) == 0
+    for name in ("model_last.mmlm", "curve.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    assert not (again / "model_best.mmlm").exists()
+
+
 def test_train_resume_refuses_config_drift(prep, capsys):
     out = prep / "run"
     assert cli.main(train_args(prep, out)) == 0

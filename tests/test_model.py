@@ -50,6 +50,21 @@ def test_build_model_deterministic():
     }
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_equals_one_full_shape_draw(dtype):
+    # 700 x 100 spans two draw blocks, so the block seam is covered
+    cfg = tiny_config(hidden=100, vocab=700, fusion="outer")
+    m = build_model(cfg, seed=5, dtype=dtype)
+    cell_rng = T.seed_stream(5, "init/cell")
+    for name, shape in (("W", (100, 700)), ("V", (100, 100))):
+        want = cell_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+        npt.assert_array_equal(getattr(m.cell, name).data, want)
+    want = T.seed_stream(5, "init/decoder").uniform(-0.1, 0.1, size=(700, 100)).astype(dtype)
+    npt.assert_array_equal(m.decoder.U.data, want)
+    want = T.seed_stream(5, "init/fusion").uniform(-0.1, 0.1, size=(100, 3)).astype(dtype)
+    npt.assert_array_equal(m.cell.fusion.M.data, want)
+
+
 def test_decoder_bias_flag():
     m = build_model(tiny_config(decoder_bias=False), seed=0)
     assert m.decoder.b_U is None
