@@ -153,8 +153,12 @@ def beam_search(model: SequenceModel, context=None, width: int = 13,
     tokens are the non-special words plus EOS (PAD/UNK/BOS are never
     proposed). Scores are total log probabilities, unnormalized unless
     length_normalize is set (which divides by token count for ranking).
-    Only completed hypotheses are returned, sorted best-first; EOS is a
-    live candidate from the very first step, so the pool is never empty.
+    Each step keeps the `width` best extensions, ranked by score; a NaN
+    score ranks after every number, and equal scores (NaN included) break
+    toward the lexicographically smaller ids. Only completed hypotheses
+    are returned, best-first under the same rule with shorter ids first
+    among equal scores; EOS is a live candidate from the very first step,
+    so the pool is never empty.
     """
     if width < 1:
         raise ConfigError(f"beam width must be >= 1, got {width}")
@@ -166,30 +170,45 @@ def beam_search(model: SequenceModel, context=None, width: int = 13,
     if context is not None:
         ctx = np.atleast_2d(np.asarray(context, dtype=model.dtype))
     state, gain = model.start_state(1, ctx)
-    state, logp = model.advance(state, gain, BOS_ID)
-    words = list(range(4, model.config.vocab))
-    live = [((), 0.0, state, logp[0])]
+    state, lp = model.advance(state, gain, BOS_ID)
+    n_words = model.config.vocab - 4  # candidate words are ids 4..V-1
+    # live hypothesis i: word ids live[i], score scores[i], state states[i],
+    # next-token log-probs lp[i]
+    live, states, scores = [()], [state], np.zeros(1)
     completed = []
     for step in range(1, max_len + 1):
-        for ids, score, _, lp in live:
-            completed.append(Hypothesis(ids, score + float(lp[EOS_ID])))
-        if step == max_len:
+        ends = scores + lp[:, EOS_ID]  # scores are float64, so are the sums
+        completed += [Hypothesis(ids, float(s)) for ids, s in zip(live, ends)]
+        if step == max_len or n_words == 0:
             break
-        extensions = []
-        for ids, score, st, lp in live:
-            for w in words:
-                extensions.append((ids + (w,), score + float(lp[w]), st, w))
-        extensions.sort(key=lambda e: (-e[1], e[0]))
-        live = []
-        for ids, score, st, w in extensions[:width]:
-            new_state, lp = model.advance(st, gain, w)
-            live.append((ids, score, new_state, lp[0]))
-        if not live:
-            break
+        # candidate k = parent * n_words + (word - 4) scores the parent's
+        # score + log P(word | parent)
+        cand = (scores[:, None] + lp[:, 4:]).ravel()
+        neg = -cand
+        kth = min(width, neg.size) - 1
+        cut = np.partition(neg, kth)[kth]
+        # every candidate tied with the width-th best survives to the exact
+        # sort; a NaN cut (fewer numbers than width) keeps everything
+        keep = np.flatnonzero(~(neg > cut))
+        parent, word = np.divmod(keep, n_words)
+        id_rank = np.empty(len(live), dtype=np.int64)
+        id_rank[sorted(range(len(live)), key=live.__getitem__)] = np.arange(len(live))
+        # all live ids have one length, so (id rank of parent, word) orders
+        # parent ids + (w,) lexicographically; lexsort puts NaN last
+        best = np.lexsort((word, id_rank[parent], neg[keep]))[:width]
+        next_live, next_states, rows = [], [], []
+        for p, w in zip(parent[best].tolist(), (word[best] + 4).tolist()):
+            st, row = model.advance(states[p], gain, w)
+            next_live.append(live[p] + (w,))
+            next_states.append(st)
+            rows.append(row)
+        live, states, scores = next_live, next_states, cand[keep[best]]
+        lp = np.concatenate(rows)
 
     def rank_key(h: Hypothesis):
         score = h.logprob / max(len(h.ids) + 1, 1) if length_normalize else h.logprob
-        return (-score, len(h.ids), h.ids)
+        nan = math.isnan(score)
+        return (nan, 0.0 if nan else -score, len(h.ids), h.ids)
 
     return sorted(completed, key=rank_key)
 

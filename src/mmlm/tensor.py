@@ -444,12 +444,19 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 
 
 def clip_gradients(grads, bound: float):
-    """Clamp every gradient component into [-bound, bound]."""
+    """Clamp every gradient component into [-bound, bound], in place.
+
+    Returns the input: the same dict holding the same arrays, or the array
+    itself. A non-array input is converted once and that array returned.
+    """
     if not bound > 0:
         raise ConfigError(f"clip bound must be positive, got {bound}")
     if isinstance(grads, dict):
-        return {k: np.clip(v, -bound, bound) for k, v in grads.items()}
-    return np.clip(np.asarray(grads), -bound, bound)
+        for v in grads.values():
+            np.clip(v, -bound, bound, out=v)
+        return grads
+    grads = np.asarray(grads)
+    return np.clip(grads, -bound, bound, out=grads)
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1e-4) -> float:

@@ -1,14 +1,17 @@
 """Independent plain-numpy re-implementations used as test oracles.
 
-Apart from sequence_nll_per_step, nothing here touches the tape machinery:
-every function is a straight transcription of the model math with numpy
-arrays, so agreement between these and the package is evidence, not
-tautology.
+Apart from sequence_nll_per_step and beam_search_per_candidate, nothing
+here touches the tape machinery: every function is a straight transcription
+of the model math with numpy arrays, so agreement between these and the
+package is evidence, not tautology. Those two keep the package's earlier
+loops as references for the code that replaced them.
 """
 
 import numpy as np
 
+import mmlm.evaluate as E
 import mmlm.tensor as T
+from mmlm.data import BOS_ID, EOS_ID
 
 
 def np_sigmoid(x):
@@ -132,3 +135,46 @@ def sequence_nll_per_step(model, batch):
         contrib = T.hadamard(picked, m)
         total = contrib if total is None else T.add(total, contrib)
     return T.scale(T.sum_all(total), -1.0), int(batch.mask.sum())
+
+
+def beam_search_per_candidate(model, context=None, width=13, max_len=None,
+                              length_normalize=False):
+    """Beam search that builds and sorts one Python tuple per candidate.
+
+    This is the loop the array ranking in evaluate.beam_search replaced:
+    every live hypothesis times every word becomes an (ids, score, state, w)
+    tuple, and the tuples are sorted on (-score, ids). Scores must be free
+    of NaN, whose order under list.sort is undefined.
+    """
+    if max_len is None:
+        max_len = model.config.unroll
+    ctx = None
+    if context is not None:
+        ctx = np.atleast_2d(np.asarray(context, dtype=model.dtype))
+    state, gain = model.start_state(1, ctx)
+    state, logp = model.advance(state, gain, BOS_ID)
+    words = list(range(4, model.config.vocab))
+    live = [((), 0.0, state, logp[0])]
+    completed = []
+    for step in range(1, max_len + 1):
+        for ids, score, _, lp in live:
+            completed.append(E.Hypothesis(ids, score + float(lp[EOS_ID])))
+        if step == max_len:
+            break
+        extensions = []
+        for ids, score, st, lp in live:
+            for w in words:
+                extensions.append((ids + (w,), score + float(lp[w]), st, w))
+        extensions.sort(key=lambda e: (-e[1], e[0]))
+        live = []
+        for ids, score, st, w in extensions[:width]:
+            new_state, lp = model.advance(st, gain, w)
+            live.append((ids, score, new_state, lp[0]))
+        if not live:
+            break
+
+    def rank_key(h):
+        score = h.logprob / max(len(h.ids) + 1, 1) if length_normalize else h.logprob
+        return (-score, len(h.ids), h.ids)
+
+    return sorted(completed, key=rank_key)

@@ -9,6 +9,7 @@ import mmlm.evaluate as E
 import mmlm.train as TR
 from mmlm.errors import ConfigError, DataError, UsageError
 from mmlm.model import ModelConfig, build_model
+from oracles import beam_search_per_candidate
 
 
 def build(vocab_size, fusion="none", seed=0, hidden=6, cdim=3, unroll=8):
@@ -244,6 +245,108 @@ def test_fused_beam_uses_context():
     a = E.beam_search(m, context=np.array([1.0, 0.5, -0.5]), width=3, max_len=3)
     b = E.beam_search(m, context=None, width=3, max_len=3)
     assert [(h.ids, h.logprob) for h in a] != [(h.ids, h.logprob) for h in b]
+
+
+def beam_pairs(hyps):
+    return [(h.ids, h.logprob) for h in hyps]
+
+
+def assert_beam_matches_per_candidate(m, context=None, max_len=4, widths=(1, 3, 13, 10_000)):
+    # the last width exceeds every step's candidate count, so nothing is cut
+    for width in widths:
+        for length_normalize in (False, True):
+            kw = dict(context=context, width=width, max_len=max_len,
+                      length_normalize=length_normalize)
+            assert beam_pairs(E.beam_search(m, **kw)) == \
+                beam_pairs(beam_search_per_candidate(m, **kw)), kw
+
+
+BEAM_WIRINGS = [("delta-rnn", "none"), ("delta-rnn", "outer"), ("delta-rnn", "inner"),
+                ("gru", "none"), ("gru", "outer"), ("lstm", "none"), ("lstm", "outer")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch,fusion", BEAM_WIRINGS)
+def test_beam_equals_per_candidate_loop(arch, fusion, dtype):
+    cfg = ModelConfig(arch=arch, hidden=6, vocab=12, context_dim=3, fusion=fusion, unroll=8)
+    m = build_model(cfg, seed=3, dtype=dtype)
+    rng = np.random.default_rng(11)
+    m.decoder.U.data[:] = rng.uniform(-2, 2, m.decoder.U.shape)  # peaked distributions
+    context = None if fusion == "none" else np.array([0.8, -0.3, 0.5])
+    assert_beam_matches_per_candidate(m, context)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_beam_equals_per_candidate_loop_on_ties(dtype):
+    # constant distribution: equal word probabilities tie bit-exactly across
+    # parents and at the width boundary, and a zero-probability word scores -inf.
+    # Word 4 is less likely than 5, so the beam holds (5,) ahead of (4,) while
+    # the tie (4, 5) = (5, 4) must keep (4, 5).
+    probs = [0.01, 0.01, 0.01, 0.12, 0.1, 0.15, 0.15, 0.15, 0.1, 0.0, 0.1, 0.1]
+    m = build_model(ModelConfig(hidden=6, vocab=len(probs), unroll=6), seed=0, dtype=dtype)
+    for t in m.parameters():
+        t.data[:] = 0.0
+    with np.errstate(divide="ignore"):
+        m.decoder.b_U.data[:] = np.log(probs)
+    assert_beam_matches_per_candidate(m, widths=(1, 2, 3, 4, 13, 10_000))
+
+
+def test_beam_with_specials_only_vocabulary():
+    m = build(4)  # PAD, UNK, BOS, EOS and no word: only the empty sentence exists
+    for width in (1, 13):
+        hyps = E.beam_search(m, width=width, max_len=5)
+        assert [h.ids for h in hyps] == [()]
+        assert beam_pairs(hyps) == beam_pairs(beam_search_per_candidate(m, width=width, max_len=5))
+
+
+class ScriptedModel:
+    """Stands in for SequenceModel: the state is the ids fed so far, and
+    every step emits the same log-prob row."""
+
+    def __init__(self, row):
+        self.config = ModelConfig(vocab=len(row), unroll=4)
+        self.dtype = np.dtype(np.float64)
+        self.row = np.asarray(row, dtype=np.float64).reshape(1, -1)
+
+    def start_state(self, batch_size, contexts):
+        return (), None
+
+    def advance(self, state, gain, ids):
+        return state + (ids,), self.row
+
+
+def test_beam_ranks_nan_after_every_number_and_breaks_ties_by_ids():
+    nan, inf = math.nan, math.inf
+    # specials, EOS, then words 4..8
+    m = ScriptedModel([-9.0, -9.0, -9.0, -1.0, nan, -0.5, nan, -0.5, -inf])
+    # step one ranks 5 and 7 (tied, by id), 8 (-inf), then 4 and 6 (NaN, by id)
+    expected = [((), -1.0), ((5,), -1.5), ((7,), -1.5), ((8,), -inf), ((4,), nan), ((6,), nan)]
+    for width in range(1, 7):
+        got = E.beam_search(m, width=width, max_len=2)
+        want = expected[:1 + width]
+        assert [h.ids for h in got] == [ids for ids, _ in want]
+        npt.assert_array_equal([h.logprob for h in got], [lp for _, lp in want])
+    got = E.beam_search(m, width=6, max_len=2, length_normalize=True)
+    assert [h.ids for h in got] == [(5,), (7,), (), (8,), (4,), (6,)]
+    # a NaN prefix keeps extending; its completions rank last, by length then ids
+    got = E.beam_search(m, width=6, max_len=3)
+    nan_ids = [h.ids for h in got if math.isnan(h.logprob)]
+    assert nan_ids == sorted(nan_ids, key=lambda ids: (len(ids), ids))
+    assert all(not math.isnan(h.logprob) for h in got[:-len(nan_ids)])
+
+
+def test_beam_advances_once_per_kept_hypothesis():
+    m = build(17, unroll=12)
+    calls = []
+    advance = m.advance
+
+    def counted(state, gain, ids):
+        calls.append(ids)
+        return advance(state, gain, ids)
+
+    m.advance = counted
+    E.beam_search(m, width=13, max_len=12)
+    assert len(calls) == 1 + 13 * 11  # BOS, then width hypotheses per non-final step
 
 
 def test_render_samples():

@@ -254,12 +254,18 @@ def test_grad_accumulates_across_tapes_until_zeroed():
 
 
 def test_clip_gradients():
-    grads = {"w": np.array([[3.0, -2.5, 1.0]]), "b": np.array([[-7.0]])}
+    w, b = np.array([[3.0, -2.5, 1.0]]), np.array([[-7.0]], dtype=np.float32)
+    grads = {"w": w, "b": b}
     clipped = T.clip_gradients(grads, 2.0)
     npt.assert_array_equal(clipped["w"], [[2.0, -2.0, 1.0]])
     npt.assert_array_equal(clipped["b"], [[-2.0]])
+    # clamped in place: the returned dict and arrays are the inputs themselves
+    assert clipped is grads and clipped["w"] is w and clipped["b"] is b
+    assert b.dtype == np.float32
     # already inside the bound: unchanged
-    npt.assert_array_equal(T.clip_gradients(np.array([0.5, -0.5]), 2.0), [0.5, -0.5])
+    g = np.array([0.5, -0.5])
+    assert T.clip_gradients(g, 2.0) is g
+    npt.assert_array_equal(g, [0.5, -0.5])
     with pytest.raises(ConfigError):
         T.clip_gradients(grads, 0.0)
     with pytest.raises(ConfigError):
