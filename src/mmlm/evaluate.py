@@ -16,6 +16,7 @@ import numpy as np
 from .data import BOS_ID, EOS_ID, SequenceBatch, Vocabulary
 from .errors import ConfigError, DataError, UsageError
 from .model import DecoderParams, SequenceModel
+from .tensor import no_grad
 
 CONDITIONS = ("L-L", "LV-LV", "LV-L")
 
@@ -31,10 +32,11 @@ def _zero_contexts(batch: SequenceBatch, dim: int) -> SequenceBatch:
 def evaluate(model: SequenceModel, batches, condition: str):
     """(mean per-token NLL, PPL) on the batches under one condition.
 
-    Pure: parameters are read, never written; repeated calls are
-    bit-identical. L-L strips any stored contexts (on a fused model that
-    coincides with LV-L, since a missing context is the zero vector);
-    LV-L substitutes zero vectors; LV-LV requires stored contexts.
+    Pure: parameters are read, never written, and no tape is built;
+    repeated calls are bit-identical. L-L strips any stored contexts (on a
+    fused model that coincides with LV-L, since a missing context is the
+    zero vector); LV-L substitutes zero vectors; LV-LV requires stored
+    contexts.
     """
     if condition not in CONDITIONS:
         raise UsageError(f"condition must be one of {CONDITIONS}, got {condition!r}")
@@ -49,7 +51,8 @@ def evaluate(model: SequenceModel, batches, condition: str):
             batch = _zero_contexts(batch, model.config.context_dim)
         elif batch.contexts is None:
             raise UsageError("LV-LV needs stored context vectors; use LV-L for the null condition")
-        loss, count = model.sequence_nll(batch)
+        with no_grad():
+            loss, count = model.sequence_nll(batch)
         total += loss.item()
         tokens += count
     if tokens == 0:

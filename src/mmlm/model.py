@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cells, tensor as tz
-from .data import BOS_ID, SequenceBatch
+from .data import BOS_ID, SPECIAL_TOKENS, SequenceBatch
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .tensor import Tensor
 
@@ -38,8 +38,11 @@ class ModelConfig:
             raise ConfigError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
         if self.fusion not in FUSION_MODES:
             raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
-        if self.hidden < 1 or self.vocab < 1:
-            raise ConfigError(f"hidden={self.hidden} and vocab={self.vocab} must be >= 1")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        if self.vocab < len(SPECIAL_TOKENS):
+            raise ConfigError(f"vocab must be >= {len(SPECIAL_TOKENS)} to hold the special"
+                              f" tokens {' '.join(SPECIAL_TOKENS)}, got {self.vocab}")
         if self.unroll < 1:
             raise ConfigError(f"unroll length must be >= 1, got {self.unroll}")
         if self.fusion != "none" and self.context_dim < 1:
@@ -130,10 +133,13 @@ class SequenceModel:
         return state, self._gain(contexts, batch_size)
 
     def advance(self, state: cells.StepState, gain, ids):
-        """Feed one token per sequence; returns (new state, log P rows)."""
+        """Feed one token per sequence; returns (new state, log P rows).
+
+        Builds no tape: the new state cannot be differentiated."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-        new_state = self._step(ids, state, gain)
-        logp = tz.log_softmax_rows(self._logits(new_state.h))
+        with tz.no_grad():
+            new_state = self._step(ids, state, gain)
+            logp = tz.log_softmax_rows(self._logits(new_state.h))
         return new_state, logp.data
 
     def forward_sequence(self, batch: SequenceBatch) -> list:
@@ -150,8 +156,9 @@ class SequenceModel:
     def sequence_nll(self, batch: SequenceBatch):
         """(loss tensor, counted targets): sum of -log P over masked targets.
 
-        The recurrence runs step by step; the decoder then scores every step
-        at once on the stacked hidden states. Each sequence's terms are added
+        The recurrence runs step by step; the decoder then scores the masked
+        targets of all steps at once, on their rows of the stacked hidden
+        states, so padding is never decoded. Each sequence's terms are added
         in step order before the batch total, so padding a batch with extra
         rows or columns leaves the loss bit-identical.
 
@@ -168,10 +175,12 @@ class SequenceModel:
         for t in range(last):  # consuming row t predicts row t+1
             state = self._step(batch.tokens[t], state, gain)
             hs.append(state.h)
-        logp = tz.log_softmax_rows(self._logits(tz.stack_rows(hs)))
-        picked = tz.take_per_row(logp, batch.tokens[1:last + 1].reshape(-1))
-        m = tz.const(batch.mask[1:last + 1].reshape(-1, 1).astype(self.dtype))
-        per_seq = tz.sum_row_blocks(tz.hadamard(picked, m), last)
+        # row t * B + b of the stack is sequence b after consuming row t
+        targets = batch.tokens[1:last + 1].reshape(-1)
+        scored = np.flatnonzero(batch.mask[1:last + 1].reshape(-1))
+        logp = tz.target_log_probs(tz.take_rows(tz.stack_rows(hs), scored),
+                                   self.decoder.U, self.decoder.b_U, targets[scored])
+        per_seq = tz.sum_row_blocks(tz.put_rows(logp, scored, targets.size), last)
         loss = tz.scale(tz.sum_all(per_seq), -1.0)
         return loss, int(batch.mask.sum())
 

@@ -4,18 +4,21 @@ Every value is a rows x cols matrix in either float32 (training precision)
 or float64 (verification precision); the two must never meet on one tape.
 Operations return fresh Tensor nodes that remember their parents and a
 backward closure, so ``backward(loss)`` can walk the graph once in reverse
-topological order and accumulate gradients into the leaves.
+topological order and accumulate gradients into the leaves. Inside a
+``no_grad()`` block they remember neither, so scoring builds no tape.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import struct
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError, UsageError
+from .errors import ConfigError, DataError, DimensionError, StateError, UsageError
 
 ACTIVATION_KINDS = ("sigmoid", "tanh", "relu", "identity")
 
@@ -81,10 +84,34 @@ def const(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
 
 
+_GRAD_ENABLED = contextvars.ContextVar("mmlm_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block.
+
+    Results of ops keep no parents and no backward closure, so nothing
+    computed here can be differentiated and parameter gradients are never
+    touched. Blocks nest; the previous mode comes back on exit, also when
+    the block raises.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
+def _taped(parents: tuple) -> bool:
+    """Whether an op on these parents records a tape node."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _taped(parents)
     out.grad = None
     # constants need no history; dropping it keeps eval-only graphs flat
     out._parents = parents if out.requires_grad else ()
@@ -310,8 +337,6 @@ def embed_columns(w: Tensor, ids) -> Tensor:
     Row b of the result is column ids[b] of w, so a batch of token ids turns
     into a batch of embedding rows in one op.
     """
-    from .errors import DataError
-
     idx = np.asarray(ids)
     if idx.ndim != 1:
         raise DimensionError(f"embed_columns: ids must be 1-D, got ndim={idx.ndim}")
@@ -332,8 +357,6 @@ def embed_columns(w: Tensor, ids) -> Tensor:
 
 def take_per_row(x: Tensor, cols) -> Tensor:
     """Pick one entry per row: out[i, 0] = x[i, cols[i]]."""
-    from .errors import DataError
-
     idx = np.asarray(cols)
     if idx.ndim != 1 or idx.size != x.rows:
         raise DimensionError(
@@ -350,6 +373,103 @@ def take_per_row(x: Tensor, cols) -> Tensor:
         _accum(x, buf)
 
     return _result(out, (x,), back)
+
+
+def _row_indices(op: str, rows, limit: int) -> np.ndarray:
+    idx = np.asarray(rows)
+    if idx.ndim != 1:
+        raise DimensionError(f"{op}: row indices must be 1-D, got ndim={idx.ndim}")
+    if idx.size and (idx.min() < 0 or idx.max() >= limit):
+        raise DataError(f"{op}: row index out of range 0..{limit - 1}")
+    return idx
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Rows rows[0], rows[1], ... of x, top to bottom."""
+    idx = _row_indices("take_rows", rows, x.rows)
+
+    def back(g):
+        buf = np.zeros(x.data.shape, x.data.dtype)
+        np.add.at(buf, idx, g)  # a repeated row collects every copy's gradient
+        _accum(x, buf)
+
+    return _result(x.data[idx], (x,), back)
+
+
+def put_rows(x: Tensor, rows, n: int) -> Tensor:
+    """n x cols(x) zeros with row i of x added into row rows[i]."""
+    idx = _row_indices("put_rows", rows, n)
+    if idx.size != x.rows:
+        raise DimensionError(f"put_rows: {idx.size} row indices for {x.rows} rows")
+    out = np.zeros((n, x.cols), x.data.dtype)
+    np.add.at(out, idx, x.data)
+
+    def back(g):
+        _accum(x, g[idx])
+
+    return _result(out, (x,), back)
+
+
+_EXP_BLOCK_BYTES = 2 << 20  # scratch for the exponentials, one row block at a time
+
+
+def target_log_probs(h: Tensor, w: Tensor, b: Tensor | None, targets) -> Tensor:
+    """log softmax(h wᵀ + b)[i, targets[i]] for every row i, as a rows x 1 column.
+
+    One op for a decoder's matmul_t, add_row, log_softmax_rows and
+    take_per_row, and equal to that chain bit for bit. It makes a single
+    rows x |V| array: the logits, biased and shifted in place, whose
+    exponentials go through a scratch buffer of about 2 MiB, one row block
+    at a time. The logits come from one GEMM, not one per row block,
+    because every BLAS call packs all of w again. With a tape the shifted
+    logits are kept, and the backward turns them into the logit gradient in
+    place, so w's gradient is one GEMM over the rows.
+    """
+    parents = (h, w) if b is None else (h, w, b)
+    if h.cols != w.cols:
+        raise DimensionError(f"target_log_probs: {h.data.shape} x {w.data.shape}^T")
+    if b is not None and b.data.shape != (1, w.rows):
+        raise DimensionError(f"target_log_probs: bias {b.data.shape} for {w.rows} classes")
+    for p in parents[1:]:
+        _need_same_dtype("target_log_probs", h, p)
+    idx = np.asarray(targets)
+    if idx.ndim != 1 or idx.size != h.rows:
+        raise DimensionError(
+            f"target_log_probs: need {h.rows} targets, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= w.rows):
+        raise DataError(f"target_log_probs: target out of range 0..{w.rows - 1}")
+    n, classes = h.rows, w.rows
+    z = h.data @ w.data.T
+    if b is not None:
+        z += b.data
+    z -= z.max(axis=1, keepdims=True)
+    out = z[np.arange(n), idx].reshape(n, 1)
+    lse = np.empty((n, 1), z.dtype)
+    step = max(1, _EXP_BLOCK_BYTES // (classes * z.itemsize))
+    buf = np.empty((min(step, n), classes), z.dtype)
+    for start in range(0, n, step):
+        e = np.exp(z[start:start + step], out=buf[:min(step, n - start)])
+        np.log(e.sum(axis=1, keepdims=True), out=lse[start:start + step])
+    out -= lse
+    kept = z if _taped(parents) else None
+
+    def back(g):
+        nonlocal kept
+        if kept is None:
+            raise StateError("target_log_probs: its kept logits were already consumed")
+        # d out_i / d logits_i = onehot(targets[i]) - softmax_i, scaled by g_i
+        d, kept = kept, None
+        d -= lse
+        np.exp(d, out=d)
+        d *= g
+        np.negative(d, out=d)
+        d[np.arange(n), idx] += g[:, 0]
+        _accum(h, d @ w.data)
+        _accum(w, d.T @ h.data)
+        if b is not None:
+            _accum(b, d.sum(axis=0, keepdims=True))
+
+    return _result(out, parents, back)
 
 
 def stack_rows(parts) -> Tensor:

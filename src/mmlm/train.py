@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .data import encode_batches
 from .errors import ConfigError, DimensionError, TrainingAbort
-from .tensor import backward, clip_gradients, seed_stream
+from .tensor import backward, clip_gradients, no_grad, seed_stream
 
 SCHEDULES = ("cumulative", "consecutive")
 
@@ -89,12 +89,17 @@ def update_schedule(state: TrainState, new_valid_ppl: float, patience: int = 3,
 
 
 def sgd_step(named_params: dict, grads: dict, lr: float) -> None:
-    """theta <- theta - lr * grad, in place; grads are already clipped."""
+    """theta <- theta - lr * grad, in place; grads are already clipped.
+
+    Consumes grads: each gradient array is scaled by lr in place, so the
+    step makes no parameter-sized temporary.
+    """
     for name, p in named_params.items():
         g = grads[name]
         if g.shape != p.data.shape:
             raise DimensionError(f"gradient for {name} is {g.shape}, parameter is {p.data.shape}")
-        p.data -= p.data.dtype.type(lr) * g
+        g *= p.data.dtype.type(lr)
+        p.data -= g
 
 
 def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
@@ -126,11 +131,13 @@ def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
 
 
 def dataset_nll(model, batches):
-    """(mean per-token NLL, PPL) over a fixed batch list; no mutation."""
+    """(mean per-token NLL, PPL) over a fixed batch list; no mutation and
+    no tape."""
     total = 0.0
     tokens = 0
     for batch in batches:
-        loss, count = model.sequence_nll(batch)
+        with no_grad():
+            loss, count = model.sequence_nll(batch)
         total += loss.item()
         tokens += count
     if tokens == 0:

@@ -88,6 +88,36 @@ def test_evaluate_is_pure():
         npt.assert_array_equal(v, before[k])
 
 
+def test_evaluate_equals_the_taped_loss_and_builds_no_tape(monkeypatch):
+    m = build(12, fusion="outer")
+    rng = np.random.default_rng(2)
+    seqs = [list(rng.integers(4, 12, size=rng.integers(0, 7))) for _ in range(9)]
+    ctx = rng.uniform(-1, 1, (9, 3))
+    batches = [D.encode_sequences(seqs[i:i + 4], 8, contexts=ctx[i:i + 4]) for i in (0, 4, 8)]
+    nll = m.sequence_nll
+    scored = []
+
+    def spy(batch):
+        loss, count = nll(batch)
+        scored.append(loss)
+        return loss, count
+
+    monkeypatch.setattr(m, "sequence_nll", spy)
+    for condition, contexts in (("LV-LV", lambda b: b.contexts),
+                                ("LV-L", lambda b: np.zeros_like(b.contexts)),
+                                ("L-L", lambda b: None)):
+        total = tokens = 0
+        for b in batches:
+            loss, count = nll(D.SequenceBatch(b.tokens, b.mask, contexts(b), b.image_ids))
+            assert loss.requires_grad
+            total += loss.item()
+            tokens += count
+        scored.clear()
+        assert E.evaluate(m, batches, condition) == (total / tokens, math.exp(total / tokens))
+        assert len(scored) == 3
+        assert all(not t.requires_grad and t._parents == () for t in scored)
+
+
 def test_eval_report_renders_table_one_shape():
     rows = [
         E.EvalRow("delta-rnn", "L-L", "english", 2.714, 15.086),

@@ -33,6 +33,11 @@ def test_config_validation():
         ModelConfig(hidden=4, vocab=10, fusion="both").validate()
     with pytest.raises(ConfigError):
         ModelConfig(arch="gru", hidden=4, vocab=10, fusion="inner").validate()
+    with pytest.raises(ConfigError, match="<pad> <unk> <bos> <eos>"):
+        ModelConfig(hidden=4, vocab=3).validate()
+    with pytest.raises(ConfigError):
+        build_model(ModelConfig(hidden=4, vocab=3), seed=0)
+    ModelConfig(hidden=4, vocab=4).validate()
     tiny_config().validate()
 
 
@@ -143,6 +148,28 @@ def test_batched_decoder_matches_per_step_loop(arch, fusion):
         assert np.abs(g).max() > 0, name  # every parameter is exercised
         npt.assert_allclose(got_g[name], g, rtol=1e-10, atol=1e-10 * np.abs(g).max(),
                             err_msg=name)
+
+
+def test_only_masked_targets_reach_the_decoder(monkeypatch):
+    m = build_model(tiny_config(), seed=17, dtype=np.float64)
+    batch = make_batch([[4, 5, 6, 7, 8], [9], [6, 4, 5]])
+    batch.tokens = np.hstack([batch.tokens, np.zeros((batch.tokens.shape[0], 1), np.int64)])
+    batch.mask = np.hstack([batch.mask, np.zeros((batch.mask.shape[0], 1), np.float32)])
+    batch.image_ids = batch.image_ids + [""]
+    seen = []
+    decode = T.target_log_probs
+
+    def spy(h, w, b, targets):
+        seen.append((h.rows, list(targets)))
+        return decode(h, w, b, targets)
+
+    monkeypatch.setattr(T, "target_log_probs", spy)
+    loss, count = m.sequence_nll(batch)
+    # 6 steps x 4 columns are stacked; 6 + 2 + 4 of them are targets
+    assert seen == [(int(batch.mask.sum()), [4, 9, 6, 5, 3, 4, 6, 5, 7, 3, 8, 3])]
+    assert count == 12
+    with T.no_grad():
+        assert m.sequence_nll(batch)[0].item() == loss.item()
 
 
 def test_hand_computed_two_token_nll():
@@ -272,6 +299,19 @@ def test_advance_is_consistent_with_forward():
     dists = m.forward_sequence(batch)
     for lp, dist in zip(logps, dists):
         npt.assert_allclose(np.exp(lp), dist.data[0], atol=1e-12)
+
+
+def test_advance_builds_no_tape():
+    m = build_model(tiny_config(arch="lstm", fusion="outer"), seed=13, dtype=np.float64)
+    m.zero_grad()
+    state, gain = m.start_state(1, np.array([[0.4, -0.1, 0.2]]))
+    for tok in (D.BOS_ID, 4):
+        state, logp = m.advance(state, gain, tok)
+        for t in (state.h, state.cell):
+            assert not t.requires_grad and t._parents == ()
+    T.backward(T.sum_all(state.h))
+    for name, p in m.named_parameters().items():
+        assert not p.grad.any(), name
 
 
 def test_single_row_batch_runs():

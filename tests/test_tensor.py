@@ -361,6 +361,131 @@ def test_finite_diff_matmul_t_stack_rows_sum_row_blocks():
     assert T.finite_diff_check(loss, [a, b, c], eps=1e-5) < 1e-7
 
 
+def test_no_grad_builds_no_tape_and_leaves_grads_alone():
+    w = T.param([[1.0, -2.0], [0.5, 3.0]])
+    w.grad[:] = 7.0
+    before = w.grad.copy()
+    with T.no_grad():
+        y = T.tanh(T.matmul(T.const([[1.0, 2.0]]), w))
+        loss = T.sum_all(y)
+    for node in (y, loss):
+        assert not node.requires_grad
+        assert node._parents == () and node._backward is None
+    npt.assert_array_equal(y.data, np.tanh([[2.0, 4.0]]))
+    T.backward(loss)
+    npt.assert_array_equal(w.grad, before)
+    # the tape is back after the block
+    assert T.sum_all(T.matmul(T.const([[1.0, 2.0]]), w))._parents != ()
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    w = T.param([[1.0]])
+
+    def taped():
+        return T.scale(w, 2.0).requires_grad
+
+    with T.no_grad():
+        with T.no_grad():
+            assert not taped()
+        assert not taped()  # leaving the inner block keeps the outer one
+    assert taped()
+    with pytest.raises(ZeroDivisionError):
+        with T.no_grad():
+            1 / 0
+    assert taped()
+
+
+def test_take_rows_and_put_rows():
+    x = T.param([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    got = T.take_rows(x, [2, 0, 2])
+    npt.assert_array_equal(got.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
+    T.backward(T.sum_all(T.hadamard(got, T.const([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))))
+    npt.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])  # repeats add up
+    y = T.param([[1.0], [2.0], [4.0]])
+    put = T.put_rows(y, [3, 0, 3], 5)
+    npt.assert_array_equal(put.data, [[2.0], [0.0], [0.0], [5.0], [0.0]])
+    T.backward(T.sum_all(T.hadamard(put, T.const([[1.0], [2.0], [3.0], [4.0], [5.0]]))))
+    npt.assert_array_equal(y.grad, [[4.0], [1.0], [4.0]])
+    with pytest.raises(DataError):
+        T.take_rows(x, [3])
+    with pytest.raises(DataError):
+        T.put_rows(y, [0, 1, 5], 5)
+    with pytest.raises(DimensionError):
+        T.put_rows(y, [0, 1], 5)
+    with pytest.raises(DimensionError):
+        T.take_rows(x, [[0]])
+
+
+def _decoder_chain(h, w, b, targets):
+    logits = T.matmul_t(h, w)
+    if b is not None:
+        logits = T.add_row(logits, b)
+    return T.take_per_row(T.log_softmax_rows(logits), targets)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [True, False])
+def test_target_log_probs_equals_the_op_chain(monkeypatch, dtype, bias):
+    # a 100-byte scratch holds one or two rows of 11 classes, so the
+    # exponentials of the 7 rows take several blocks
+    monkeypatch.setattr(T, "_EXP_BLOCK_BYTES", 100)
+    rng = np.random.default_rng(6)
+    h = T.param(rng.uniform(-3, 3, (7, 5)).astype(dtype))
+    w = T.param(rng.uniform(-3, 3, (11, 5)).astype(dtype))
+    b = T.param(rng.uniform(-1, 1, (1, 11)).astype(dtype)) if bias else None
+    targets = rng.integers(0, 11, 7)
+    leaves = [h, w] + ([b] if bias else [])
+    want = _decoder_chain(h, w, b, targets)
+    T.backward(T.sum_all(T.hadamard(want, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
+    want_grads = [p.grad.copy() for p in leaves]
+    T.zero_grad(leaves)
+    got = T.target_log_probs(h, w, b, targets)
+    npt.assert_array_equal(got.data, want.data)
+    with T.no_grad():
+        npt.assert_array_equal(T.target_log_probs(h, w, b, targets).data, want.data)
+    T.backward(T.sum_all(T.hadamard(got, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    for p, g in zip(leaves, want_grads):
+        npt.assert_allclose(p.grad, g, rtol=tol, atol=tol)
+
+
+def test_finite_diff_target_log_probs_take_rows_put_rows():
+    rng = np.random.default_rng(7)
+    a = T.param(rng.uniform(-1, 1, (6, 4)))
+    w = T.param(rng.uniform(-1, 1, (9, 4)))
+    b = T.param(rng.uniform(-1, 1, (1, 9)))
+    rows = [5, 1, 2, 4]
+
+    def loss():
+        picked = T.target_log_probs(T.take_rows(T.tanh(a), rows), w, b, [8, 0, 3, 3])
+        return T.sum_all(T.sum_row_blocks(T.put_rows(picked, rows, 6), 3))
+
+    assert T.finite_diff_check(loss, [a, w, b], eps=1e-5) < 1e-7
+
+
+def test_target_log_probs_validates_and_backs_up_once():
+    h = T.param(np.zeros((2, 3)))
+    w = T.param(np.zeros((4, 3)))
+    with pytest.raises(DimensionError):
+        T.target_log_probs(h, T.param(np.zeros((4, 2))), None, [0, 1])
+    with pytest.raises(DimensionError):
+        T.target_log_probs(h, w, T.param(np.zeros((1, 3))), [0, 1])
+    with pytest.raises(DimensionError):
+        T.target_log_probs(h, w, None, [0])
+    with pytest.raises(DataError):
+        T.target_log_probs(h, w, None, [0, 4])
+    with pytest.raises(ConfigError):
+        T.target_log_probs(h, T.param(np.zeros((4, 3), dtype=np.float32)), None, [0, 1])
+    # uniform logits: log(1/4) at every row
+    y = T.target_log_probs(h, w, None, [0, 3])
+    npt.assert_allclose(y.data, np.log([[0.25], [0.25]]), rtol=1e-15)
+    # the backward consumes the kept logits, so a second sweep through the
+    # node is refused instead of reading them twice
+    T.backward(T.sum_all(y))
+    with pytest.raises(StateError):
+        T.backward(T.scale(T.sum_all(y), 2.0))
+
+
 def test_seed_stream_deterministic_and_name_split():
     a1 = T.seed_stream(7, "init").uniform(size=5)
     a2 = T.seed_stream(7, "init").uniform(size=5)

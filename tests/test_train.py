@@ -85,6 +85,19 @@ def test_sgd_step_known_values():
         TR.sgd_step(p, {"w": np.zeros((2, 2)), "b": np.zeros((1, 1))}, 1.0)
 
 
+def test_sgd_step_bits_and_consumed_grads():
+    rng = np.random.default_rng(8)
+    for dtype in (np.float32, np.float64):
+        w = rng.uniform(-1, 1, (40, 30)).astype(dtype)
+        g = rng.uniform(-2, 2, (40, 30)).astype(dtype)
+        want = w - dtype(0.37) * g
+        p = {"w": T.param(w.copy())}
+        grads = {"w": g.copy()}
+        TR.sgd_step(p, grads, 0.37)
+        npt.assert_array_equal(p["w"].data, want)
+        npt.assert_array_equal(grads["w"], dtype(0.37) * g)  # scaled in place
+
+
 def test_clip_then_update_rule():
     p = {"w": T.param([[0.0]])}
     grads = T.clip_gradients({"w": np.array([[10.0]])}, 2.0)
@@ -132,6 +145,21 @@ def test_non_finite_loss_aborts_with_diagnostics():
     assert ei.value.batch_index == 0
     assert ei.value.lr == 0.25
     assert "epoch 7" in str(ei.value)
+
+
+def test_dataset_nll_equals_the_taped_loss_and_builds_no_tape(monkeypatch):
+    recs, vocab, model = small_setup(seed=4)
+    batches = D.encode_batches(recs, vocab, 8, 2)
+    losses = [model.sequence_nll(b) for b in batches]
+    assert all(loss.requires_grad for loss, _ in losses)
+    total = sum(loss.item() for loss, _ in losses)
+    tokens = sum(count for _, count in losses)
+    nll = model.sequence_nll
+    scored = []
+    monkeypatch.setattr(model, "sequence_nll", lambda b: scored.append(nll(b)) or scored[-1])
+    assert TR.dataset_nll(model, batches) == (total / tokens, math.exp(total / tokens))
+    assert len(scored) == len(batches)
+    assert all(not loss.requires_grad and loss._parents == () for loss, _ in scored)
 
 
 def test_dataset_nll_uniform_model():
