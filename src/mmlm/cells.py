@@ -1,10 +1,10 @@
 """Recurrent cells: delta-RNN, GRU, and peephole LSTM, with optional
 multi-modal context fusion.
 
-All step functions work on batches: hidden states are B x H matrices, one
-row per sequence. Word embeddings arrive as B x H rows already looked up
-from the input matrices (column per vocabulary item), so a step is pure
-tape arithmetic.
+Cells run on batches: hidden states are B x H matrices, one row per
+sequence, and each input matrix holds one column per vocabulary item.
+`recurrence` runs a whole T x B block of token ids as one tape op with a
+hand-written backward.
 
 Fusion modes: "inner" adds the projected context inside the candidate
 tanh of the delta-RNN; "outer" multiplies the cell output by the projected
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import ConfigError, DataError, DimensionError, StateError, UsageError
 from .tensor import Tensor
 
 ARCHITECTURES = ("delta-rnn", "gru", "lstm")
@@ -86,7 +86,7 @@ class StepState:
 
 def input_matrix_names(arch: str) -> tuple:
     """Names of the embedding matrices a cell looks words up in, in the
-    order its step function consumes them."""
+    order its recurrence consumes them."""
     if arch == "delta-rnn":
         return ("W",)
     if arch == "gru":
@@ -140,73 +140,252 @@ def _check_fusion(fusion: FusionParams | None, ctx_gain: Tensor | None, arch: st
         raise ConfigError(f"inner fusion is only defined for delta-rnn, not {arch}")
 
 
-def delta_rnn_step(p: DeltaRnnParams, emb: Tensor, h_prev: Tensor,
-                   ctx_gain: Tensor | None = None) -> StepState:
-    """One delta-RNN step.
+_LSTM_ACTIVATIONS = {  # name -> (phi, phi' written in terms of phi's output)
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "sigmoid": (tz.logistic, lambda y: y * (1.0 - y)),
+    "relu": (lambda u: np.maximum(u, 0), lambda y: (y > 0).astype(y.dtype)),
+    "identity": (lambda u: u, np.ones_like),
+}
 
-    d_rec = V h_prev and d_dat = emb are mixed through a second-order term
-    alpha * d_rec * d_dat plus the gated linear terms, squashed by tanh;
-    a data-driven rate gate r then interpolates with the previous state and
-    the result passes through a linear rectifier.
+
+def recurrence(p, tokens, gain: Tensor | None, state: StepState):
+    """Run the cell over a T x B matrix of token ids from `state`, as one
+    tape node. Returns (hs, final state).
+
+    Row t * B + b of hs is sequence b's output after consuming tokens[t, b].
+    The given state and the final one are constants: no gradient reaches
+    or leaves them. The forward gathers the T * B embedding columns of every
+    input matrix at once, then runs one step per row of tokens, in the same
+    arithmetic as the step-by-step tape chain. With a tape it keeps every
+    step's activations, and the backward is hand-written BPTT: one GEMM over
+    the T * B rows per recurrence matrix, one scatter into each input
+    matrix, and one sum for every row vector and for the gain. Under
+    no_grad it keeps nothing.
     """
-    _check_fusion(p.fusion, ctx_gain, "delta-rnn")
-    d_rec = tz.matmul_t(h_prev, p.V)
-    d_dat = emb
-    d1 = tz.mul_row(d_rec * d_dat, p.alpha)
-    d2 = tz.mul_row(d_rec, p.beta1) + tz.mul_row(d_dat, p.beta2)
-    pre = d1 + d2
-    if p.fusion is not None and p.fusion.mode == "inner":
-        pre = pre + ctx_gain
-    z = tz.tanh(pre)
-    r = tz.sigmoid(tz.add_row(d_dat, p.b_r))
-    mixed = tz.one_minus(r) * z + r * h_prev
-    if p.fusion is not None and p.fusion.mode == "outer":
-        mixed = mixed * ctx_gain
-    return StepState(h=tz.relu(mixed))
-
-
-def gru_step(p: GruParams, embs: tuple, h_prev: Tensor,
-             ctx_gain: Tensor | None = None) -> StepState:
-    """One GRU step; embs = (e_z, e_r, e_h) rows from W_z, W_r, W_h.
-
-    Note the update gate keeps the old state (h = z*h_prev + (1-z)*cand).
-    Outer fusion multiplies the new state by the context gain.
-    """
-    _check_fusion(p.fusion, ctx_gain, "gru")
-    e_z, e_r, e_h = embs
-    z = tz.sigmoid(e_z + tz.matmul_t(h_prev, p.V_z))
-    r = tz.sigmoid(e_r + tz.matmul_t(h_prev, p.V_r))
-    cand = tz.tanh(e_h + tz.matmul_t(r * h_prev, p.V_h))
-    h = z * h_prev + tz.one_minus(z) * cand
-    if p.fusion is not None:
-        h = h * ctx_gain
-    return StepState(h=h)
-
-
-def lstm_step(p: LstmParams, embs: tuple, state: StepState,
-              ctx_gain: Tensor | None = None) -> StepState:
-    """One peephole LSTM step; embs = (e_z, e_i, e_f, e_r).
-
-    Peepholes are diagonal: U_i and U_f see c_{t-1}, U_r sees c_t. The block
-    input and cell output use p.activation (tanh by default). Outer fusion
-    multiplies the emitted hidden state by the context gain.
-    """
-    _check_fusion(p.fusion, ctx_gain, "lstm")
-    act = {"tanh": tz.tanh, "sigmoid": tz.sigmoid, "relu": tz.relu, "identity": tz.identity}
-    if p.activation not in act:
+    arch = cell_arch(p)
+    _check_fusion(p.fusion, gain, arch)
+    if arch == "lstm" and p.activation not in _LSTM_ACTIVATIONS:
         raise ConfigError(f"unknown lstm activation {p.activation!r}")
-    phi = act[p.activation]
-    e_z, e_i, e_f, e_r = embs
-    h_prev, c_prev = state.h, state.cell
-    z = phi(e_z + tz.matmul_t(h_prev, p.V_z))
-    i = tz.sigmoid(e_i + tz.matmul_t(h_prev, p.V_i) + tz.mul_row(c_prev, p.U_i))
-    f = tz.sigmoid(e_f + tz.matmul_t(h_prev, p.V_f) + tz.mul_row(c_prev, p.U_f))
-    c = f * c_prev + i * z
-    r = tz.sigmoid(e_r + tz.matmul_t(h_prev, p.V_r) + tz.mul_row(c, p.U_r))
-    h = r * phi(c)
-    if p.fusion is not None:
-        h = h * ctx_gain
-    return StepState(h=h, cell=c)
+    ids = np.asarray(tokens)
+    if ids.ndim != 2 or ids.shape[0] < 1:
+        raise DimensionError(f"recurrence: need a T x B id matrix with T >= 1, got {ids.shape}")
+    steps, batch = ids.shape
+    flat = ids.reshape(-1)
+    names = input_matrix_names(arch)
+    hidden, vocab = getattr(p, names[0]).shape
+    if flat.size and (flat.min() < 0 or flat.max() >= vocab):
+        raise DataError(f"recurrence: token id out of range 0..{vocab - 1}")
+    for t in (state.h, gain):
+        if t is not None and t.shape != (batch, hidden):
+            raise DimensionError(f"recurrence: state or gain {t.shape} for {batch} x {hidden}")
+    params = tuple(getattr(p, n) for n in _CELL_FIELDS[arch])
+    parents = params if gain is None else params + (gain,)
+    if gain is not None:
+        tz._need_same_dtype("recurrence", params[0], gain)
+    forward, backward = _RECURRENCES[arch]
+    xs = [getattr(p, n).data.T[flat].reshape(steps, batch, hidden) for n in names]
+    g = None if gain is None else gain.data
+    h0, c0 = state.h.data, None if state.cell is None else state.cell.data
+    kept = [] if tz._taped(parents) else None
+    out, c_last = forward(p, xs, g, h0, c0, kept)
+    if kept is not None:
+        kept = [np.stack(a) for a in zip(*kept)]
+
+    def back(grad):
+        nonlocal kept
+        if kept is None:
+            raise StateError("recurrence: its kept activations were already consumed")
+        acts, kept = kept, None
+        hprev = np.concatenate([h0[None], out[:-1]])
+        dxs, grads, dgain = backward(p, xs, g, hprev, c0, acts, grad.reshape(out.shape))
+        for name, dx in zip(names, dxs):
+            tz._accum_columns(getattr(p, name), flat, _rows(dx))
+        for name, d in grads.items():
+            tz._accum(getattr(p, name), d)
+        if gain is not None:
+            tz._accum(gain, dgain)
+
+    hs = tz._result(out.reshape(steps * batch, hidden), parents, back)
+    final = StepState(h=tz.const(out[-1]), cell=None if c_last is None else tz.const(c_last))
+    return hs, final
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A T x B x C stack as T * B rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    return _rows(a).sum(axis=0, keepdims=True)
+
+
+def _delta_forward(p, xs, g, h, c, kept):
+    """d_rec = V h_prev and d_dat = the embedding are mixed through a
+    second-order term alpha * d_rec * d_dat plus the gated linear terms,
+    squashed by tanh; a data-driven rate gate r then interpolates with the
+    previous state and the result passes through a linear rectifier."""
+    (x,) = xs
+    inner = p.fusion is not None and p.fusion.mode == "inner"
+    r = tz.logistic(x + p.b_r.data)
+    one_minus_r = 1.0 - r
+    dat = x * p.beta2.data
+    V, alpha, beta1 = p.V.data, p.alpha.data, p.beta1.data
+    out = np.empty_like(x)
+    for t in range(len(x)):
+        d_rec = h @ V.T
+        pre = d_rec * x[t] * alpha + (d_rec * beta1 + dat[t])
+        if inner:
+            pre = pre + g
+        z = np.tanh(pre)
+        mixed = one_minus_r[t] * z + r[t] * h
+        if kept is not None:
+            kept.append((d_rec, z, mixed))
+        if g is not None and not inner:
+            mixed = mixed * g
+        h = out[t] = np.maximum(mixed, 0)
+    return out, None
+
+
+def _delta_backward(p, xs, g, hprev, c0, acts, G):
+    (x,) = xs
+    d_rec, z, mixed = acts
+    outer = p.fusion is not None and p.fusion.mode == "outer"
+    r = tz.logistic(x + p.b_r.data)
+    live = ((mixed * g if outer else mixed) > 0).astype(x.dtype)
+    dz_dm = (1.0 - r) * (1.0 - z * z)
+    dpre_da = p.alpha.data * x + p.beta1.data
+    V = p.V.data
+    d_live, d_rec_grad = np.empty_like(G), np.empty_like(G)
+    dh = np.zeros_like(G[0])
+    for t in reversed(range(len(G))):
+        dm = np.multiply(G[t] + dh, live[t], out=d_live[t])
+        if outer:
+            dm = dm * g
+        da = np.multiply(dm * dz_dm[t], dpre_da[t], out=d_rec_grad[t])
+        dh = dm * r[t] + da @ V
+    dmixed = d_live * g if outer else d_live
+    dpre = dmixed * dz_dm
+    dr = dmixed * (hprev - z) * r * (1.0 - r)
+    dx = dpre * (p.alpha.data * d_rec + p.beta2.data) + dr
+    grads = {"V": _rows(d_rec_grad).T @ _rows(hprev), "b_r": _rowsum(dr),
+             "alpha": _rowsum(dpre * d_rec * x), "beta1": _rowsum(dpre * d_rec),
+             "beta2": _rowsum(dpre * x)}
+    dgain = None
+    if g is not None:
+        dgain = (d_live * mixed).sum(axis=0) if outer else dpre.sum(axis=0)
+    return (dx,), grads, dgain
+
+
+def _gru_forward(p, xs, g, h, c, kept):
+    """The update gate keeps the old state: h = z*h_prev + (1-z)*cand, and
+    the candidate's recurrence reads r * h_prev. Outer fusion multiplies
+    the new state by the context gain."""
+    x_z, x_r, x_h = xs
+    V_z, V_r, V_h = p.V_z.data, p.V_r.data, p.V_h.data
+    out = np.empty_like(x_z)
+    for t in range(len(x_z)):
+        z = tz.logistic(x_z[t] + h @ V_z.T)
+        r = tz.logistic(x_r[t] + h @ V_r.T)
+        rh = r * h
+        cand = np.tanh(x_h[t] + rh @ V_h.T)
+        new = z * h + (1.0 - z) * cand
+        if kept is not None:
+            kept.append((z, r, rh, cand, new))
+        h = out[t] = new if g is None else new * g
+    return out, None
+
+
+def _gru_backward(p, xs, g, hprev, c0, acts, G):
+    z, r, rh, cand, new = acts
+    hidden = G.shape[-1]
+    dz_dpre = (hprev - cand) * z * (1.0 - z)
+    dcand_dpre = (1.0 - z) * (1.0 - cand * cand)
+    dr_dpre = hprev * r * (1.0 - r)
+    V_zr = np.concatenate([p.V_z.data, p.V_r.data])
+    V_h = p.V_h.data
+    d_out = np.empty_like(G)
+    d_zr = np.empty(G.shape[:2] + (2 * hidden,), G.dtype)
+    d_cand = np.empty_like(G)
+    dh = np.zeros_like(G[0])
+    for t in reversed(range(len(G))):
+        dnew = np.add(G[t], dh, out=d_out[t])
+        if g is not None:
+            dnew = dnew * g
+        np.multiply(dnew, dz_dpre[t], out=d_zr[t, :, :hidden])
+        drh = np.multiply(dnew, dcand_dpre[t], out=d_cand[t]) @ V_h
+        np.multiply(drh, dr_dpre[t], out=d_zr[t, :, hidden:])
+        dh = dnew * z[t] + drh * r[t] + d_zr[t] @ V_zr
+    dV_zr = _rows(d_zr).T @ _rows(hprev)
+    grads = {"V_z": dV_zr[:hidden], "V_r": dV_zr[hidden:],
+             "V_h": _rows(d_cand).T @ _rows(rh)}
+    dgain = None if g is None else (d_out * new).sum(axis=0)
+    return (d_zr[..., :hidden], d_zr[..., hidden:], d_cand), grads, dgain
+
+
+def _lstm_forward(p, xs, g, h, c, kept):
+    """Peephole LSTM: the diagonal peepholes U_i and U_f see c_{t-1}, U_r
+    sees c_t. The block input and cell output use p.activation. Outer
+    fusion multiplies the emitted hidden state by the context gain."""
+    x_z, x_i, x_f, x_r = xs
+    V_z, V_i, V_f, V_r = p.V_z.data, p.V_i.data, p.V_f.data, p.V_r.data
+    U_i, U_f, U_r = p.U_i.data, p.U_f.data, p.U_r.data
+    phi = _LSTM_ACTIVATIONS[p.activation][0]
+    out = np.empty_like(x_z)
+    for t in range(len(x_z)):
+        z = phi(x_z[t] + h @ V_z.T)
+        i = tz.logistic(x_i[t] + h @ V_i.T + c * U_i)
+        f = tz.logistic(x_f[t] + h @ V_f.T + c * U_f)
+        c = f * c + i * z
+        o = tz.logistic(x_r[t] + h @ V_r.T + c * U_r)
+        phi_c = phi(c)
+        y = o * phi_c
+        if kept is not None:
+            kept.append((z, i, f, c, o, phi_c, y))
+        h = out[t] = y if g is None else y * g
+    return out, c
+
+
+def _lstm_backward(p, xs, g, hprev, c0, acts, G):
+    z, i, f, c, o, phi_c, y = acts
+    hidden = G.shape[-1]
+    dphi = _LSTM_ACTIVATIONS[p.activation][1]
+    cprev = np.concatenate([c0[None], c[:-1]])
+    do_dpre = phi_c * o * (1.0 - o)
+    dc_dy = o * dphi(phi_c)
+    di_dpre = z * i * (1.0 - i)
+    df_dpre = cprev * f * (1.0 - f)
+    dz_dpre = i * dphi(z)
+    U_i, U_f, U_r = p.U_i.data, p.U_f.data, p.U_r.data
+    V_all = np.concatenate([p.V_z.data, p.V_i.data, p.V_f.data, p.V_r.data])
+    d_out = np.empty_like(G)
+    d_pre = np.empty(G.shape[:2] + (4 * hidden,), G.dtype)  # gates z, i, f, r
+    dz, di, df, do = (d_pre[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    dh = np.zeros_like(G[0])
+    dc_next = np.zeros_like(G[0])
+    for t in reversed(range(len(G))):
+        dy = np.add(G[t], dh, out=d_out[t])
+        if g is not None:
+            dy = dy * g
+        dpo = np.multiply(dy, do_dpre[t], out=do[t])
+        dc = dc_next + dy * dc_dy[t] + dpo * U_r
+        dpi = np.multiply(dc, di_dpre[t], out=di[t])
+        dpf = np.multiply(dc, df_dpre[t], out=df[t])
+        np.multiply(dc, dz_dpre[t], out=dz[t])
+        dc_next = dc * f[t] + dpi * U_i + dpf * U_f
+        dh = d_pre[t] @ V_all
+    dV = _rows(d_pre).T @ _rows(hprev)
+    grads = {name: dV[k * hidden:(k + 1) * hidden]
+             for k, name in enumerate(("V_z", "V_i", "V_f", "V_r"))}
+    grads.update(U_i=_rowsum(di * cprev), U_f=_rowsum(df * cprev), U_r=_rowsum(do * c))
+    dgain = None if g is None else (d_out * y).sum(axis=0)
+    return (dz, di, df, do), grads, dgain
+
+
+_RECURRENCES = {
+    "delta-rnn": (_delta_forward, _delta_backward),
+    "gru": (_gru_forward, _gru_backward),
+    "lstm": (_lstm_forward, _lstm_backward),
+}
 
 
 def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:

@@ -140,28 +140,24 @@ def save_checkpoint(path, model: SequenceModel, vocab: Vocabulary,
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parse a checkpoint; each tensor is read straight into its own array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    spath = str(path)
+        return _read_checkpoint(fh, str(path), os.fstat(fh.fileno()).st_size)
 
+
+def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
     offset = 0
 
-    def take(fmt):
+    def take_bytes(n):
         nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(blob):
+        out = fh.read(n) if offset + n <= size else b""  # no allocation past the end
+        if len(out) != n:
             raise FormatError(f"{spath}: truncated checkpoint")
-        out = struct.unpack_from(fmt, blob, offset)
-        offset += size
+        offset += n
         return out
 
-    def take_bytes(size):
-        nonlocal offset
-        if offset + size > len(blob):
-            raise FormatError(f"{spath}: truncated checkpoint")
-        out = blob[offset:offset + size]
-        offset += size
-        return out
+    def take(fmt):
+        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
 
     if take_bytes(4) != CHECKPOINT_MAGIC:
         raise FormatError(f"{spath}: not a checkpoint file (bad magic)")
@@ -210,9 +206,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     (word_count,) = take("<I")
     words = []
-    for _ in range(word_count):
-        (wlen,) = take("<H")
-        words.append(take_bytes(wlen).decode("utf-8"))
+    for _ in range(word_count):  # one call per field: this loop runs once per word
+        words.append(take_bytes(int.from_bytes(take_bytes(2), "little")).decode("utf-8"))
     vocab = Vocabulary(words, min_count=int(need("vocab_min_count")))
 
     (tensor_count,) = take("<I")
@@ -223,14 +218,17 @@ def load_checkpoint(path) -> Checkpoint:
         if name in tensors:
             raise FormatError(f"{spath}: duplicate tensor {name!r}")
         rows, cols = take("<II")
-        if offset + rows * cols * 4 > len(blob):
+        if offset + rows * cols * 4 > size:
             raise FormatError(f"{spath}: truncated checkpoint")
-        # the copy is the tensor's only allocation: owned, aligned, writable
-        tensors[name] = np.frombuffer(blob, dtype="<f4", count=rows * cols,
-                                      offset=offset).reshape(rows, cols).copy()
-        offset += rows * cols * 4
-    if offset != len(blob):
-        raise FormatError(f"{spath}: {len(blob) - offset} trailing bytes")
+        # the bytes land in the tensor's only allocation: owned, aligned, writable
+        arr = np.empty((rows, cols), dtype="<f4")
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise FormatError(f"{spath}: truncated checkpoint")
+        offset += arr.nbytes
+        tensors[name] = arr
+    rest = fh.read()
+    if rest:
+        raise FormatError(f"{spath}: {len(rest)} trailing bytes")
     return Checkpoint(version, model_config, train_config, vocab, state,
                       tensors, need("config_hash"))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cells, tensor as tz
-from .data import BOS_ID, SPECIAL_TOKENS, SequenceBatch
+from .data import SPECIAL_TOKENS, SequenceBatch
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .tensor import Tensor
 
@@ -108,19 +108,6 @@ class SequenceModel:
             ctx = np.asarray(contexts, dtype=self.dtype)
         return cells.project_context(self.cell.fusion, ctx, batch_size=batch_size, dtype=self.dtype)
 
-    def _embed(self, ids: np.ndarray):
-        names = cells.input_matrix_names(self.config.arch)
-        looked = tuple(tz.embed_columns(getattr(self.cell, n), ids) for n in names)
-        return looked[0] if len(looked) == 1 else looked
-
-    def _step(self, ids: np.ndarray, state: cells.StepState, gain) -> cells.StepState:
-        emb = self._embed(ids)
-        if self.config.arch == "delta-rnn":
-            return cells.delta_rnn_step(self.cell, emb, state.h, gain)
-        if self.config.arch == "gru":
-            return cells.gru_step(self.cell, emb, state.h, gain)
-        return cells.lstm_step(self.cell, emb, state, gain)
-
     def _logits(self, h: Tensor) -> Tensor:
         out = tz.matmul_t(h, self.decoder.U)
         if self.decoder.b_U is not None:
@@ -138,7 +125,7 @@ class SequenceModel:
         Builds no tape: the new state cannot be differentiated."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         with tz.no_grad():
-            new_state = self._step(ids, state, gain)
+            _, new_state = cells.recurrence(self.cell, ids.reshape(1, -1), gain, state)
             logp = tz.log_softmax_rows(self._logits(new_state.h))
         return new_state, logp.data
 
@@ -147,20 +134,21 @@ class SequenceModel:
         batch.tokens; entry t conditions on rows 0..t."""
         self._validate_ids(batch.tokens)
         state, gain = self.start_state(batch.batch_size, batch.contexts)
-        dists = []
-        for t in range(batch.tokens.shape[0]):
-            state = self._step(batch.tokens[t], state, gain)
-            dists.append(tz.softmax_rows(self._logits(state.h)))
-        return dists
+        hs, _ = cells.recurrence(self.cell, batch.tokens, gain, state)
+        dists = tz.softmax_rows(self._logits(hs))
+        b = batch.batch_size
+        return [tz.take_rows(dists, np.arange(t * b, (t + 1) * b))
+                for t in range(batch.tokens.shape[0])]
 
     def sequence_nll(self, batch: SequenceBatch):
         """(loss tensor, counted targets): sum of -log P over masked targets.
 
-        The recurrence runs step by step; the decoder then scores the masked
-        targets of all steps at once, on their rows of the stacked hidden
-        states, so padding is never decoded. Each sequence's terms are added
-        in step order before the batch total, so padding a batch with extra
-        rows or columns leaves the loss bit-identical.
+        The recurrence runs as one op over the steps up to the last target;
+        the decoder then scores the masked targets of all steps at once, on
+        their rows of the stacked hidden states, so padding is never
+        decoded. Each sequence's terms are added in step order before the
+        batch total, so padding a batch with extra rows or columns leaves the
+        loss bit-identical.
 
         A batch with no masked targets returns (constant zero, 0); the zero
         count is the caller's flag that nothing was scored.
@@ -171,34 +159,15 @@ class SequenceModel:
             return tz.const(np.zeros((1, 1), dtype=self.dtype)), 0
         last = int(masked_rows[-1])
         state, gain = self.start_state(batch.batch_size, batch.contexts)
-        hs = []
-        for t in range(last):  # consuming row t predicts row t+1
-            state = self._step(batch.tokens[t], state, gain)
-            hs.append(state.h)
-        # row t * B + b of the stack is sequence b after consuming row t
+        # consuming row t predicts row t+1; row t * B + b of hs is sequence b after row t
+        hs, _ = cells.recurrence(self.cell, batch.tokens[:last], gain, state)
         targets = batch.tokens[1:last + 1].reshape(-1)
         scored = np.flatnonzero(batch.mask[1:last + 1].reshape(-1))
-        logp = tz.target_log_probs(tz.take_rows(tz.stack_rows(hs), scored),
+        logp = tz.target_log_probs(tz.take_rows(hs, scored),
                                    self.decoder.U, self.decoder.b_U, targets[scored])
         per_seq = tz.sum_row_blocks(tz.put_rows(logp, scored, targets.size), last)
         loss = tz.scale(tz.sum_all(per_seq), -1.0)
         return loss, int(batch.mask.sum())
-
-    def predict_next(self, prefix, context=None) -> np.ndarray:
-        """Distribution over the next token after consuming the prefix."""
-        ids = np.asarray(prefix, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise UsageError("prefix must be a nonempty 1-D id sequence")
-        if ids[0] != BOS_ID:
-            raise UsageError(f"prefix must start with BOS (id {BOS_ID}), got {ids[0]}")
-        self._validate_ids(ids.reshape(-1, 1))
-        ctx = None if context is None else np.atleast_2d(np.asarray(context, dtype=self.dtype))
-        state, gain = self.start_state(1, ctx)
-        dist = None
-        for t in range(ids.size):
-            state = self._step(ids[t: t + 1], state, gain)
-            dist = tz.softmax_rows(self._logits(state.h))
-        return dist.data[0].copy()
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceModel:

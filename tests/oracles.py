@@ -1,17 +1,20 @@
 """Independent plain-numpy re-implementations used as test oracles.
 
-Apart from sequence_nll_per_step and beam_search_per_candidate, nothing
-here touches the tape machinery: every function is a straight transcription
-of the model math with numpy arrays, so agreement between these and the
-package is evidence, not tautology. Those two keep the package's earlier
-loops as references for the code that replaced them.
+Most functions here are straight transcriptions of the model math with
+numpy arrays, so agreement between these and the package is evidence, not
+tautology. The rest keep the package's earlier code as references for the
+code that replaced them: the piecewise sigmoid, the cell steps built from
+one tape op per product and gate (with step, predict_next and
+sequence_nll_per_step around them), and the per-candidate beam search.
 """
 
 import numpy as np
 
+import mmlm.cells as C
 import mmlm.evaluate as E
 import mmlm.tensor as T
 from mmlm.data import BOS_ID, EOS_ID
+from mmlm.errors import ConfigError, UsageError
 
 
 def np_sigmoid(x):
@@ -59,6 +62,112 @@ def lstm_step_np(p, embs, h_prev, c_prev, gain=None):
     if p.fusion is not None:
         h = h * gain
     return h, c
+
+
+def sigmoid_piecewise(x):
+    """The two boolean-indexed halves the package's sigmoid used to compute."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def delta_rnn_step(p, emb, h_prev, ctx_gain=None):
+    """One delta-RNN step.
+
+    d_rec = V h_prev and d_dat = emb are mixed through a second-order term
+    alpha * d_rec * d_dat plus the gated linear terms, squashed by tanh;
+    a data-driven rate gate r then interpolates with the previous state and
+    the result passes through a linear rectifier.
+    """
+    C._check_fusion(p.fusion, ctx_gain, "delta-rnn")
+    d_rec = T.matmul_t(h_prev, p.V)
+    d_dat = emb
+    d1 = T.mul_row(d_rec * d_dat, p.alpha)
+    d2 = T.mul_row(d_rec, p.beta1) + T.mul_row(d_dat, p.beta2)
+    pre = d1 + d2
+    if p.fusion is not None and p.fusion.mode == "inner":
+        pre = pre + ctx_gain
+    z = T.tanh(pre)
+    r = T.sigmoid(T.add_row(d_dat, p.b_r))
+    mixed = T.one_minus(r) * z + r * h_prev
+    if p.fusion is not None and p.fusion.mode == "outer":
+        mixed = mixed * ctx_gain
+    return C.StepState(h=T.relu(mixed))
+
+
+def gru_step(p, embs, h_prev, ctx_gain=None):
+    """One GRU step; embs = (e_z, e_r, e_h) rows from W_z, W_r, W_h.
+
+    Note the update gate keeps the old state (h = z*h_prev + (1-z)*cand).
+    Outer fusion multiplies the new state by the context gain.
+    """
+    C._check_fusion(p.fusion, ctx_gain, "gru")
+    e_z, e_r, e_h = embs
+    z = T.sigmoid(e_z + T.matmul_t(h_prev, p.V_z))
+    r = T.sigmoid(e_r + T.matmul_t(h_prev, p.V_r))
+    cand = T.tanh(e_h + T.matmul_t(r * h_prev, p.V_h))
+    h = z * h_prev + T.one_minus(z) * cand
+    if p.fusion is not None:
+        h = h * ctx_gain
+    return C.StepState(h=h)
+
+
+def lstm_step(p, embs, state, ctx_gain=None):
+    """One peephole LSTM step; embs = (e_z, e_i, e_f, e_r).
+
+    Peepholes are diagonal: U_i and U_f see c_{t-1}, U_r sees c_t. The block
+    input and cell output use p.activation (tanh by default). Outer fusion
+    multiplies the emitted hidden state by the context gain.
+    """
+    C._check_fusion(p.fusion, ctx_gain, "lstm")
+    act = {"tanh": T.tanh, "sigmoid": T.sigmoid, "relu": T.relu, "identity": T.identity}
+    if p.activation not in act:
+        raise ConfigError(f"unknown lstm activation {p.activation!r}")
+    phi = act[p.activation]
+    e_z, e_i, e_f, e_r = embs
+    h_prev, c_prev = state.h, state.cell
+    z = phi(e_z + T.matmul_t(h_prev, p.V_z))
+    i = T.sigmoid(e_i + T.matmul_t(h_prev, p.V_i) + T.mul_row(c_prev, p.U_i))
+    f = T.sigmoid(e_f + T.matmul_t(h_prev, p.V_f) + T.mul_row(c_prev, p.U_f))
+    c = f * c_prev + i * z
+    r = T.sigmoid(e_r + T.matmul_t(h_prev, p.V_r) + T.mul_row(c, p.U_r))
+    h = r * phi(c)
+    if p.fusion is not None:
+        h = h * ctx_gain
+    return C.StepState(h=h, cell=c)
+
+
+def step(model, ids, state, gain):
+    """One step of the model's cell through the per-op step functions."""
+    p = model.cell
+    embs = tuple(T.embed_columns(getattr(p, n), ids)
+                 for n in C.input_matrix_names(model.config.arch))
+    if model.config.arch == "delta-rnn":
+        return delta_rnn_step(p, embs[0], state.h, gain)
+    if model.config.arch == "gru":
+        return gru_step(p, embs, state.h, gain)
+    return lstm_step(p, embs, state, gain)
+
+
+def predict_next(model, prefix, context=None):
+    """Distribution over the next token after consuming the prefix, one
+    per-op step at a time."""
+    ids = np.asarray(prefix, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise UsageError("prefix must be a nonempty 1-D id sequence")
+    if ids[0] != BOS_ID:
+        raise UsageError(f"prefix must start with BOS (id {BOS_ID}), got {ids[0]}")
+    model._validate_ids(ids.reshape(-1, 1))
+    ctx = None if context is None else np.atleast_2d(np.asarray(context, dtype=model.dtype))
+    state, gain = model.start_state(1, ctx)
+    dist = None
+    for t in range(ids.size):
+        state = step(model, ids[t: t + 1], state, gain)
+        dist = T.softmax_rows(model._logits(state.h))
+    return dist.data[0].copy()
 
 
 def gain_np(model, contexts, batch):
@@ -116,17 +225,18 @@ def sequence_nll_np(model, batch):
 
 
 def sequence_nll_per_step(model, batch):
-    """(loss tensor, target count) with the decoder run once per timestep.
+    """(loss tensor, target count) with one tape op per product and gate.
 
-    This is the tape loop the time-batched sequence_nll replaced: a decoder
-    matmul, log-softmax and pick per step, summed over steps as they come.
-    Its gradients are the reference for the batched decoder's.
+    This is the tape loop that the recurrence op and the time-batched
+    decoder replaced: the per-op cell step, then a decoder matmul,
+    log-softmax and pick per step, summed over steps as they come. Its
+    gradients are the reference for sequence_nll's.
     """
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
     state, gain = model.start_state(batch.batch_size, batch.contexts)
     total = None
     for t in range(last):
-        state = model._step(batch.tokens[t], state, gain)
+        state = step(model, batch.tokens[t], state, gain)
         logits = T.matmul(state.h, T.transpose(model.decoder.U))
         if model.decoder.b_U is not None:
             logits = T.add_row(logits, model.decoder.b_U)

@@ -1,13 +1,19 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import mmlm.cells as C
+import mmlm.data as D
 import mmlm.tensor as T
-from mmlm.errors import ConfigError, DimensionError, UsageError
+from mmlm.errors import ConfigError, DataError, DimensionError, StateError, UsageError
+from mmlm.model import ModelConfig, build_model
 
 
 from oracles import np_sigmoid, delta_step_np as delta_oracle, gru_step_np as gru_oracle, lstm_step_np as lstm_oracle
+from oracles import delta_rnn_step, gru_step, lstm_step, step as oracle_step
 
 
 def test_delta_rnn_zero_weights_halves_state():
@@ -16,7 +22,7 @@ def test_delta_rnn_zero_weights_halves_state():
     for name in ("W", "V", "b_r"):
         getattr(p, name).data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5, 0.0]])
-    st = C.delta_rnn_step(p, T.const(np.zeros((1, 4))), T.const(v))
+    st = delta_rnn_step(p, T.const(np.zeros((1, 4))), T.const(v))
     # z = tanh(0) = 0, r = 1/2, so h = relu(v / 2)
     npt.assert_array_equal(st.h.data, [[0.5, 0.0, 0.25, 0.0]])
 
@@ -28,7 +34,7 @@ def test_gru_zero_weights_halves_state():
         getattr(p, name).data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5]])
     e = tuple(T.const(np.zeros((1, 3))) for _ in range(3))
-    st = C.gru_step(p, e, T.const(v))
+    st = gru_step(p, e, T.const(v))
     # z = 1/2 keeps half the old state; candidate is tanh(0) = 0
     npt.assert_array_equal(st.h.data, v / 2.0)
 
@@ -40,7 +46,7 @@ def test_lstm_zero_weights_closed_form():
         getattr(p, name).data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5]])
     e = tuple(T.const(np.zeros((1, 3))) for _ in range(4))
-    st = C.lstm_step(p, e, C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(v)))
+    st = lstm_step(p, e, C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(v)))
     # i = f = r = 1/2, z = 0: c = v/2, h = tanh(v/2) / 2
     npt.assert_allclose(st.cell.data, v / 2.0, rtol=1e-15)
     npt.assert_allclose(st.h.data, 0.5 * np.tanh(v / 2.0), rtol=1e-15)
@@ -54,7 +60,7 @@ def test_delta_rnn_hand_computed_step():
     p.b_r.data[:] = 0.0
     h_prev = np.array([[1.0, -1.0]])
     emb = T.embed_columns(p.W, np.array([0]))
-    st = C.delta_rnn_step(p, emb, T.const(h_prev))
+    st = delta_rnn_step(p, emb, T.const(h_prev))
     # d_rec=(0.5,-0.5), d_dat=(0.2,0.4), pre=d_rec*d_dat+d_rec+d_dat=(0.8,-0.3)
     z = np.tanh([0.8, -0.3])
     r = np_sigmoid(np.array([0.2, 0.4]))
@@ -82,18 +88,18 @@ def test_steps_match_numpy_oracle(arch, mode):
         gain_np = None if gain is None else gain.data
         if arch == "delta-rnn":
             emb = T.embed_columns(p.W, ids)
-            got = C.delta_rnn_step(p, emb, T.const(h_prev), gain).h.data
+            got = delta_rnn_step(p, emb, T.const(h_prev), gain).h.data
             want = delta_oracle(p, p.W.data[:, ids].T, h_prev, gain_np)
         elif arch == "gru":
             embs = tuple(T.embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
-            got = C.gru_step(p, embs, T.const(h_prev), gain).h.data
+            got = gru_step(p, embs, T.const(h_prev), gain).h.data
             embs_np = tuple(getattr(p, n).data[:, ids].T for n in ("W_z", "W_r", "W_h"))
             want = gru_oracle(p, embs_np, h_prev, gain_np)
         else:
             c_prev = rng.uniform(-1, 1, (batch, hidden))
             names = ("W_z", "W_i", "W_f", "W_r")
             embs = tuple(T.embed_columns(getattr(p, n), ids) for n in names)
-            st = C.lstm_step(p, embs, C.StepState(h=T.const(h_prev), cell=T.const(c_prev)), gain)
+            st = lstm_step(p, embs, C.StepState(h=T.const(h_prev), cell=T.const(c_prev)), gain)
             embs_np = tuple(getattr(p, n).data[:, ids].T for n in names)
             want, want_c = lstm_oracle(p, embs_np, h_prev, c_prev, gain_np)
             npt.assert_allclose(st.cell.data, want_c, atol=1e-14)
@@ -141,17 +147,17 @@ def test_outer_ones_gain_reproduces_text_only(arch):
     h_prev = T.seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
     ones = T.const(np.ones((batch, hidden)))
     if arch == "delta-rnn":
-        a = C.delta_rnn_step(fused, T.embed_columns(fused.W, ids), T.const(h_prev), ones).h.data
-        b = C.delta_rnn_step(plain, T.embed_columns(plain.W, ids), T.const(h_prev)).h.data
+        a = delta_rnn_step(fused, T.embed_columns(fused.W, ids), T.const(h_prev), ones).h.data
+        b = delta_rnn_step(plain, T.embed_columns(plain.W, ids), T.const(h_prev)).h.data
     elif arch == "gru":
         e = tuple(T.embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_r", "W_h"))
-        a = C.gru_step(fused, e, T.const(h_prev), ones).h.data
-        b = C.gru_step(plain, e, T.const(h_prev)).h.data
+        a = gru_step(fused, e, T.const(h_prev), ones).h.data
+        b = gru_step(plain, e, T.const(h_prev)).h.data
     else:
         c_prev = T.seed_stream(5, "c").uniform(-1, 1, (batch, hidden))
         e = tuple(T.embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
-        a = C.lstm_step(fused, e, C.StepState(T.const(h_prev), T.const(c_prev)), ones).h.data
-        b = C.lstm_step(plain, e, C.StepState(T.const(h_prev), T.const(c_prev))).h.data
+        a = lstm_step(fused, e, C.StepState(T.const(h_prev), T.const(c_prev)), ones).h.data
+        b = lstm_step(plain, e, C.StepState(T.const(h_prev), T.const(c_prev))).h.data
     npt.assert_array_equal(a, b)
 
 
@@ -166,8 +172,8 @@ def test_inner_zero_gain_reproduces_text_only():
     ids = np.arange(batch)
     h_prev = T.seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
     zeros = T.const(np.zeros((batch, hidden)))
-    a = C.delta_rnn_step(fused, T.embed_columns(fused.W, ids), T.const(h_prev), zeros).h.data
-    b = C.delta_rnn_step(plain, T.embed_columns(plain.W, ids), T.const(h_prev)).h.data
+    a = delta_rnn_step(fused, T.embed_columns(fused.W, ids), T.const(h_prev), zeros).h.data
+    b = delta_rnn_step(plain, T.embed_columns(plain.W, ids), T.const(h_prev)).h.data
     npt.assert_array_equal(a, b)
 
 
@@ -177,7 +183,7 @@ def test_outer_zero_gain_annihilates_state():
     fusion = C.init_fusion(rng, 4, 3, "outer", dtype=np.float64)
     p = C.init_cell("gru", 4, 5, rng, dtype=np.float64, fusion=fusion)
     e = tuple(T.embed_columns(getattr(p, n), np.array([1, 2])) for n in ("W_z", "W_r", "W_h"))
-    st = C.gru_step(p, e, T.const(np.ones((2, 4))), T.const(np.zeros((2, 4))))
+    st = gru_step(p, e, T.const(np.ones((2, 4))), T.const(np.zeros((2, 4))))
     npt.assert_array_equal(st.h.data, np.zeros((2, 4)))
 
 
@@ -192,9 +198,9 @@ def test_fusion_usage_errors():
     h = T.const(np.zeros((1, 3)))
     gain = T.const(np.ones((1, 3)))
     with pytest.raises(UsageError):
-        C.delta_rnn_step(plain, emb, h, gain)
+        delta_rnn_step(plain, emb, h, gain)
     with pytest.raises(UsageError):
-        C.delta_rnn_step(fused, T.embed_columns(fused.W, np.array([0])), h)
+        delta_rnn_step(fused, T.embed_columns(fused.W, np.array([0])), h)
 
 
 def test_inner_fusion_rejected_for_gated_cells():
@@ -242,7 +248,7 @@ def test_lstm_unknown_activation_rejected():
     e = tuple(T.embed_columns(getattr(p, n), np.array([0])) for n in ("W_z", "W_i", "W_f", "W_r"))
     st = C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(np.zeros((1, 3))))
     with pytest.raises(ConfigError):
-        C.lstm_step(p, e, st)
+        lstm_step(p, e, st)
 
 
 def test_lstm_peepholes_are_wired():
@@ -251,9 +257,9 @@ def test_lstm_peepholes_are_wired():
     c_prev = T.const(np.array([[1.0, -1.0, 2.0]]))
     h_prev = T.const(np.zeros((1, 3)))
     e = tuple(T.embed_columns(getattr(p, n), np.array([1])) for n in ("W_z", "W_i", "W_f", "W_r"))
-    base = C.lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data.copy()
+    base = lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data.copy()
     p.U_r.data[:] += 3.0
-    bumped = C.lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data
+    bumped = lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data
     assert not np.array_equal(base, bumped)
 
 
@@ -278,14 +284,153 @@ def test_single_step_gradients(arch, mode):
     def loss():
         gain = C.project_context(fusion, ctx) if fusion else None
         if arch == "delta-rnn":
-            st = C.delta_rnn_step(p, T.embed_columns(p.W, ids), T.const(h0), gain)
+            st = delta_rnn_step(p, T.embed_columns(p.W, ids), T.const(h0), gain)
         elif arch == "gru":
             e = tuple(T.embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
-            st = C.gru_step(p, e, T.const(h0), gain)
+            st = gru_step(p, e, T.const(h0), gain)
         else:
             e = tuple(T.embed_columns(getattr(p, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
-            st = C.lstm_step(p, e, C.StepState(T.const(h0), T.const(c0)), gain)
+            st = lstm_step(p, e, C.StepState(T.const(h0), T.const(c0)), gain)
         return T.sum_all(T.hadamard(st.h, probe))
 
     err = T.finite_diff_check(loss, list(C.named_cell_params(p).values()), eps=1e-5)
     assert err < 1e-4, err
+
+
+# -- the recurrence op against the per-op step chain ---------------------------
+
+OP_WIRINGS = [("delta-rnn", None, "tanh"), ("delta-rnn", "inner", "tanh"),
+              ("delta-rnn", "outer", "tanh"), ("gru", None, "tanh"), ("gru", "outer", "tanh")]
+OP_WIRINGS += [("lstm", mode, act) for mode in (None, "outer")
+               for act in ("tanh", "sigmoid", "relu", "identity")]
+
+
+def op_setup(arch, mode, act, seed=0, hidden=5, vocab=9, cdim=3):
+    """Float64 cell, a ragged batch plus an all-padding column, and a
+    nonzero start state."""
+    rng = T.seed_stream(seed, "op")
+    fusion = C.init_fusion(rng, hidden, cdim, mode, dtype=np.float64) if mode else None
+    p = C.init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion,
+                    lstm_activation=act)
+    for t in C.named_cell_params(p).values():  # a generic point, away from init symmetries
+        t.data[:] = rng.uniform(-0.6, 0.6, t.shape)
+    tokens = D.encode_sequences([[4, 5, 6, 7, 8], [5], [8, 6, 4]], 8).tokens
+    tokens = np.hstack([tokens, np.zeros((tokens.shape[0], 1), np.int64)])[:-1]
+    batch = tokens.shape[1]
+    ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
+    state = C.StepState(h=T.const(rng.uniform(-1, 1, (batch, hidden))),
+                        cell=T.const(rng.uniform(-1, 1, (batch, hidden))) if arch == "lstm" else None)
+    return p, tokens, ctx, state
+
+
+def per_op_outputs(p, tokens, gain, state):
+    """The recurrence through oracles' per-op steps, outputs stacked like the op's."""
+    names = C.input_matrix_names(C.cell_arch(p))
+    hs = []
+    for ids in tokens:
+        embs = tuple(T.embed_columns(getattr(p, n), ids) for n in names)
+        if len(embs) == 1:
+            state = delta_rnn_step(p, embs[0], state.h, gain)
+        elif len(embs) == 3:
+            state = gru_step(p, embs, state.h, gain)
+        else:
+            state = lstm_step(p, embs, state, gain)
+        hs.append(state.h)
+    return T.stack_rows(hs), state
+
+
+@pytest.mark.parametrize("arch,mode,act", OP_WIRINGS)
+def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
+    p, tokens, ctx, state = op_setup(arch, mode, act)
+    params = C.named_cell_params(p)
+    probe = T.const(T.seed_stream(1, "probe").uniform(-1, 1, (tokens.size, state.h.cols)))
+
+    def run(recur):
+        T.zero_grad(params.values())
+        gain = C.project_context(p.fusion, ctx) if mode else None
+        hs, final = recur(p, tokens, gain, state)
+        loss = T.sum_all(T.hadamard(hs, probe))
+        T.backward(loss)
+        grads = {k: t.grad.copy() for k, t in params.items()}
+        return loss.item(), hs.data, final, grads, None if gain is None else gain.grad.copy()
+
+    got, got_hs, got_final, got_g, got_dgain = run(C.recurrence)
+    want, want_hs, want_final, want_g, want_dgain = run(per_op_outputs)
+    npt.assert_allclose(got, want, rtol=1e-10, atol=0)
+    npt.assert_array_equal(got_hs, want_hs)  # the forward keeps the per-op arithmetic
+    npt.assert_array_equal(got_final.h.data, want_final.h.data)
+    if arch == "lstm":
+        npt.assert_array_equal(got_final.cell.data, want_final.cell.data)
+    if mode:
+        want_g["gain"], got_g["gain"] = want_dgain, got_dgain
+    for name, g in want_g.items():
+        assert np.abs(g).max() > 0, name  # every parameter is exercised
+        npt.assert_allclose(got_g[name], g, rtol=1e-10, atol=1e-10 * np.abs(g).max(),
+                            err_msg=name)
+
+
+@pytest.mark.parametrize("arch,mode,act", OP_WIRINGS)
+def test_advance_matches_one_per_op_step(arch, mode, act):
+    cfg = ModelConfig(arch=arch, hidden=5, vocab=9, context_dim=3, fusion=mode or "none",
+                      lstm_activation=act, unroll=8)
+    m = build_model(cfg, seed=3, dtype=np.float64)
+    _, _, ctx, state = op_setup(arch, mode, act, seed=4)
+    gain = m._gain(ctx, state.h.rows)
+    ids = np.array([1, 4, 8, 4])
+    got, logp = m.advance(state, gain, ids)
+    want = oracle_step(m, ids, state, gain)
+    want_logp = T.log_softmax_rows(m._logits(want.h)).data
+    npt.assert_allclose(got.h.data, want.h.data, rtol=1e-12, atol=1e-12)
+    if arch == "lstm":
+        npt.assert_allclose(got.cell.data, want.cell.data, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(logp, want_logp, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("arch,mode", [("delta-rnn", "inner"), ("gru", "outer"), ("lstm", "outer")])
+def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
+    p, _, ctx, _ = op_setup(arch, mode, "tanh", hidden=16)
+    tokens = T.seed_stream(2, "ids").integers(0, 9, (40, 8))
+    state = C.init_state(arch, 8, 16, np.float64)
+    gain = C.project_context(p.fusion, ctx[:1].repeat(8, axis=0))
+
+    def retained(grad):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with contextlib.ExitStack() as stack:
+                if not grad:
+                    stack.enter_context(T.no_grad())
+                hs, final = C.recurrence(p, tokens, gain, state)
+            return tracemalloc.get_traced_memory()[0] - before, hs
+        finally:
+            tracemalloc.stop()
+
+    kept, hs = retained(grad=False)
+    assert not hs.requires_grad and hs._parents == () and hs._backward is None
+    # the output and an LSTM's final cell, plus object headers: no activations
+    assert kept < 2 * hs.data.nbytes, (kept, hs.data.nbytes)
+    taped, hs = retained(grad=True)
+    assert hs.requires_grad and hs._backward is not None
+    assert taped > 3 * hs.data.nbytes, (taped, hs.data.nbytes)
+
+
+def test_second_sweep_through_a_consumed_recurrence_raises():
+    p, tokens, ctx, state = op_setup("gru", "outer", "tanh")
+    hs, _ = C.recurrence(p, tokens, C.project_context(p.fusion, ctx), state)
+    T.backward(T.sum_all(hs))
+    with pytest.raises(StateError):
+        T.backward(T.sum_all(T.scale(hs, 2.0)))
+
+
+def test_recurrence_validates_its_inputs():
+    p, tokens, ctx, state = op_setup("lstm", "outer", "tanh")
+    gain = C.project_context(p.fusion, ctx)
+    with pytest.raises(UsageError):
+        C.recurrence(p, tokens, None, state)
+    with pytest.raises(DataError):
+        C.recurrence(p, np.where(tokens == 4, 9, tokens), gain, state)
+    with pytest.raises(DimensionError):
+        C.recurrence(p, tokens[:, :2], gain, state)
+    p.activation = "softsign"
+    with pytest.raises(ConfigError):
+        C.recurrence(p, tokens, gain, state)

@@ -9,7 +9,7 @@ import mmlm.evaluate as E
 import mmlm.train as TR
 from mmlm.errors import ConfigError, DataError, UsageError
 from mmlm.model import ModelConfig, build_model
-from oracles import beam_search_per_candidate
+from oracles import beam_search_per_candidate, predict_next
 
 
 def build(vocab_size, fusion="none", seed=0, hidden=6, cdim=3, unroll=8):
@@ -226,7 +226,7 @@ def test_beam_exactness_small_case():
         prefix = [D.BOS_ID]
         total = 0.0
         for w in list(words) + [D.EOS_ID]:
-            dist = m.predict_next(prefix)
+            dist = predict_next(m, prefix)
             total += math.log(dist[w])
             prefix.append(w)
         return total

