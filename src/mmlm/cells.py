@@ -1,6 +1,9 @@
 """Recurrent cells: delta-RNN, GRU, and peephole LSTM, with optional
 multi-modal context fusion.
 
+Each architecture is one entry of SPECS: its parameters in draw and save
+order, the input matrix that holds the word embedding, the fusion modes it
+defines, and its forward and backward. A Cell holds the parameters by name.
 Cells run on batches: hidden states are B x H matrices, one row per
 sequence, and each input matrix holds one column per vocabulary item.
 `recurrence` runs a whole T x B block of token ids as one tape op with a
@@ -16,6 +19,7 @@ inner mode the neutral projection is all zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +27,64 @@ from . import tensor as tz
 from .errors import ConfigError, DataError, DimensionError, StateError, UsageError
 from .tensor import Tensor
 
-ARCHITECTURES = ("delta-rnn", "gru", "lstm")
-FUSION_MODES = ("none", "inner", "outer")
+
+@dataclass(frozen=True)
+class CellSpec:
+    """One architecture. Each parameter is a (name, init) pair, in draw and
+    save order; its first letter gives its shape: W* are H x V input
+    matrices, V* are H x H recurrences, and the rest are 1 x H rows."""
+
+    params: tuple
+    embedding: str  # the input matrix pretrained vectors are written into
+    fusions: tuple  # the fusion modes besides "none"
+    forward: Callable
+    backward: Callable
+
+    @property
+    def inputs(self) -> tuple:
+        """The input matrices, in the order the recurrence consumes them."""
+        return tuple(name for name, _ in self.params if name[0] == "W")
+
+
+def spec(arch: str) -> CellSpec:
+    if arch not in SPECS:
+        raise ConfigError(f"arch must be one of {ARCHITECTURES}, got {arch!r}")
+    return SPECS[arch]
+
+
+def check_fusion(arch: str, mode: str | None) -> None:
+    """ConfigError unless arch is known and defines fusion `mode` (None:
+    text-only)."""
+    fusions = spec(arch).fusions
+    if mode is not None and mode not in fusions:
+        raise ConfigError(f"fusion for {arch} must be none or one of {fusions}, got {mode!r}")
+
+
+def param_table(arch: str, hidden: int, vocab: int) -> dict:
+    """name -> (shape, init) for one cell, in draw and save order."""
+    return {name: ({"W": (hidden, vocab), "V": (hidden, hidden)}.get(name[0], (1, hidden)), init)
+            for name, init in spec(arch).params}
+
+
+def draw(init: str, rng, shape: tuple, dtype) -> np.ndarray:
+    """A fresh parameter array: "uniform" draws U(-0.1, 0.1) row-major from
+    rng, "zeros" and "ones" draw nothing.
+
+    The uniform draws go in blocks straight into the array, so a V x H
+    matrix never has a float64 copy the size of itself; the values are the
+    same as one rng.uniform call of the full shape.
+    """
+    if init != "uniform":
+        return {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, flat.size)
+        flat[start:stop] = rng.uniform(-0.1, 0.1, size=stop - start)
+    return out
+
+
+_DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
 
 
 @dataclass
@@ -38,42 +98,37 @@ class FusionParams:
 
 
 @dataclass
-class DeltaRnnParams:
-    W: Tensor  # H x V input columns
-    V: Tensor  # H x H recurrence
-    b_r: Tensor  # 1 x H rate-gate bias
-    alpha: Tensor  # 1 x H second-order mixing
-    beta1: Tensor  # 1 x H recurrent term
-    beta2: Tensor  # 1 x H data term
+class Cell:
+    """One recurrent cell: its architecture, its parameters by name (read
+    as attributes too, cell.W), the fusion block, and the LSTM's block input
+    and cell output nonlinearity."""
+
+    arch: str
+    params: dict
     fusion: FusionParams | None = None
+    activation: str = "tanh"
 
+    def __post_init__(self):
+        check_fusion(self.arch, None if self.fusion is None else self.fusion.mode)
+        names = [name for name, _ in spec(self.arch).params]
+        if sorted(self.params) != sorted(names):
+            raise ConfigError(f"{self.arch} takes parameters {names}, got {list(self.params)}")
+        self.params = {name: self.params[name] for name in names}
 
-@dataclass
-class GruParams:
-    W_z: Tensor
-    V_z: Tensor
-    W_r: Tensor
-    V_r: Tensor
-    W_h: Tensor  # candidate input
-    V_h: Tensor  # candidate recurrence (applied to r * h)
-    fusion: FusionParams | None = None
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["params"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
-
-@dataclass
-class LstmParams:
-    W_z: Tensor  # block input
-    V_z: Tensor
-    W_i: Tensor  # input gate
-    V_i: Tensor
-    U_i: Tensor  # 1 x H peephole to c_{t-1}
-    W_f: Tensor  # forget gate
-    V_f: Tensor
-    U_f: Tensor  # 1 x H peephole to c_{t-1}
-    W_r: Tensor  # output gate
-    V_r: Tensor
-    U_r: Tensor  # 1 x H peephole to c_t
-    fusion: FusionParams | None = None
-    activation: str = "tanh"  # block input and cell output nonlinearity
+    def named_parameters(self) -> dict:
+        """Ordered name -> Tensor map for the cell and its fusion block."""
+        out = {f"cell.{name}": t for name, t in self.params.items()}
+        if self.fusion is not None:
+            out["fusion.M"] = self.fusion.M
+            if self.fusion.use_bias:
+                out["fusion.b_M"] = self.fusion.b_M
+        return out
 
 
 @dataclass
@@ -84,22 +139,12 @@ class StepState:
     cell: Tensor | None = None
 
 
-def input_matrix_names(arch: str) -> tuple:
-    """Names of the embedding matrices a cell looks words up in, in the
-    order its recurrence consumes them."""
-    if arch == "delta-rnn":
-        return ("W",)
-    if arch == "gru":
-        return ("W_z", "W_r", "W_h")
+def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:
+    """Zero state at the start of every sequence."""
+    h = tz.const(np.zeros((batch_size, hidden), dtype=dtype))
     if arch == "lstm":
-        return ("W_z", "W_i", "W_f", "W_r")
-    raise ConfigError(f"unknown architecture {arch!r}")
-
-
-def primary_input_matrix(arch: str) -> str:
-    """The matrix whose columns act as the word embedding proper, the one
-    pretrained vectors are written into."""
-    return {"delta-rnn": "W", "gru": "W_h", "lstm": "W_i"}[arch]
+        return StepState(h=h, cell=tz.const(np.zeros((batch_size, hidden), dtype=dtype)))
+    return StepState(h=h)
 
 
 def project_context(fusion: FusionParams, ctx, batch_size: int | None = None,
@@ -131,13 +176,11 @@ def project_context(fusion: FusionParams, ctx, batch_size: int | None = None,
     return base
 
 
-def _check_fusion(fusion: FusionParams | None, ctx_gain: Tensor | None, arch: str) -> None:
+def _check_gain(fusion: FusionParams | None, ctx_gain: Tensor | None, arch: str) -> None:
     if fusion is None and ctx_gain is not None:
         raise UsageError(f"text-only {arch} step was given a context gain")
     if fusion is not None and ctx_gain is None:
         raise UsageError(f"fused {arch} step needs a context gain; pass project_context(...)")
-    if fusion is not None and fusion.mode == "inner" and arch != "delta-rnn":
-        raise ConfigError(f"inner fusion is only defined for delta-rnn, not {arch}")
 
 
 _LSTM_ACTIVATIONS = {  # name -> (phi, phi' written in terms of phi's output)
@@ -148,7 +191,15 @@ _LSTM_ACTIVATIONS = {  # name -> (phi, phi' written in terms of phi's output)
 }
 
 
-def recurrence(p, tokens, gain: Tensor | None, state: StepState):
+def lstm_activation(name: str) -> tuple:
+    """(phi, phi' in terms of phi's output) for an LSTM activation name."""
+    if name not in _LSTM_ACTIVATIONS:
+        raise ConfigError(f"lstm activation must be one of {tuple(_LSTM_ACTIVATIONS)},"
+                          f" got {name!r}")
+    return _LSTM_ACTIVATIONS[name]
+
+
+def recurrence(p: Cell, tokens, gain: Tensor | None, state: StepState):
     """Run the cell over a T x B matrix of token ids from `state`, as one
     tape node. Returns (hs, final state).
 
@@ -162,32 +213,29 @@ def recurrence(p, tokens, gain: Tensor | None, state: StepState):
     matrix, and one sum for every row vector and for the gain. Under
     no_grad it keeps nothing.
     """
-    arch = cell_arch(p)
-    _check_fusion(p.fusion, gain, arch)
-    if arch == "lstm" and p.activation not in _LSTM_ACTIVATIONS:
-        raise ConfigError(f"unknown lstm activation {p.activation!r}")
+    sp = spec(p.arch)
+    _check_gain(p.fusion, gain, p.arch)
     ids = np.asarray(tokens)
     if ids.ndim != 2 or ids.shape[0] < 1:
         raise DimensionError(f"recurrence: need a T x B id matrix with T >= 1, got {ids.shape}")
     steps, batch = ids.shape
     flat = ids.reshape(-1)
-    names = input_matrix_names(arch)
-    hidden, vocab = getattr(p, names[0]).shape
+    names = sp.inputs
+    hidden, vocab = p.params[names[0]].shape
     if flat.size and (flat.min() < 0 or flat.max() >= vocab):
         raise DataError(f"recurrence: token id out of range 0..{vocab - 1}")
     for t in (state.h, gain):
         if t is not None and t.shape != (batch, hidden):
             raise DimensionError(f"recurrence: state or gain {t.shape} for {batch} x {hidden}")
-    params = tuple(getattr(p, n) for n in _CELL_FIELDS[arch])
+    params = tuple(p.params.values())
     parents = params if gain is None else params + (gain,)
     if gain is not None:
         tz._need_same_dtype("recurrence", params[0], gain)
-    forward, backward = _RECURRENCES[arch]
-    xs = [getattr(p, n).data.T[flat].reshape(steps, batch, hidden) for n in names]
+    xs = [p.params[n].data.T[flat].reshape(steps, batch, hidden) for n in names]
     g = None if gain is None else gain.data
     h0, c0 = state.h.data, None if state.cell is None else state.cell.data
     kept = [] if tz._taped(parents) else None
-    out, c_last = forward(p, xs, g, h0, c0, kept)
+    out, c_last = sp.forward(p, xs, g, h0, c0, kept)
     if kept is not None:
         kept = [np.stack(a) for a in zip(*kept)]
 
@@ -197,11 +245,11 @@ def recurrence(p, tokens, gain: Tensor | None, state: StepState):
             raise StateError("recurrence: its kept activations were already consumed")
         acts, kept = kept, None
         hprev = np.concatenate([h0[None], out[:-1]])
-        dxs, grads, dgain = backward(p, xs, g, hprev, c0, acts, grad.reshape(out.shape))
+        dxs, grads, dgain = sp.backward(p, xs, g, hprev, c0, acts, grad.reshape(out.shape))
         for name, dx in zip(names, dxs):
-            tz._accum_columns(getattr(p, name), flat, _rows(dx))
+            tz._accum_columns(p.params[name], flat, _rows(dx))
         for name, d in grads.items():
-            tz._accum(getattr(p, name), d)
+            tz._accum(p.params[name], d)
         if gain is not None:
             tz._accum(gain, dgain)
 
@@ -329,7 +377,7 @@ def _lstm_forward(p, xs, g, h, c, kept):
     x_z, x_i, x_f, x_r = xs
     V_z, V_i, V_f, V_r = p.V_z.data, p.V_i.data, p.V_f.data, p.V_r.data
     U_i, U_f, U_r = p.U_i.data, p.U_f.data, p.U_r.data
-    phi = _LSTM_ACTIVATIONS[p.activation][0]
+    phi = lstm_activation(p.activation)[0]
     out = np.empty_like(x_z)
     for t in range(len(x_z)):
         z = phi(x_z[t] + h @ V_z.T)
@@ -348,7 +396,7 @@ def _lstm_forward(p, xs, g, h, c, kept):
 def _lstm_backward(p, xs, g, hprev, c0, acts, G):
     z, i, f, c, o, phi_c, y = acts
     hidden = G.shape[-1]
-    dphi = _LSTM_ACTIVATIONS[p.activation][1]
+    dphi = lstm_activation(p.activation)[1]
     cprev = np.concatenate([c0[None], c[:-1]])
     do_dpre = phi_c * o * (1.0 - o)
     dc_dy = o * dphi(phi_c)
@@ -381,138 +429,24 @@ def _lstm_backward(p, xs, g, hprev, c0, acts, G):
     return (dz, di, df, do), grads, dgain
 
 
-_RECURRENCES = {
-    "delta-rnn": (_delta_forward, _delta_backward),
-    "gru": (_gru_forward, _gru_backward),
-    "lstm": (_lstm_forward, _lstm_backward),
+# W* are input matrices, V* recurrences. The delta-RNN mixes through alpha,
+# beta1 and beta2 and gates by rate b_r; the GRU's gates are z (update), r
+# (reset) and h (candidate); the LSTM's are z (block input), i, f and r
+# (output), with diagonal peepholes U_i, U_f (to c_{t-1}) and U_r (to c_t).
+SPECS = {
+    "delta-rnn": CellSpec(
+        params=(("W", "uniform"), ("V", "uniform"), ("b_r", "zeros"), ("alpha", "ones"),
+                ("beta1", "ones"), ("beta2", "ones")),
+        embedding="W", fusions=("inner", "outer"),
+        forward=_delta_forward, backward=_delta_backward),
+    "gru": CellSpec(
+        params=tuple((name, "uniform") for name in ("W_z", "V_z", "W_r", "V_r", "W_h", "V_h")),
+        embedding="W_h", fusions=("outer",),
+        forward=_gru_forward, backward=_gru_backward),
+    "lstm": CellSpec(
+        params=tuple((name, "uniform") for name in ("W_z", "V_z", "W_i", "V_i", "U_i", "W_f",
+                                                     "V_f", "U_f", "W_r", "V_r", "U_r")),
+        embedding="W_i", fusions=("outer",),
+        forward=_lstm_forward, backward=_lstm_backward),
 }
-
-
-def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:
-    """Zero state at the start of every sequence."""
-    h = tz.const(np.zeros((batch_size, hidden), dtype=dtype))
-    if arch == "lstm":
-        return StepState(h=h, cell=tz.const(np.zeros((batch_size, hidden), dtype=dtype)))
-    return StepState(h=h)
-
-
-def uniform_param(rng, rows, cols, dtype) -> Tensor:
-    """rows x cols parameter drawn from U(-0.1, 0.1), row-major.
-
-    The draws go in blocks straight into the parameter, so a V x H matrix
-    never has a float64 copy the size of itself; the values are the same
-    as one rng.uniform call of the full shape.
-    """
-    out = np.empty((rows, cols), dtype=dtype)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, flat.size)
-        flat[start:stop] = rng.uniform(-0.1, 0.1, size=stop - start)
-    return tz.param(out)
-
-
-_DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
-
-
-def init_fusion(rng, hidden: int, context_dim: int, mode: str,
-                use_bias: bool = True, dtype=np.float32) -> FusionParams:
-    if mode not in ("inner", "outer"):
-        raise ConfigError(f"fusion mode must be inner or outer, got {mode!r}")
-    return FusionParams(
-        M=uniform_param(rng, hidden, context_dim, dtype),
-        b_M=tz.param(np.ones((1, hidden), dtype=dtype)),
-        mode=mode,
-        use_bias=use_bias,
-    )
-
-
-def init_cell(arch: str, hidden: int, vocab: int, rng, dtype=np.float32,
-              fusion: FusionParams | None = None, lstm_activation: str = "tanh"):
-    """Fresh cell parameters: weight matrices U(-0.1, 0.1), gate biases zero,
-    mixing vectors (alpha, betas) ones. Draw order is fixed so a given rng
-    state always produces the same cell."""
-    if hidden < 1 or vocab < 1:
-        raise ConfigError(f"hidden={hidden} and vocab={vocab} must be positive")
-    if arch == "delta-rnn":
-        return DeltaRnnParams(
-            W=uniform_param(rng, hidden, vocab, dtype),
-            V=uniform_param(rng, hidden, hidden, dtype),
-            b_r=tz.param(np.zeros((1, hidden), dtype=dtype)),
-            alpha=tz.param(np.ones((1, hidden), dtype=dtype)),
-            beta1=tz.param(np.ones((1, hidden), dtype=dtype)),
-            beta2=tz.param(np.ones((1, hidden), dtype=dtype)),
-            fusion=fusion,
-        )
-    if arch == "gru":
-        if fusion is not None and fusion.mode == "inner":
-            raise ConfigError("inner fusion is only defined for delta-rnn")
-        return GruParams(
-            W_z=uniform_param(rng, hidden, vocab, dtype),
-            V_z=uniform_param(rng, hidden, hidden, dtype),
-            W_r=uniform_param(rng, hidden, vocab, dtype),
-            V_r=uniform_param(rng, hidden, hidden, dtype),
-            W_h=uniform_param(rng, hidden, vocab, dtype),
-            V_h=uniform_param(rng, hidden, hidden, dtype),
-            fusion=fusion,
-        )
-    if arch == "lstm":
-        if fusion is not None and fusion.mode == "inner":
-            raise ConfigError("inner fusion is only defined for delta-rnn")
-        return LstmParams(
-            W_z=uniform_param(rng, hidden, vocab, dtype),
-            V_z=uniform_param(rng, hidden, hidden, dtype),
-            W_i=uniform_param(rng, hidden, vocab, dtype),
-            V_i=uniform_param(rng, hidden, hidden, dtype),
-            U_i=uniform_param(rng, 1, hidden, dtype),
-            W_f=uniform_param(rng, hidden, vocab, dtype),
-            V_f=uniform_param(rng, hidden, hidden, dtype),
-            U_f=uniform_param(rng, 1, hidden, dtype),
-            W_r=uniform_param(rng, hidden, vocab, dtype),
-            V_r=uniform_param(rng, hidden, hidden, dtype),
-            U_r=uniform_param(rng, 1, hidden, dtype),
-            fusion=fusion,
-            activation=lstm_activation,
-        )
-    raise ConfigError(f"unknown architecture {arch!r}")
-
-
-_CELL_FIELDS = {
-    "delta-rnn": ("W", "V", "b_r", "alpha", "beta1", "beta2"),
-    "gru": ("W_z", "V_z", "W_r", "V_r", "W_h", "V_h"),
-    "lstm": ("W_z", "V_z", "W_i", "V_i", "U_i", "W_f", "V_f", "U_f", "W_r", "V_r", "U_r"),
-}
-
-
-_CELL_CLASSES = {"delta-rnn": DeltaRnnParams, "gru": GruParams, "lstm": LstmParams}
-
-
-def cell_param_shapes(arch: str, hidden: int, vocab: int) -> dict:
-    """Field name -> shape for one cell: input matrices W* are H x V,
-    recurrences V* are H x H, and every other field is a 1 x H row."""
-    return {name: {"W": (hidden, vocab), "V": (hidden, hidden)}.get(name[0], (1, hidden))
-            for name in _CELL_FIELDS[arch]}
-
-
-def cell_from_params(arch: str, params: dict, fusion: FusionParams | None = None,
-                     lstm_activation: str = "tanh"):
-    """Cell around existing leaves, keyed by field name; no draw, no copy."""
-    extra = {"activation": lstm_activation} if arch == "lstm" else {}
-    return _CELL_CLASSES[arch](**params, fusion=fusion, **extra)
-
-
-def cell_arch(params) -> str:
-    for arch, cls in _CELL_CLASSES.items():
-        if isinstance(params, cls):
-            return arch
-    raise ConfigError(f"not a cell parameter set: {type(params).__name__}")
-
-
-def named_cell_params(params, prefix: str = "cell") -> dict:
-    """Ordered name -> Tensor map for the cell and its fusion block."""
-    arch = cell_arch(params)
-    out = {f"{prefix}.{name}": getattr(params, name) for name in _CELL_FIELDS[arch]}
-    if params.fusion is not None:
-        out["fusion.M"] = params.fusion.M
-        if params.fusion.use_bias:
-            out["fusion.b_M"] = params.fusion.b_M
-    return out
+ARCHITECTURES = tuple(SPECS)

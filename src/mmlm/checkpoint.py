@@ -12,7 +12,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -24,11 +24,39 @@ from .train import TrainConfig, TrainState
 CHECKPOINT_MAGIC = b"MMLM"
 CHECKPOINT_VERSION = 1
 
-_MODEL_FIELDS = ("arch", "hidden", "vocab", "context_dim", "fusion",
-                 "fusion_bias", "unroll", "decoder_bias", "lstm_activation")
-_TRAIN_FIELDS = ("lr", "clip", "batch_size", "unroll", "max_epochs",
-                 "patience", "seed", "schedule")
-_HASH_EXEMPT = ("max_epochs",)  # resuming with a longer budget is fine
+
+def parse_value(kind: type, text: str):
+    """A config value of type kind from its text; bools are true or false.
+    Raises ValueError."""
+    if kind is not bool:
+        return kind(text)
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+def read_key_values(text: str, where, error, keys=None, repeated=()) -> dict:
+    """{key: value text} from `key = value` lines; blank lines and full-line
+    # comments are skipped. A key in `repeated` maps to the list of its
+    values in order; any other key given twice, a line without "=", or a
+    key outside `keys` (when given) raises `error`."""
+    values = {key: [] for key in repeated}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise error(f"{where}:{lineno}: expected key = value")
+        if keys is not None and key not in keys:
+            raise error(f"{where}:{lineno}: unknown config key {key!r}")
+        if key in repeated:
+            values[key].append(val)
+        elif key in values:
+            raise error(f"{where}:{lineno}: duplicate key {key!r}")
+        else:
+            values[key] = val
+    return values
 
 
 def _fmt(value) -> str:
@@ -39,11 +67,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _saved_fields(cls) -> list:
+    """The fields of a config or state class that a checkpoint stores, in
+    order: those with a scalar default, whose type parses the saved text."""
+    return [f for f in fields(cls) if f.default is not MISSING and f.default is not None]
+
+
+def _field_lines(prefix: str, obj, sep: str = " = ") -> list:
+    return [f"{prefix}.{f.name}{sep}{_fmt(getattr(obj, f.name))}"
+            for f in _saved_fields(type(obj))]
+
+
+def _from_fields(cls, prefix: str, values: dict, path: str, **given):
+    kwargs = {}
+    for f in _saved_fields(cls):
+        key = f"{prefix}.{f.name}"
+        if key not in values:
+            raise FormatError(f"{path}: checkpoint config missing {key!r}")
+        try:
+            kwargs[f.name] = parse_value(type(f.default), values[key])
+        except ValueError:
+            raise FormatError(f"{path}: bad value for {key}: {values[key]!r}") from None
+    return cls(**kwargs, **given)
+
+
 def compute_config_hash(model_config: ModelConfig, train_config: TrainConfig) -> str:
-    """Hash of everything a resumed run must agree on (max_epochs exempt)."""
-    lines = [f"model.{k}={_fmt(getattr(model_config, k))}" for k in _MODEL_FIELDS]
-    lines += [f"train.{k}={_fmt(getattr(train_config, k))}"
-              for k in _TRAIN_FIELDS if k not in _HASH_EXEMPT]
+    """Hash of everything a resumed run must agree on (max_epochs exempt:
+    resuming with a longer budget is fine)."""
+    lines = _field_lines("model", model_config, "=") + [
+        line for line in _field_lines("train", train_config, "=")
+        if not line.startswith("train.max_epochs=")]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -59,16 +112,10 @@ class Checkpoint:
 
 
 def _render_config_text(model_config, train_config, vocab_min_count, state, chash):
-    lines = [f"model.{k} = {_fmt(getattr(model_config, k))}" for k in _MODEL_FIELDS]
-    lines += [f"train.{k} = {_fmt(getattr(train_config, k))}" for k in _TRAIN_FIELDS]
+    lines = _field_lines("model", model_config) + _field_lines("train", train_config)
     lines.append(f"vocab_min_count = {vocab_min_count}")
     lines.append(f"config_hash = {chash}")
-    lines.append(f"state.epoch = {state.epoch}")
-    lines.append(f"state.lr = {repr(state.lr)}")
-    lines.append(f"state.best_valid_ppl = {repr(state.best_valid_ppl)}")
-    lines.append(f"state.best_epoch = {state.best_epoch}")
-    lines.append(f"state.increase_count = {state.increase_count}")
-    lines.append(f"state.prev_valid_ppl = {repr(state.prev_valid_ppl)}")
+    lines += _field_lines("state", state)
     for epoch, train_nll, valid_nll, valid_ppl, lr in state.curve:
         row = ",".join([str(epoch)] + [repr(float(v))
                                        for v in (train_nll, valid_nll, valid_ppl, lr)])
@@ -76,36 +123,14 @@ def _render_config_text(model_config, train_config, vocab_min_count, state, chas
     return "\n".join(lines) + "\n"
 
 
-def _parse_config_text(text: str, path: str):
-    """Return ({key: value-string}, [curve rows]); duplicate keys are an error."""
-    values, curve = {}, []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: config line {lineno} is not key = value")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "curve":
-            parts = val.split(",")
-            if len(parts) != 5:
-                raise FormatError(f"{path}: config line {lineno}: bad curve row")
-            curve.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                          float(parts[3]), float(parts[4])))
-        elif key in values:
-            raise FormatError(f"{path}: duplicate config key {key!r}")
-        else:
-            values[key] = val
-    return values, curve
-
-
-def _parse_bool(val: str, key: str, path: str) -> bool:
-    if val == "true":
-        return True
-    if val == "false":
-        return False
-    raise FormatError(f"{path}: {key} must be true or false, got {val!r}")
+def _parse_curve(rows: list, path: str) -> list:
+    curve = []
+    for row in rows:
+        parts = row.split(",")
+        if len(parts) != 5:
+            raise FormatError(f"{path}: bad curve row {row!r}")
+        curve.append((int(parts[0]), *(float(x) for x in parts[1:])))
+    return curve
 
 
 def save_checkpoint(path, model: SequenceModel, vocab: Vocabulary,
@@ -140,9 +165,17 @@ def save_checkpoint(path, model: SequenceModel, vocab: Vocabulary,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse a checkpoint; each tensor is read straight into its own array."""
+    """Parse a checkpoint; each tensor is read straight into its own array.
+
+    Bytes that do not parse raise FormatError: bad UTF-8, a number or a
+    word list that does not read, as well as a bad layout."""
     with open(path, "rb") as fh:
-        return _read_checkpoint(fh, str(path), os.fstat(fh.fileno()).st_size)
+        try:
+            return _read_checkpoint(fh, str(path), os.fstat(fh.fileno()).st_size)
+        except FormatError:
+            raise
+        except ValueError as exc:  # UnicodeDecodeError, int(), a repeated word
+            raise FormatError(f"{path}: corrupt checkpoint: {exc}") from None
 
 
 def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
@@ -165,44 +198,18 @@ def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{spath}: unsupported checkpoint version {version}")
     (text_len,) = take("<I")
-    text = take_bytes(text_len).decode("utf-8")
-    values, curve = _parse_config_text(text, spath)
+    values = read_key_values(take_bytes(text_len).decode("utf-8"), spath, FormatError,
+                             repeated=("curve",))
 
     def need(key):
         if key not in values:
             raise FormatError(f"{spath}: checkpoint config missing {key!r}")
         return values[key]
 
-    model_config = ModelConfig(
-        arch=need("model.arch"),
-        hidden=int(need("model.hidden")),
-        vocab=int(need("model.vocab")),
-        context_dim=int(need("model.context_dim")),
-        fusion=need("model.fusion"),
-        fusion_bias=_parse_bool(need("model.fusion_bias"), "model.fusion_bias", spath),
-        unroll=int(need("model.unroll")),
-        decoder_bias=_parse_bool(need("model.decoder_bias"), "model.decoder_bias", spath),
-        lstm_activation=need("model.lstm_activation"),
-    )
-    train_config = TrainConfig(
-        lr=float(need("train.lr")),
-        clip=float(need("train.clip")),
-        batch_size=int(need("train.batch_size")),
-        unroll=int(need("train.unroll")),
-        max_epochs=int(need("train.max_epochs")),
-        patience=int(need("train.patience")),
-        seed=int(need("train.seed")),
-        schedule=need("train.schedule"),
-    )
-    state = TrainState(
-        epoch=int(need("state.epoch")),
-        lr=float(need("state.lr")),
-        best_valid_ppl=float(need("state.best_valid_ppl")),
-        best_epoch=int(need("state.best_epoch")),
-        increase_count=int(need("state.increase_count")),
-        prev_valid_ppl=float(need("state.prev_valid_ppl")),
-        curve=curve,
-    )
+    model_config = _from_fields(ModelConfig, "model", values, spath)
+    train_config = _from_fields(TrainConfig, "train", values, spath)
+    state = _from_fields(TrainState, "state", values, spath,
+                         curve=_parse_curve(values["curve"], spath))
 
     (word_count,) = take("<I")
     words = []
@@ -256,10 +263,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SequenceModel:
 def render_manifest(ckpt: Checkpoint) -> str:
     lines = [f"checkpoint version {ckpt.version}",
              f"config hash {ckpt.config_hash}"]
-    for key in _MODEL_FIELDS:
-        lines.append(f"model.{key} = {_fmt(getattr(ckpt.model_config, key))}")
-    for key in _TRAIN_FIELDS:
-        lines.append(f"train.{key} = {_fmt(getattr(ckpt.train_config, key))}")
+    lines += _field_lines("model", ckpt.model_config) + _field_lines("train", ckpt.train_config)
     lines.append(f"vocabulary: {len(ckpt.vocab.words)} words "
                  f"(min_count {ckpt.vocab.min_count}, {len(ckpt.vocab)} ids with specials)")
     lines.append("tensors:")

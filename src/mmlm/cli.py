@@ -9,79 +9,57 @@ over file values, which win over MMLM_SEED and built-in defaults.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import data as D
 from . import evaluate as E
-from .cells import primary_input_matrix
+from .cells import spec
 from .checkpoint import (compute_config_hash, load_checkpoint,
-                         model_from_checkpoint, render_manifest,
-                         save_checkpoint)
-from .errors import (ConfigError, FormatError, MmlmError, TrainingAbort,
-                     UsageError)
+                         model_from_checkpoint, parse_value, read_key_values,
+                         render_manifest, save_checkpoint)
+from .errors import ConfigError, MmlmError, TrainingAbort, UsageError
 from .model import ModelConfig, build_model
 from .train import TrainConfig, fit, format_curve
 
 ENV_SEED = "MMLM_SEED"
 
+# `train` options: key -> (type, default). Flags use the same names with
+# dashes; booleans take true/false in a config file. Every ModelConfig and
+# TrainConfig field is one, except the size `vocab`, which the vocabulary
+# sets; `vocab` here is the vocabulary file.
+_TRAIN_KEYS = {f.name: (type(f.default), f.default)
+               for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+_TRAIN_KEYS.update({
+    "captions": (str, None), "vocab": (str, None), "contexts": (str, None),
+    "out": (str, "."), "pretrained": (str, None), "pretrained_projection": (bool, False),
+    "resume": (str, None), "min_count": (int, 5),
+    "seed": (int, None),  # unset: MMLM_SEED, else TrainConfig's default
+})
 
-def _parse_bool(val: str) -> bool:
-    if val == "true":
-        return True
-    if val == "false":
-        return False
-    raise ConfigError(f"expected true or false, got {val!r}")
 
-
-# config-file schema for `train`: key -> parser. Flags use the same names
-# with dashes; booleans take true/false in the file.
-_TRAIN_KEYS = {
-    "captions": str, "vocab": str, "contexts": str, "out": str,
-    "pretrained": str, "pretrained_projection": _parse_bool, "resume": str,
-    "arch": str, "hidden": int, "fusion": str, "fusion_bias": _parse_bool,
-    "context_dim": int, "unroll": int, "decoder_bias": _parse_bool,
-    "lstm_activation": str, "min_count": int,
-    "lr": float, "clip": float, "batch_size": int, "max_epochs": int,
-    "patience": int, "seed": int, "schedule": str,
-}
-
-_TRAIN_DEFAULTS = {
-    "captions": None, "vocab": None, "contexts": None, "out": ".",
-    "pretrained": None, "pretrained_projection": False, "resume": None,
-    "arch": "delta-rnn", "hidden": 64, "fusion": "none", "fusion_bias": True,
-    "context_dim": 2048, "unroll": 49, "decoder_bias": True,
-    "lstm_activation": "tanh", "min_count": 5,
-    "lr": 1.0, "clip": 2.0, "batch_size": 32, "max_epochs": 1,
-    "patience": 3, "seed": None, "schedule": "cumulative",
-}
+def _config(cls, opts: dict, **given):
+    """cls built from the resolved options, with `given` fields overriding."""
+    return cls(**{f.name: given[f.name] if f.name in given else opts[f.name]
+                  for f in fields(cls)})
 
 
 def read_config_file(path) -> dict:
     """Parse `key = value` lines; full-line # comments; keys per schema."""
-    values = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _TRAIN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                values[key] = _TRAIN_KEYS[key](val)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
+        text = fh.read()
+    values = read_key_values(text, path, ConfigError, keys=_TRAIN_KEYS)
+    for key, val in values.items():
+        try:
+            values[key] = parse_value(_TRAIN_KEYS[key][0], val)
+        except ValueError:
+            raise ConfigError(f"{path}: bad value for {key}: {val!r}") from None
     return values
 
 
 def _resolve_train_options(args) -> dict:
     file_values = read_config_file(args.config) if args.config else {}
     opts = {}
-    for key, default in _TRAIN_DEFAULTS.items():
+    for key, (_, default) in _TRAIN_KEYS.items():
         flag = getattr(args, key)
         opts[key] = flag if flag is not None else file_values.get(key, default)
     if opts["seed"] is None:
@@ -92,34 +70,10 @@ def _resolve_train_options(args) -> dict:
             except ValueError:
                 raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
         else:
-            opts["seed"] = 0
+            opts["seed"] = TrainConfig.seed
     if opts["captions"] is None:
         raise UsageError("train needs --captions (flag or config file)")
     return opts
-
-
-def _read_raw_captions(path) -> list:
-    """Parse the raw 4-field TSV, lowercasing and whitespace-splitting text."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            image_id, language, split, text = fields
-            if not image_id:
-                raise FormatError(f"{path}:{lineno}: empty image id")
-            if split not in D.SPLITS:
-                raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            tokens = text.lower().split()
-            if not tokens:
-                raise FormatError(f"{path}:{lineno}: caption has no tokens")
-            records.append(D.CaptionRecord(image_id, language, split, tokens))
-    return records
 
 
 def _summarize(kept, excluded, vocab) -> str:
@@ -142,7 +96,9 @@ def _summarize(kept, excluded, vocab) -> str:
 
 
 def cmd_prepare(args) -> int:
-    records = _read_raw_captions(args.captions)
+    records = D.read_captions(args.captions)
+    for rec in records:
+        rec.tokens = [tok.lower() for tok in rec.tokens]
     store = D.load_contexts(args.features) if args.features else None
     if store is not None:
         known = set(store.ids())
@@ -191,16 +147,9 @@ def cmd_train(args) -> int:
     context_dim = store.dim if store is not None else opts["context_dim"]
     vocab = (D.load_vocab(opts["vocab"]) if opts["vocab"]
              else D.build_vocab(train_records, min_count=opts["min_count"]))
-    model_config = ModelConfig(
-        arch=opts["arch"], hidden=opts["hidden"], vocab=len(vocab),
-        context_dim=context_dim, fusion=opts["fusion"],
-        fusion_bias=opts["fusion_bias"], unroll=opts["unroll"],
-        decoder_bias=opts["decoder_bias"], lstm_activation=opts["lstm_activation"])
+    model_config = _config(ModelConfig, opts, vocab=len(vocab), context_dim=context_dim)
     model_config.validate()
-    train_config = TrainConfig(
-        lr=opts["lr"], clip=opts["clip"], batch_size=opts["batch_size"],
-        unroll=opts["unroll"], max_epochs=opts["max_epochs"],
-        patience=opts["patience"], seed=opts["seed"], schedule=opts["schedule"])
+    train_config = _config(TrainConfig, opts)
     train_config.validate()
 
     if opts["resume"]:
@@ -219,7 +168,7 @@ def cmd_train(args) -> int:
         state = None
         if opts["pretrained"]:
             pre = D.PretrainedEmbeddings.load(opts["pretrained"])
-            name = f"cell.{primary_input_matrix(model_config.arch)}"
+            name = f"cell.{spec(model_config.arch).embedding}"
             coverage = D.init_embeddings_from_pretrained(
                 model.named_parameters()[name], vocab, pre,
                 project=opts["pretrained_projection"], seed=train_config.seed)
@@ -359,16 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write checkpoints")
     p.add_argument("--config", help="key = value file; flags override")
-    for key in ("captions", "vocab", "contexts", "out", "pretrained", "resume",
-                "arch", "fusion", "lstm_activation", "schedule"):
-        p.add_argument(f"--{key.replace('_', '-')}", default=None)
-    for key in ("hidden", "context_dim", "unroll", "min_count", "batch_size",
-                "max_epochs", "patience", "seed"):
-        p.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
-    for key in ("lr", "clip"):
-        p.add_argument(f"--{key}", type=float, default=None)
-    for key in ("fusion_bias", "decoder_bias", "pretrained_projection"):
-        p.add_argument(f"--{key.replace('_', '-')}", action=boolopt, default=None)
+    for key, (kind, _) in _TRAIN_KEYS.items():
+        flag = f"--{key.replace('_', '-')}"
+        if kind is bool:
+            p.add_argument(flag, action=boolopt, default=None)
+        else:
+            p.add_argument(flag, type=kind, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="perplexity report for a checkpoint")

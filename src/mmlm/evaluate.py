@@ -21,12 +21,31 @@ from .tensor import no_grad
 CONDITIONS = ("L-L", "LV-LV", "LV-L")
 
 
-def _strip_contexts(batch: SequenceBatch) -> SequenceBatch:
-    return replace(batch, contexts=None) if batch.contexts is not None else batch
+def _condition_batch(batch: SequenceBatch, condition: str, dim: int) -> SequenceBatch:
+    if condition == "L-L":
+        return replace(batch, contexts=None) if batch.contexts is not None else batch
+    if condition == "LV-L":
+        return replace(batch, contexts=np.zeros((batch.batch_size, dim), dtype=np.float32))
+    if batch.contexts is None:
+        raise UsageError("LV-LV needs stored context vectors; use LV-L for the null condition")
+    return batch
 
 
-def _zero_contexts(batch: SequenceBatch, dim: int) -> SequenceBatch:
-    return replace(batch, contexts=np.zeros((batch.batch_size, dim), dtype=np.float32))
+def dataset_nll(model: SequenceModel, batches):
+    """(mean per-token NLL, PPL) over the batches as they are; no mutation
+    and no tape."""
+    total = 0.0
+    tokens = 0
+    with no_grad():
+        for batch in batches:
+            loss, count = model.sequence_nll(batch)
+            total += loss.item()
+            tokens += count
+    if tokens == 0:
+        return 0.0, 1.0
+    nll = total / tokens
+    # exp overflows float64 past ~709; a diverged model's PPL is honestly inf
+    return nll, math.exp(nll) if nll < 709.0 else math.inf
 
 
 def evaluate(model: SequenceModel, batches, condition: str):
@@ -42,24 +61,8 @@ def evaluate(model: SequenceModel, batches, condition: str):
         raise UsageError(f"condition must be one of {CONDITIONS}, got {condition!r}")
     if condition != "L-L" and model.config.fusion == "none":
         raise UsageError(f"{condition} needs a fused model; this one has fusion=none")
-    total = 0.0
-    tokens = 0
-    for batch in batches:
-        if condition == "L-L":
-            batch = _strip_contexts(batch)
-        elif condition == "LV-L":
-            batch = _zero_contexts(batch, model.config.context_dim)
-        elif batch.contexts is None:
-            raise UsageError("LV-LV needs stored context vectors; use LV-L for the null condition")
-        with no_grad():
-            loss, count = model.sequence_nll(batch)
-        total += loss.item()
-        tokens += count
-    if tokens == 0:
-        return 0.0, 1.0
-    nll = total / tokens
-    # exp overflows float64 past ~709; a diverged model's PPL is honestly inf
-    return nll, math.exp(nll) if nll < 709.0 else math.inf
+    dim = model.config.context_dim
+    return dataset_nll(model, (_condition_batch(b, condition, dim) for b in batches))
 
 
 @dataclass

@@ -17,9 +17,6 @@ from .data import SPECIAL_TOKENS, SequenceBatch
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .tensor import Tensor
 
-ARCHITECTURES = cells.ARCHITECTURES
-FUSION_MODES = cells.FUSION_MODES
-
 
 @dataclass
 class ModelConfig:
@@ -34,10 +31,8 @@ class ModelConfig:
     lstm_activation: str = "tanh"
 
     def validate(self) -> None:
-        if self.arch not in ARCHITECTURES:
-            raise ConfigError(f"arch must be one of {ARCHITECTURES}, got {self.arch!r}")
-        if self.fusion not in FUSION_MODES:
-            raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
+        cells.check_fusion(self.arch, None if self.fusion == "none" else self.fusion)
+        cells.lstm_activation(self.lstm_activation)
         if self.hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
         if self.vocab < len(SPECIAL_TOKENS):
@@ -47,8 +42,6 @@ class ModelConfig:
             raise ConfigError(f"unroll length must be >= 1, got {self.unroll}")
         if self.fusion != "none" and self.context_dim < 1:
             raise ConfigError(f"context dim must be >= 1, got {self.context_dim}")
-        if self.fusion == "inner" and self.arch != "delta-rnn":
-            raise ConfigError("inner fusion is only defined for delta-rnn")
 
 
 @dataclass
@@ -74,7 +67,7 @@ class SequenceModel:
     # -- parameter plumbing ------------------------------------------------
 
     def named_parameters(self) -> dict:
-        out = cells.named_cell_params(self.cell)
+        out = self.cell.named_parameters()
         out["decoder.U"] = self.decoder.U
         if self.decoder.b_U is not None:
             out["decoder.b_U"] = self.decoder.b_U
@@ -172,41 +165,39 @@ class SequenceModel:
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceModel:
     """Fresh model: weight matrices U(-0.1, 0.1), biases zero, mixing
-    vectors and b_M ones; deterministic per (config, seed)."""
+    vectors and b_M ones; deterministic per (config, seed). The cell, the
+    fusion block and the decoder each draw from their own stream of the
+    seed, in parameter_table order."""
+    streams = {}
+    arrays = {}
+    for name, (shape, init) in parameter_table(config).items():
+        block = name.split(".")[0]
+        if block not in streams:
+            streams[block] = tz.seed_stream(seed, f"init/{block}")
+        arrays[name] = cells.draw(init, streams[block], shape, dtype)
+    return model_from_arrays(config, arrays)
+
+
+def parameter_table(config: ModelConfig) -> dict:
+    """Name -> (shape, init) of every parameter, in named_parameters() order."""
     config.validate()
-    dtype = np.dtype(dtype)
-    fusion = None
+    h, v = config.hidden, config.vocab
+    out = {f"cell.{name}": entry
+           for name, entry in cells.param_table(config.arch, h, v).items()}
     if config.fusion != "none":
-        fusion = cells.init_fusion(
-            tz.seed_stream(seed, "init/fusion"), config.hidden, config.context_dim,
-            config.fusion, use_bias=config.fusion_bias, dtype=dtype,
-        )
-    cell = cells.init_cell(
-        config.arch, config.hidden, config.vocab, tz.seed_stream(seed, "init/cell"),
-        dtype=dtype, fusion=fusion, lstm_activation=config.lstm_activation,
-    )
-    rng = tz.seed_stream(seed, "init/decoder")
-    decoder = DecoderParams(
-        U=cells.uniform_param(rng, config.vocab, config.hidden, dtype),
-        b_U=tz.param(np.zeros((1, config.vocab), dtype=dtype)) if config.decoder_bias else None,
-    )
-    return SequenceModel(config, cell, decoder, dtype=dtype)
+        out["fusion.M"] = ((h, config.context_dim), "uniform")
+        if config.fusion_bias:
+            out["fusion.b_M"] = ((1, h), "ones")
+    out["decoder.U"] = ((v, h), "uniform")
+    if config.decoder_bias:
+        out["decoder.b_U"] = ((1, v), "zeros")
+    return out
 
 
 def parameter_shapes(config: ModelConfig) -> dict:
-    """Name -> shape of every parameter, in named_parameters() order."""
-    config.validate()
-    h, v = config.hidden, config.vocab
-    out = {f"cell.{name}": shape
-           for name, shape in cells.cell_param_shapes(config.arch, h, v).items()}
-    if config.fusion != "none":
-        out["fusion.M"] = (h, config.context_dim)
-        if config.fusion_bias:
-            out["fusion.b_M"] = (1, h)
-    out["decoder.U"] = (v, h)
-    if config.decoder_bias:
-        out["decoder.b_U"] = (1, v)
-    return out
+    """Name -> shape of every parameter, in named_parameters() order: the
+    tensors a checkpoint of this config holds."""
+    return {name: shape for name, (shape, _) in parameter_table(config).items()}
 
 
 def model_from_arrays(config: ModelConfig, arrays: dict) -> SequenceModel:
@@ -222,9 +213,8 @@ def model_from_arrays(config: ModelConfig, arrays: dict) -> SequenceModel:
                else tz.param(np.ones((1, config.hidden), dtype=dtype)))
         fusion = cells.FusionParams(M=p["fusion.M"], b_M=b_M, mode=config.fusion,
                                     use_bias=config.fusion_bias)
-    cell = cells.cell_from_params(
-        config.arch, {name[len("cell."):]: t for name, t in p.items() if name.startswith("cell.")},
-        fusion=fusion, lstm_activation=config.lstm_activation,
-    )
+    cell = cells.Cell(config.arch, {name[len("cell."):]: t for name, t in p.items()
+                                    if name.startswith("cell.")},
+                      fusion=fusion, activation=config.lstm_activation)
     decoder = DecoderParams(U=p["decoder.U"], b_U=p.get("decoder.b_U"))
     return SequenceModel(config, cell, decoder, dtype=dtype)

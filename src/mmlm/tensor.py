@@ -18,9 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, StateError, UsageError
-
-ACTIVATION_KINDS = ("sigmoid", "tanh", "relu", "identity")
+from .errors import ConfigError, DataError, DimensionError, StateError
 
 
 class Tensor:
@@ -62,12 +60,6 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise DimensionError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -129,30 +121,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _need_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 def _need_same_dtype(op: str, a: Tensor, b: Tensor) -> None:
     if a.data.dtype != b.data.dtype:
         raise ConfigError(
             f"{op}: {a.data.dtype} and {b.data.dtype} mixed on one tape; keep a"
             " single precision per graph"
         )
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: {a.data.shape} x {b.data.shape}")
-    _need_same_dtype("matmul", a, b)
-    out = a.data @ b.data
-
-    def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _result(out, (a, b), back)
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
@@ -172,35 +146,6 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data.T, (a, b), back)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape("add", a, b)
-    _need_same_dtype("add", a, b)
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result(a.data + b.data, (a, b), back)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape("hadamard", a, b)
-    _need_same_dtype("hadamard", a, b)
-
-    def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _result(a.data * b.data, (a, b), back)
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def back(g):
-        _accum(x, g)
-
-    return _result(x.data + x.data.dtype.type(c), (x,), back)
-
-
 def scale(x: Tensor, k: float) -> Tensor:
     kk = x.data.dtype.type(k)
 
@@ -208,11 +153,6 @@ def scale(x: Tensor, k: float) -> Tensor:
         _accum(x, g * kk)
 
     return _result(x.data * kk, (x,), back)
-
-
-def one_minus(x: Tensor) -> Tensor:
-    """1 - x, the complement used by every gating cell."""
-    return add_scalar(scale(x, -1.0), 1.0)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -230,57 +170,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out /= den
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = logistic(x.data)
-
-    def back(g):
-        _accum(x, g * out * (1.0 - out))
-
-    return _result(out, (x,), back)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def back(g):
-        _accum(x, g * (1.0 - out * out))
-
-    return _result(out, (x,), back)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def back(g):
-        _accum(x, g * (x.data > 0))
-
-    return _result(out, (x,), back)
-
-
-def identity(x: Tensor) -> Tensor:
-    def back(g):
-        _accum(x, g)
-
-    return _result(x.data, (x,), back)
-
-
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "identity": identity}
-_BINARY = {"add": add, "hadamard": hadamard}
-
-
-def elementwise(kind: str, x: Tensor, y: Tensor | None = None) -> Tensor:
-    """Dispatch an elementwise op by name; activations are unary."""
-    if kind in _UNARY:
-        if y is not None:
-            raise UsageError(f"{kind} is unary, second operand given")
-        return _UNARY[kind](x)
-    if kind in _BINARY:
-        if y is None:
-            raise UsageError(f"{kind} needs two operands")
-        return _BINARY[kind](x, y)
-    raise UsageError(f"unknown elementwise kind {kind!r}")
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -309,13 +198,6 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), back)
 
 
-def transpose(x: Tensor) -> Tensor:
-    def back(g):
-        _accum(x, g.T)
-
-    return _result(x.data.T, (x,), back)
-
-
 def add_row(x: Tensor, v: Tensor) -> Tensor:
     """Add a 1 x cols row vector to every row of x."""
     if v.data.shape != (1, x.cols):
@@ -327,40 +209,6 @@ def add_row(x: Tensor, v: Tensor) -> Tensor:
         _accum(v, g.sum(axis=0, keepdims=True))
 
     return _result(x.data + v.data, (x, v), back)
-
-
-def mul_row(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply every row of x by a 1 x cols row vector."""
-    if v.data.shape != (1, x.cols):
-        raise DimensionError(f"mul_row: vector {v.data.shape} does not match {x.data.shape}")
-    _need_same_dtype("mul_row", x, v)
-
-    def back(g):
-        _accum(x, g * v.data)
-        _accum(v, (g * x.data).sum(axis=0, keepdims=True))
-
-    return _result(x.data * v.data, (x, v), back)
-
-
-def embed_columns(w: Tensor, ids) -> Tensor:
-    """Look up columns of w by token id; returns len(ids) x rows(w).
-
-    Row b of the result is column ids[b] of w, so a batch of token ids turns
-    into a batch of embedding rows in one op.
-    """
-    idx = np.asarray(ids)
-    if idx.ndim != 1:
-        raise DimensionError(f"embed_columns: ids must be 1-D, got ndim={idx.ndim}")
-    if idx.size and (idx.min() < 0 or idx.max() >= w.cols):
-        raise DataError(
-            f"embed_columns: id out of range 0..{w.cols - 1}: {idx[(idx < 0) | (idx >= w.cols)][0]}"
-        )
-    out = w.data[:, idx].T.copy()
-
-    def back(g):
-        _accum_columns(w, idx, g)
-
-    return _result(out, (w,), back)
 
 
 def _accum_columns(w: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
@@ -382,26 +230,6 @@ def _add_at_flat(target: np.ndarray, flat_idx: np.ndarray, values: np.ndarray) -
     add.at path, several times faster than add.at over rows; the sums are
     the same bit for bit. target must be C-contiguous."""
     np.add.at(target.reshape(-1), flat_idx, values.reshape(-1))
-
-
-def take_per_row(x: Tensor, cols) -> Tensor:
-    """Pick one entry per row: out[i, 0] = x[i, cols[i]]."""
-    idx = np.asarray(cols)
-    if idx.ndim != 1 or idx.size != x.rows:
-        raise DimensionError(
-            f"take_per_row: need {x.rows} column indices, got shape {idx.shape}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= x.cols):
-        raise DataError(f"take_per_row: column index out of range 0..{x.cols - 1}")
-    rows_arange = np.arange(x.rows)
-    out = x.data[rows_arange, idx].reshape(-1, 1)
-
-    def back(g):
-        buf = np.zeros_like(x.data)
-        buf[rows_arange, idx] = g[:, 0]
-        _accum(x, buf)
-
-    return _result(out, (x,), back)
 
 
 def _row_indices(op: str, rows, limit: int) -> np.ndarray:
@@ -500,24 +328,6 @@ def target_log_probs(h: Tensor, w: Tensor, b: Tensor | None, targets) -> Tensor:
             _accum(b, d.sum(axis=0, keepdims=True))
 
     return _result(out, parents, back)
-
-
-def stack_rows(parts) -> Tensor:
-    """Stack equally wide tensors top to bottom into one tall matrix."""
-    parts = tuple(parts)
-    if not parts:
-        raise DimensionError("stack_rows needs at least one tensor")
-    for p in parts[1:]:
-        if p.cols != parts[0].cols:
-            raise DimensionError(f"stack_rows: widths {parts[0].cols} and {p.cols} differ")
-        _need_same_dtype("stack_rows", parts[0], p)
-    ends = np.cumsum([p.rows for p in parts])
-
-    def back(g):
-        for p, stop in zip(parts, ends):
-            _accum(p, g[stop - p.rows:stop])
-
-    return _result(np.concatenate([p.data for p in parts]), parts, back)
 
 
 def sum_row_blocks(x: Tensor, blocks: int) -> Tensor:

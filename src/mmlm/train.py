@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .data import encode_batches
 from .errors import ConfigError, DimensionError, TrainingAbort
-from .tensor import backward, clip_gradients, no_grad, seed_stream
+from .evaluate import dataset_nll
+from .tensor import backward, clip_gradients, seed_stream
 
 SCHEDULES = ("cumulative", "consecutive")
 
@@ -128,23 +129,6 @@ def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
         total += value
         tokens += count
     return total, tokens
-
-
-def dataset_nll(model, batches):
-    """(mean per-token NLL, PPL) over a fixed batch list; no mutation and
-    no tape."""
-    total = 0.0
-    tokens = 0
-    for batch in batches:
-        with no_grad():
-            loss, count = model.sequence_nll(batch)
-        total += loss.item()
-        tokens += count
-    if tokens == 0:
-        return 0.0, 1.0
-    nll = total / tokens
-    # exp overflows float64 past ~709; a diverged model's PPL is honestly inf
-    return nll, math.exp(nll) if nll < 709.0 else math.inf
 
 
 def snapshot_params(model) -> dict:

@@ -15,6 +15,8 @@ import mmlm.evaluate as E
 import mmlm.tensor as T
 from mmlm.data import BOS_ID, EOS_ID
 from mmlm.errors import ConfigError, UsageError
+from tape_ops import (add, embed_columns, hadamard, identity, matmul, mul_row, one_minus,
+                      relu, sigmoid, take_per_row, tanh, transpose)
 
 
 def np_sigmoid(x):
@@ -82,20 +84,20 @@ def delta_rnn_step(p, emb, h_prev, ctx_gain=None):
     a data-driven rate gate r then interpolates with the previous state and
     the result passes through a linear rectifier.
     """
-    C._check_fusion(p.fusion, ctx_gain, "delta-rnn")
+    C._check_gain(p.fusion, ctx_gain, "delta-rnn")
     d_rec = T.matmul_t(h_prev, p.V)
     d_dat = emb
-    d1 = T.mul_row(d_rec * d_dat, p.alpha)
-    d2 = T.mul_row(d_rec, p.beta1) + T.mul_row(d_dat, p.beta2)
-    pre = d1 + d2
+    d1 = mul_row(hadamard(d_rec, d_dat), p.alpha)
+    d2 = add(mul_row(d_rec, p.beta1), mul_row(d_dat, p.beta2))
+    pre = add(d1, d2)
     if p.fusion is not None and p.fusion.mode == "inner":
-        pre = pre + ctx_gain
-    z = T.tanh(pre)
-    r = T.sigmoid(T.add_row(d_dat, p.b_r))
-    mixed = T.one_minus(r) * z + r * h_prev
+        pre = add(pre, ctx_gain)
+    z = tanh(pre)
+    r = sigmoid(T.add_row(d_dat, p.b_r))
+    mixed = add(hadamard(one_minus(r), z), hadamard(r, h_prev))
     if p.fusion is not None and p.fusion.mode == "outer":
-        mixed = mixed * ctx_gain
-    return C.StepState(h=T.relu(mixed))
+        mixed = hadamard(mixed, ctx_gain)
+    return C.StepState(h=relu(mixed))
 
 
 def gru_step(p, embs, h_prev, ctx_gain=None):
@@ -104,14 +106,14 @@ def gru_step(p, embs, h_prev, ctx_gain=None):
     Note the update gate keeps the old state (h = z*h_prev + (1-z)*cand).
     Outer fusion multiplies the new state by the context gain.
     """
-    C._check_fusion(p.fusion, ctx_gain, "gru")
+    C._check_gain(p.fusion, ctx_gain, "gru")
     e_z, e_r, e_h = embs
-    z = T.sigmoid(e_z + T.matmul_t(h_prev, p.V_z))
-    r = T.sigmoid(e_r + T.matmul_t(h_prev, p.V_r))
-    cand = T.tanh(e_h + T.matmul_t(r * h_prev, p.V_h))
-    h = z * h_prev + T.one_minus(z) * cand
+    z = sigmoid(add(e_z, T.matmul_t(h_prev, p.V_z)))
+    r = sigmoid(add(e_r, T.matmul_t(h_prev, p.V_r)))
+    cand = tanh(add(e_h, T.matmul_t(hadamard(r, h_prev), p.V_h)))
+    h = add(hadamard(z, h_prev), hadamard(one_minus(z), cand))
     if p.fusion is not None:
-        h = h * ctx_gain
+        h = hadamard(h, ctx_gain)
     return C.StepState(h=h)
 
 
@@ -122,29 +124,28 @@ def lstm_step(p, embs, state, ctx_gain=None):
     input and cell output use p.activation (tanh by default). Outer fusion
     multiplies the emitted hidden state by the context gain.
     """
-    C._check_fusion(p.fusion, ctx_gain, "lstm")
-    act = {"tanh": T.tanh, "sigmoid": T.sigmoid, "relu": T.relu, "identity": T.identity}
+    C._check_gain(p.fusion, ctx_gain, "lstm")
+    act = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu, "identity": identity}
     if p.activation not in act:
         raise ConfigError(f"unknown lstm activation {p.activation!r}")
     phi = act[p.activation]
     e_z, e_i, e_f, e_r = embs
     h_prev, c_prev = state.h, state.cell
-    z = phi(e_z + T.matmul_t(h_prev, p.V_z))
-    i = T.sigmoid(e_i + T.matmul_t(h_prev, p.V_i) + T.mul_row(c_prev, p.U_i))
-    f = T.sigmoid(e_f + T.matmul_t(h_prev, p.V_f) + T.mul_row(c_prev, p.U_f))
-    c = f * c_prev + i * z
-    r = T.sigmoid(e_r + T.matmul_t(h_prev, p.V_r) + T.mul_row(c, p.U_r))
-    h = r * phi(c)
+    z = phi(add(e_z, T.matmul_t(h_prev, p.V_z)))
+    i = sigmoid(add(add(e_i, T.matmul_t(h_prev, p.V_i)), mul_row(c_prev, p.U_i)))
+    f = sigmoid(add(add(e_f, T.matmul_t(h_prev, p.V_f)), mul_row(c_prev, p.U_f)))
+    c = add(hadamard(f, c_prev), hadamard(i, z))
+    r = sigmoid(add(add(e_r, T.matmul_t(h_prev, p.V_r)), mul_row(c, p.U_r)))
+    h = hadamard(r, phi(c))
     if p.fusion is not None:
-        h = h * ctx_gain
+        h = hadamard(h, ctx_gain)
     return C.StepState(h=h, cell=c)
 
 
 def step(model, ids, state, gain):
     """One step of the model's cell through the per-op step functions."""
     p = model.cell
-    embs = tuple(T.embed_columns(getattr(p, n), ids)
-                 for n in C.input_matrix_names(model.config.arch))
+    embs = tuple(embed_columns(p.params[n], ids) for n in C.spec(p.arch).inputs)
     if model.config.arch == "delta-rnn":
         return delta_rnn_step(p, embs[0], state.h, gain)
     if model.config.arch == "gru":
@@ -237,13 +238,13 @@ def sequence_nll_per_step(model, batch):
     total = None
     for t in range(last):
         state = step(model, batch.tokens[t], state, gain)
-        logits = T.matmul(state.h, T.transpose(model.decoder.U))
+        logits = matmul(state.h, transpose(model.decoder.U))
         if model.decoder.b_U is not None:
             logits = T.add_row(logits, model.decoder.b_U)
-        picked = T.take_per_row(T.log_softmax_rows(logits), batch.tokens[t + 1])
+        picked = take_per_row(T.log_softmax_rows(logits), batch.tokens[t + 1])
         m = T.const(batch.mask[t + 1].reshape(-1, 1).astype(model.dtype))
-        contrib = T.hadamard(picked, m)
-        total = contrib if total is None else T.add(total, contrib)
+        contrib = hadamard(picked, m)
+        total = contrib if total is None else add(total, contrib)
     return T.scale(T.sum_all(total), -1.0), int(batch.mask.sum())
 
 

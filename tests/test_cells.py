@@ -14,11 +14,25 @@ from mmlm.model import ModelConfig, build_model
 
 from oracles import np_sigmoid, delta_step_np as delta_oracle, gru_step_np as gru_oracle, lstm_step_np as lstm_oracle
 from oracles import delta_rnn_step, gru_step, lstm_step, step as oracle_step
+from tape_ops import add, embed_columns, hadamard
+
+
+def init_cell(arch, hidden, vocab, rng, dtype=np.float32, fusion=None, lstm_activation="tanh"):
+    """A fresh cell drawn from rng in the spec table's order."""
+    params = {name: T.param(C.draw(init, rng, shape, dtype))
+              for name, (shape, init) in C.param_table(arch, hidden, vocab).items()}
+    return C.Cell(arch, params, fusion=fusion, activation=lstm_activation)
+
+
+def init_fusion(rng, hidden, context_dim, mode, use_bias=True, dtype=np.float32):
+    return C.FusionParams(M=T.param(C.draw("uniform", rng, (hidden, context_dim), dtype)),
+                          b_M=T.param(np.ones((1, hidden), dtype=dtype)),
+                          mode=mode, use_bias=use_bias)
 
 
 def test_delta_rnn_zero_weights_halves_state():
     rng = T.seed_stream(0, "t")
-    p = C.init_cell("delta-rnn", 4, 6, rng, dtype=np.float64)
+    p = init_cell("delta-rnn", 4, 6, rng, dtype=np.float64)
     for name in ("W", "V", "b_r"):
         getattr(p, name).data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5, 0.0]])
@@ -29,9 +43,9 @@ def test_delta_rnn_zero_weights_halves_state():
 
 def test_gru_zero_weights_halves_state():
     rng = T.seed_stream(0, "t")
-    p = C.init_cell("gru", 3, 6, rng, dtype=np.float64)
-    for name in C._CELL_FIELDS["gru"]:
-        getattr(p, name).data[:] = 0.0
+    p = init_cell("gru", 3, 6, rng, dtype=np.float64)
+    for t in p.params.values():
+        t.data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5]])
     e = tuple(T.const(np.zeros((1, 3))) for _ in range(3))
     st = gru_step(p, e, T.const(v))
@@ -41,9 +55,9 @@ def test_gru_zero_weights_halves_state():
 
 def test_lstm_zero_weights_closed_form():
     rng = T.seed_stream(0, "t")
-    p = C.init_cell("lstm", 3, 6, rng, dtype=np.float64)
-    for name in C._CELL_FIELDS["lstm"]:
-        getattr(p, name).data[:] = 0.0
+    p = init_cell("lstm", 3, 6, rng, dtype=np.float64)
+    for t in p.params.values():
+        t.data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5]])
     e = tuple(T.const(np.zeros((1, 3))) for _ in range(4))
     st = lstm_step(p, e, C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(v)))
@@ -54,12 +68,12 @@ def test_lstm_zero_weights_closed_form():
 
 def test_delta_rnn_hand_computed_step():
     rng = T.seed_stream(0, "t")
-    p = C.init_cell("delta-rnn", 2, 2, rng, dtype=np.float64)
+    p = init_cell("delta-rnn", 2, 2, rng, dtype=np.float64)
     p.V.data[:] = [[0.5, 0.0], [0.0, 0.5]]
     p.W.data[:] = [[0.2, 0.0], [0.4, 0.0]]  # token 0 embeds to (0.2, 0.4)
     p.b_r.data[:] = 0.0
     h_prev = np.array([[1.0, -1.0]])
-    emb = T.embed_columns(p.W, np.array([0]))
+    emb = embed_columns(p.W, np.array([0]))
     st = delta_rnn_step(p, emb, T.const(h_prev))
     # d_rec=(0.5,-0.5), d_dat=(0.2,0.4), pre=d_rec*d_dat+d_rec+d_dat=(0.8,-0.3)
     z = np.tanh([0.8, -0.3])
@@ -79,26 +93,26 @@ def test_steps_match_numpy_oracle(arch, mode):
         rng = T.seed_stream(seed, "oracle")
         fusion = None
         if mode is not None:
-            fusion = C.init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
-        p = C.init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+            fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
+        p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
         ids = rng.integers(0, vocab, size=batch)
         h_prev = rng.uniform(-1, 1, (batch, hidden))
         ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
         gain = C.project_context(fusion, ctx) if fusion else None
         gain_np = None if gain is None else gain.data
         if arch == "delta-rnn":
-            emb = T.embed_columns(p.W, ids)
+            emb = embed_columns(p.W, ids)
             got = delta_rnn_step(p, emb, T.const(h_prev), gain).h.data
             want = delta_oracle(p, p.W.data[:, ids].T, h_prev, gain_np)
         elif arch == "gru":
-            embs = tuple(T.embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
+            embs = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
             got = gru_step(p, embs, T.const(h_prev), gain).h.data
             embs_np = tuple(getattr(p, n).data[:, ids].T for n in ("W_z", "W_r", "W_h"))
             want = gru_oracle(p, embs_np, h_prev, gain_np)
         else:
             c_prev = rng.uniform(-1, 1, (batch, hidden))
             names = ("W_z", "W_i", "W_f", "W_r")
-            embs = tuple(T.embed_columns(getattr(p, n), ids) for n in names)
+            embs = tuple(embed_columns(getattr(p, n), ids) for n in names)
             st = lstm_step(p, embs, C.StepState(h=T.const(h_prev), cell=T.const(c_prev)), gain)
             embs_np = tuple(getattr(p, n).data[:, ids].T for n in names)
             want, want_c = lstm_oracle(p, embs_np, h_prev, c_prev, gain_np)
@@ -138,24 +152,24 @@ def test_outer_ones_gain_reproduces_text_only(arch):
     """Gain forced to all ones must leave the fused step bit-identical."""
     hidden, vocab, batch = 6, 8, 3
     rng = T.seed_stream(3, "gate")
-    fusion = C.init_fusion(rng, hidden, 4, "outer", dtype=np.float64)
-    fused = C.init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
-    plain = C.init_cell(arch, hidden, vocab, T.seed_stream(99, "x"), dtype=np.float64)
-    for name in C._CELL_FIELDS[arch]:
-        getattr(plain, name).data[:] = getattr(fused, name).data
+    fusion = init_fusion(rng, hidden, 4, "outer", dtype=np.float64)
+    fused = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+    plain = init_cell(arch, hidden, vocab, T.seed_stream(99, "x"), dtype=np.float64)
+    for name, t in plain.params.items():
+        t.data[:] = fused.params[name].data
     ids = np.arange(batch)
     h_prev = T.seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
     ones = T.const(np.ones((batch, hidden)))
     if arch == "delta-rnn":
-        a = delta_rnn_step(fused, T.embed_columns(fused.W, ids), T.const(h_prev), ones).h.data
-        b = delta_rnn_step(plain, T.embed_columns(plain.W, ids), T.const(h_prev)).h.data
+        a = delta_rnn_step(fused, embed_columns(fused.W, ids), T.const(h_prev), ones).h.data
+        b = delta_rnn_step(plain, embed_columns(plain.W, ids), T.const(h_prev)).h.data
     elif arch == "gru":
-        e = tuple(T.embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_r", "W_h"))
+        e = tuple(embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_r", "W_h"))
         a = gru_step(fused, e, T.const(h_prev), ones).h.data
         b = gru_step(plain, e, T.const(h_prev)).h.data
     else:
         c_prev = T.seed_stream(5, "c").uniform(-1, 1, (batch, hidden))
-        e = tuple(T.embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
+        e = tuple(embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
         a = lstm_step(fused, e, C.StepState(T.const(h_prev), T.const(c_prev)), ones).h.data
         b = lstm_step(plain, e, C.StepState(T.const(h_prev), T.const(c_prev))).h.data
     npt.assert_array_equal(a, b)
@@ -164,88 +178,93 @@ def test_outer_ones_gain_reproduces_text_only(arch):
 def test_inner_zero_gain_reproduces_text_only():
     hidden, vocab, batch = 6, 8, 3
     rng = T.seed_stream(3, "gate")
-    fusion = C.init_fusion(rng, hidden, 4, "inner", dtype=np.float64)
-    fused = C.init_cell("delta-rnn", hidden, vocab, rng, dtype=np.float64, fusion=fusion)
-    plain = C.init_cell("delta-rnn", hidden, vocab, T.seed_stream(99, "x"), dtype=np.float64)
-    for name in C._CELL_FIELDS["delta-rnn"]:
-        getattr(plain, name).data[:] = getattr(fused, name).data
+    fusion = init_fusion(rng, hidden, 4, "inner", dtype=np.float64)
+    fused = init_cell("delta-rnn", hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+    plain = init_cell("delta-rnn", hidden, vocab, T.seed_stream(99, "x"), dtype=np.float64)
+    for name, t in plain.params.items():
+        t.data[:] = fused.params[name].data
     ids = np.arange(batch)
     h_prev = T.seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
     zeros = T.const(np.zeros((batch, hidden)))
-    a = delta_rnn_step(fused, T.embed_columns(fused.W, ids), T.const(h_prev), zeros).h.data
-    b = delta_rnn_step(plain, T.embed_columns(plain.W, ids), T.const(h_prev)).h.data
+    a = delta_rnn_step(fused, embed_columns(fused.W, ids), T.const(h_prev), zeros).h.data
+    b = delta_rnn_step(plain, embed_columns(plain.W, ids), T.const(h_prev)).h.data
     npt.assert_array_equal(a, b)
 
 
 def test_outer_zero_gain_annihilates_state():
     # this is why b_M starts at one: a zero projection would erase the state
     rng = T.seed_stream(1, "z")
-    fusion = C.init_fusion(rng, 4, 3, "outer", dtype=np.float64)
-    p = C.init_cell("gru", 4, 5, rng, dtype=np.float64, fusion=fusion)
-    e = tuple(T.embed_columns(getattr(p, n), np.array([1, 2])) for n in ("W_z", "W_r", "W_h"))
+    fusion = init_fusion(rng, 4, 3, "outer", dtype=np.float64)
+    p = init_cell("gru", 4, 5, rng, dtype=np.float64, fusion=fusion)
+    e = tuple(embed_columns(getattr(p, n), np.array([1, 2])) for n in ("W_z", "W_r", "W_h"))
     st = gru_step(p, e, T.const(np.ones((2, 4))), T.const(np.zeros((2, 4))))
     npt.assert_array_equal(st.h.data, np.zeros((2, 4)))
 
 
 def test_fusion_usage_errors():
     rng = T.seed_stream(0, "u")
-    plain = C.init_cell("delta-rnn", 3, 4, rng, dtype=np.float64)
-    fused = C.init_cell(
+    plain = init_cell("delta-rnn", 3, 4, rng, dtype=np.float64)
+    fused = init_cell(
         "delta-rnn", 3, 4, rng, dtype=np.float64,
-        fusion=C.init_fusion(rng, 3, 2, "outer", dtype=np.float64),
+        fusion=init_fusion(rng, 3, 2, "outer", dtype=np.float64),
     )
-    emb = T.embed_columns(plain.W, np.array([0]))
+    emb = embed_columns(plain.W, np.array([0]))
     h = T.const(np.zeros((1, 3)))
     gain = T.const(np.ones((1, 3)))
     with pytest.raises(UsageError):
         delta_rnn_step(plain, emb, h, gain)
     with pytest.raises(UsageError):
-        delta_rnn_step(fused, T.embed_columns(fused.W, np.array([0])), h)
+        delta_rnn_step(fused, embed_columns(fused.W, np.array([0])), h)
 
 
 def test_inner_fusion_rejected_for_gated_cells():
     rng = T.seed_stream(0, "u")
-    fusion = C.init_fusion(rng, 3, 2, "inner", dtype=np.float64)
+    fusion = init_fusion(rng, 3, 2, "inner", dtype=np.float64)
     for arch in ("gru", "lstm"):
         with pytest.raises(ConfigError):
-            C.init_cell(arch, 3, 4, rng, dtype=np.float64, fusion=fusion)
+            init_cell(arch, 3, 4, rng, dtype=np.float64, fusion=fusion)
 
 
 def test_init_ranges_and_determinism():
-    p1 = C.init_cell("lstm", 8, 12, T.seed_stream(11, "init"), dtype=np.float32,
-                     fusion=C.init_fusion(T.seed_stream(11, "f"), 8, 5, "outer"))
-    p2 = C.init_cell("lstm", 8, 12, T.seed_stream(11, "init"), dtype=np.float32,
-                     fusion=C.init_fusion(T.seed_stream(11, "f"), 8, 5, "outer"))
-    for name, t in C.named_cell_params(p1).items():
-        other = C.named_cell_params(p2)[name]
+    p1 = init_cell("lstm", 8, 12, T.seed_stream(11, "init"), dtype=np.float32,
+                     fusion=init_fusion(T.seed_stream(11, "f"), 8, 5, "outer"))
+    p2 = init_cell("lstm", 8, 12, T.seed_stream(11, "init"), dtype=np.float32,
+                     fusion=init_fusion(T.seed_stream(11, "f"), 8, 5, "outer"))
+    for name, t in p1.named_parameters().items():
+        other = p2.named_parameters()[name]
         npt.assert_array_equal(t.data, other.data)
         assert t.data.dtype == np.float32
         if name != "fusion.b_M":  # ones by design, everything else is uniform
             assert np.abs(t.data).max() <= 0.1
     assert not np.array_equal(p1.W_z.data, p1.W_i.data)  # separate draws
-    d = C.init_cell("delta-rnn", 4, 4, T.seed_stream(0, "i"), dtype=np.float64)
+    d = init_cell("delta-rnn", 4, 4, T.seed_stream(0, "i"), dtype=np.float64)
     npt.assert_array_equal(d.b_r.data, np.zeros((1, 4)))
     npt.assert_array_equal(d.alpha.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta1.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta2.data, np.ones((1, 4)))
-    f = C.init_fusion(T.seed_stream(0, "i"), 4, 3, "outer", dtype=np.float64)
+    f = init_fusion(T.seed_stream(0, "i"), 4, 3, "outer", dtype=np.float64)
     npt.assert_array_equal(f.b_M.data, np.ones((1, 4)))
 
 
-def test_init_cell_validates():
+def test_cell_validates_its_wiring():
     rng = T.seed_stream(0, "v")
     with pytest.raises(ConfigError):
-        C.init_cell("elman", 4, 4, rng)
+        C.spec("elman")
     with pytest.raises(ConfigError):
-        C.init_cell("gru", 0, 4, rng)
+        init_cell("elman", 4, 4, rng)
+    p = init_cell("gru", 4, 4, rng)
     with pytest.raises(ConfigError):
-        C.init_fusion(rng, 4, 4, "none")
+        C.Cell("gru", p.params, fusion=init_fusion(rng, 4, 4, "none"))
+    with pytest.raises(ConfigError):
+        C.Cell("gru", {k: t for k, t in p.params.items() if k != "V_h"})
+    with pytest.raises(ConfigError):
+        C.Cell("lstm", p.params)
 
 
 def test_lstm_unknown_activation_rejected():
     rng = T.seed_stream(0, "a")
-    p = C.init_cell("lstm", 3, 4, rng, dtype=np.float64, lstm_activation="softsign")
-    e = tuple(T.embed_columns(getattr(p, n), np.array([0])) for n in ("W_z", "W_i", "W_f", "W_r"))
+    p = init_cell("lstm", 3, 4, rng, dtype=np.float64, lstm_activation="softsign")
+    e = tuple(embed_columns(getattr(p, n), np.array([0])) for n in ("W_z", "W_i", "W_f", "W_r"))
     st = C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(np.zeros((1, 3))))
     with pytest.raises(ConfigError):
         lstm_step(p, e, st)
@@ -253,10 +272,10 @@ def test_lstm_unknown_activation_rejected():
 
 def test_lstm_peepholes_are_wired():
     rng = T.seed_stream(2, "p")
-    p = C.init_cell("lstm", 3, 4, rng, dtype=np.float64)
+    p = init_cell("lstm", 3, 4, rng, dtype=np.float64)
     c_prev = T.const(np.array([[1.0, -1.0, 2.0]]))
     h_prev = T.const(np.zeros((1, 3)))
-    e = tuple(T.embed_columns(getattr(p, n), np.array([1])) for n in ("W_z", "W_i", "W_f", "W_r"))
+    e = tuple(embed_columns(getattr(p, n), np.array([1])) for n in ("W_z", "W_i", "W_f", "W_r"))
     base = lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data.copy()
     p.U_r.data[:] += 3.0
     bumped = lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data
@@ -273,8 +292,8 @@ def test_single_step_gradients(arch, mode):
     rng = T.seed_stream(17, "fd")
     fusion = None
     if mode is not None:
-        fusion = C.init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
-    p = C.init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+        fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
+    p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
     ids = np.array([1, 4])
     h0 = rng.uniform(-1, 1, (batch, hidden))
     c0 = rng.uniform(-1, 1, (batch, hidden))
@@ -284,16 +303,16 @@ def test_single_step_gradients(arch, mode):
     def loss():
         gain = C.project_context(fusion, ctx) if fusion else None
         if arch == "delta-rnn":
-            st = delta_rnn_step(p, T.embed_columns(p.W, ids), T.const(h0), gain)
+            st = delta_rnn_step(p, embed_columns(p.W, ids), T.const(h0), gain)
         elif arch == "gru":
-            e = tuple(T.embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
+            e = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
             st = gru_step(p, e, T.const(h0), gain)
         else:
-            e = tuple(T.embed_columns(getattr(p, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
+            e = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
             st = lstm_step(p, e, C.StepState(T.const(h0), T.const(c0)), gain)
-        return T.sum_all(T.hadamard(st.h, probe))
+        return T.sum_all(hadamard(st.h, probe))
 
-    err = T.finite_diff_check(loss, list(C.named_cell_params(p).values()), eps=1e-5)
+    err = T.finite_diff_check(loss, list(p.named_parameters().values()), eps=1e-5)
     assert err < 1e-4, err
 
 
@@ -309,10 +328,10 @@ def op_setup(arch, mode, act, seed=0, hidden=5, vocab=9, cdim=3):
     """Float64 cell, a ragged batch plus an all-padding column, and a
     nonzero start state."""
     rng = T.seed_stream(seed, "op")
-    fusion = C.init_fusion(rng, hidden, cdim, mode, dtype=np.float64) if mode else None
-    p = C.init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion,
+    fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64) if mode else None
+    p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion,
                     lstm_activation=act)
-    for t in C.named_cell_params(p).values():  # a generic point, away from init symmetries
+    for t in p.named_parameters().values():  # a generic point, away from init symmetries
         t.data[:] = rng.uniform(-0.6, 0.6, t.shape)
     tokens = D.encode_sequences([[4, 5, 6, 7, 8], [5], [8, 6, 4]], 8).tokens
     tokens = np.hstack([tokens, np.zeros((tokens.shape[0], 1), np.int64)])[:-1]
@@ -325,31 +344,33 @@ def op_setup(arch, mode, act, seed=0, hidden=5, vocab=9, cdim=3):
 
 def per_op_outputs(p, tokens, gain, state):
     """The recurrence through oracles' per-op steps, outputs stacked like the op's."""
-    names = C.input_matrix_names(C.cell_arch(p))
-    hs = []
-    for ids in tokens:
-        embs = tuple(T.embed_columns(getattr(p, n), ids) for n in names)
+    names = C.spec(p.arch).inputs
+    steps, batch = tokens.shape
+    hs = None
+    for t, ids in enumerate(tokens):
+        embs = tuple(embed_columns(p.params[n], ids) for n in names)
         if len(embs) == 1:
             state = delta_rnn_step(p, embs[0], state.h, gain)
         elif len(embs) == 3:
             state = gru_step(p, embs, state.h, gain)
         else:
             state = lstm_step(p, embs, state, gain)
-        hs.append(state.h)
-    return T.stack_rows(hs), state
+        placed = T.put_rows(state.h, np.arange(t * batch, (t + 1) * batch), steps * batch)
+        hs = placed if hs is None else add(hs, placed)
+    return hs, state
 
 
 @pytest.mark.parametrize("arch,mode,act", OP_WIRINGS)
 def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
     p, tokens, ctx, state = op_setup(arch, mode, act)
-    params = C.named_cell_params(p)
+    params = p.named_parameters()
     probe = T.const(T.seed_stream(1, "probe").uniform(-1, 1, (tokens.size, state.h.cols)))
 
     def run(recur):
         T.zero_grad(params.values())
         gain = C.project_context(p.fusion, ctx) if mode else None
         hs, final = recur(p, tokens, gain, state)
-        loss = T.sum_all(T.hadamard(hs, probe))
+        loss = T.sum_all(hadamard(hs, probe))
         T.backward(loss)
         grads = {k: t.grad.copy() for k, t in params.items()}
         return loss.item(), hs.data, final, grads, None if gain is None else gain.grad.copy()

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import mmlm.tensor as T
-from mmlm.errors import ConfigError, DataError, DimensionError, StateError, UsageError
+from mmlm.errors import ConfigError, DataError, DimensionError, StateError
+import tape_ops as O
 from oracles import sigmoid_piecewise
 
 
@@ -28,14 +29,14 @@ def test_tensor_rejects_higher_rank():
 def test_matmul_known_value():
     a = T.const([[1.0, 2.0]])
     b = T.const([[3.0], [4.0]])
-    npt.assert_array_equal(T.matmul(a, b).data, [[11.0]])
+    npt.assert_array_equal(O.matmul(a, b).data, [[11.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     a = T.const(np.zeros((2, 3)))
     b = T.const(np.zeros((2, 3)))
     with pytest.raises(DimensionError) as ei:
-        T.matmul(a, b)
+        O.matmul(a, b)
     assert "(2, 3)" in str(ei.value)
 
 
@@ -43,16 +44,16 @@ def test_mixed_precision_rejected():
     a = T.const(np.zeros((2, 2), dtype=np.float32))
     b = T.const(np.zeros((2, 2), dtype=np.float64))
     with pytest.raises(ConfigError):
-        T.add(a, b)
+        O.add(a, b)
     with pytest.raises(ConfigError):
-        T.matmul(a, b)
+        O.matmul(a, b)
 
 
 def test_matmul_backward_hand_computed():
     # c = a @ b, loss = sum(c):  da = ones @ b.T, db = a.T @ ones
     a = T.param([[1.0, 2.0], [3.0, 4.0]])
     b = T.param([[5.0, 6.0], [7.0, 8.0]])
-    T.backward(T.sum_all(T.matmul(a, b)))
+    T.backward(T.sum_all(O.matmul(a, b)))
     npt.assert_array_equal(a.grad, [[11.0, 15.0], [11.0, 15.0]])
     npt.assert_array_equal(b.grad, [[4.0, 4.0], [6.0, 6.0]])
 
@@ -61,31 +62,31 @@ def test_add_and_hadamard_require_same_shape():
     a = T.const(np.zeros((2, 3)))
     b = T.const(np.zeros((3, 2)))
     with pytest.raises(DimensionError):
-        T.add(a, b)
+        O.add(a, b)
     with pytest.raises(DimensionError):
-        T.hadamard(a, b)
+        O.hadamard(a, b)
 
 
 def test_hadamard_backward():
     a = T.param([[2.0, 3.0]])
     b = T.param([[5.0, 7.0]])
-    T.backward(T.sum_all(a * b))
+    T.backward(T.sum_all(O.hadamard(a, b)))
     npt.assert_array_equal(a.grad, [[5.0, 7.0]])
     npt.assert_array_equal(b.grad, [[2.0, 3.0]])
 
 
 def test_activations_known_values():
     x = T.const([[0.0, 0.5, -1.0]])
-    npt.assert_allclose(T.sigmoid(x).data, [[0.5, 0.6224593312018546, 0.2689414213699951]], rtol=1e-12)
-    npt.assert_allclose(T.tanh(x).data, [[0.0, 0.46211715726000974, -0.7615941559557649]], rtol=1e-12)
-    npt.assert_array_equal(T.relu(x).data, [[0.0, 0.5, 0.0]])
-    npt.assert_array_equal(T.identity(x).data, x.data)
+    npt.assert_allclose(O.sigmoid(x).data, [[0.5, 0.6224593312018546, 0.2689414213699951]], rtol=1e-12)
+    npt.assert_allclose(O.tanh(x).data, [[0.0, 0.46211715726000974, -0.7615941559557649]], rtol=1e-12)
+    npt.assert_array_equal(O.relu(x).data, [[0.0, 0.5, 0.0]])
+    npt.assert_array_equal(O.identity(x).data, x.data)
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
     x = T.const([[-1000.0, 1000.0]])
     with np.errstate(over="raise"):
-        y = T.sigmoid(x)
+        y = O.sigmoid(x)
     npt.assert_allclose(y.data, [[0.0, 1.0]], atol=1e-12)
 
 
@@ -108,22 +109,8 @@ def test_logistic_equals_the_piecewise_sigmoid(dtype):
 
 def test_relu_derivative_zero_at_zero():
     x = T.param([[-1.0, 0.0, 2.0]])
-    T.backward(T.sum_all(T.relu(x)))
+    T.backward(T.sum_all(O.relu(x)))
     npt.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
-
-
-def test_elementwise_dispatch():
-    x = T.const([[1.0, -1.0]])
-    y = T.const([[2.0, 2.0]])
-    npt.assert_array_equal(T.elementwise("relu", x).data, [[1.0, 0.0]])
-    npt.assert_array_equal(T.elementwise("add", x, y).data, [[3.0, 1.0]])
-    npt.assert_array_equal(T.elementwise("hadamard", x, y).data, [[2.0, -2.0]])
-    with pytest.raises(UsageError):
-        T.elementwise("tanh", x, y)
-    with pytest.raises(UsageError):
-        T.elementwise("add", x)
-    with pytest.raises(UsageError):
-        T.elementwise("gelu", x)
 
 
 def test_softmax_known_value():
@@ -161,7 +148,7 @@ def test_log_softmax_matches_log_of_softmax():
 def test_transpose_backward():
     a = T.param([[1.0, 2.0, 3.0]])
     w = T.const([[1.0], [10.0], [100.0]])
-    T.backward(T.sum_all(T.hadamard(T.transpose(a), w)))
+    T.backward(T.sum_all(O.hadamard(O.transpose(a), w)))
     npt.assert_array_equal(a.grad, [[1.0, 10.0, 100.0]])
 
 
@@ -176,7 +163,7 @@ def test_add_row_and_mul_row():
 
     x2 = T.param([[1.0, 2.0], [3.0, 4.0]])
     v2 = T.param([[10.0, 20.0]])
-    out2 = T.mul_row(x2, v2)
+    out2 = O.mul_row(x2, v2)
     npt.assert_array_equal(out2.data, [[10.0, 40.0], [30.0, 80.0]])
     T.backward(T.sum_all(out2))
     npt.assert_array_equal(x2.grad, [[10.0, 20.0], [10.0, 20.0]])
@@ -189,12 +176,12 @@ def test_row_ops_reject_bad_vector_shape():
     with pytest.raises(DimensionError):
         T.add_row(x, v)
     with pytest.raises(DimensionError):
-        T.mul_row(x, v)
+        O.mul_row(x, v)
 
 
 def test_embed_columns_forward_and_backward():
     w = T.param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # hidden=2, vocab=3
-    out = T.embed_columns(w, np.array([2, 0, 2]))
+    out = O.embed_columns(w, np.array([2, 0, 2]))
     npt.assert_array_equal(out.data, [[3.0, 6.0], [1.0, 4.0], [3.0, 6.0]])
     T.backward(T.sum_all(out))
     # column 2 looked up twice, column 0 once, column 1 never
@@ -205,8 +192,8 @@ def test_embed_columns_backward_into_cleared_grad():
     # a leaf whose grad is None gets a fresh buffer; repeated ids accumulate
     w = T.param([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     w.grad = None
-    out = T.embed_columns(w, np.array([3, 1, 3, 3]))
-    T.backward(T.sum_all(T.hadamard(out, T.const([[1.0, 2.0], [3.0, 4.0],
+    out = O.embed_columns(w, np.array([3, 1, 3, 3]))
+    T.backward(T.sum_all(O.hadamard(out, T.const([[1.0, 2.0], [3.0, 4.0],
                                                    [5.0, 6.0], [7.0, 8.0]]))))
     npt.assert_array_equal(w.grad, [[0.0, 3.0, 0.0, 13.0], [0.0, 4.0, 0.0, 16.0]])
     assert w.grad.flags.c_contiguous
@@ -215,21 +202,21 @@ def test_embed_columns_backward_into_cleared_grad():
 def test_embed_columns_rejects_out_of_range():
     w = T.const(np.zeros((2, 3)))
     with pytest.raises(DataError):
-        T.embed_columns(w, np.array([0, 3]))
+        O.embed_columns(w, np.array([0, 3]))
     with pytest.raises(DataError):
-        T.embed_columns(w, np.array([-1]))
+        O.embed_columns(w, np.array([-1]))
 
 
 def test_take_per_row():
     x = T.param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = T.take_per_row(x, np.array([2, 0]))
+    out = O.take_per_row(x, np.array([2, 0]))
     npt.assert_array_equal(out.data, [[3.0], [4.0]])
     T.backward(T.scale(T.sum_all(out), 2.0))
     npt.assert_array_equal(x.grad, [[0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
     with pytest.raises(DimensionError):
-        T.take_per_row(x, np.array([0]))
+        O.take_per_row(x, np.array([0]))
     with pytest.raises(DataError):
-        T.take_per_row(x, np.array([0, 3]))
+        O.take_per_row(x, np.array([0, 3]))
 
 
 def test_backward_requires_scalar():
@@ -256,8 +243,8 @@ def test_constant_loss_leaves_grads_zero():
 def test_shared_subexpression_visited_once():
     # h is used twice; d(h*h + h)/da at a=3 is 2a + 1 = 7
     a = T.param([[3.0]])
-    h = T.identity(a)
-    loss = T.sum_all(T.add(T.hadamard(h, h), h))
+    h = O.identity(a)
+    loss = T.sum_all(O.add(O.hadamard(h, h), h))
     T.backward(loss)
     npt.assert_array_equal(a.grad, [[7.0]])
 
@@ -321,13 +308,13 @@ def test_finite_diff_random_graphs_stay_tight():
         pick_cols = rng.integers(0, 5, size=3)
 
         def loss():
-            x = T.add_row(T.matmul(a, b), v)
-            g1 = T.sigmoid(x)
-            g2 = T.tanh(T.mul_row(x, v))
-            mixed = T.add(T.hadamard(g1, g2), T.scale(g2, 0.5))
-            pick = T.take_per_row(T.log_softmax_rows(mixed), pick_cols)
-            e = T.embed_columns(a, emb_ids)
-            return T.add(T.sum_all(pick), T.sum_all(T.softmax_rows(e)))
+            x = T.add_row(O.matmul(a, b), v)
+            g1 = O.sigmoid(x)
+            g2 = O.tanh(O.mul_row(x, v))
+            mixed = O.add(O.hadamard(g1, g2), T.scale(g2, 0.5))
+            pick = O.take_per_row(T.log_softmax_rows(mixed), pick_cols)
+            e = O.embed_columns(a, emb_ids)
+            return O.add(T.sum_all(pick), T.sum_all(T.softmax_rows(e)))
 
         worst = max(worst, T.finite_diff_check(loss, [a, b, v], eps=1e-5))
     assert worst < 1e-6, worst
@@ -337,23 +324,17 @@ def test_matmul_t_matches_matmul_of_transpose():
     rng = np.random.default_rng(4)
     a = T.const(rng.uniform(-1, 1, (3, 4)))
     b = T.const(rng.uniform(-1, 1, (5, 4)))
-    npt.assert_array_equal(T.matmul_t(a, b).data, T.matmul(a, T.transpose(b)).data)
+    npt.assert_array_equal(T.matmul_t(a, b).data, O.matmul(a, O.transpose(b)).data)
     with pytest.raises(DimensionError):
         T.matmul_t(a, T.const(np.zeros((4, 5))))
     with pytest.raises(ConfigError):
         T.matmul_t(a, T.const(np.zeros((5, 4), dtype=np.float32)))
 
 
-def test_stack_rows_and_sum_row_blocks_forward():
-    parts = [T.const([[1.0, 2.0]]), T.const([[3.0, 4.0], [5.0, 6.0]])]
-    npt.assert_array_equal(T.stack_rows(parts).data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+def test_sum_row_blocks_forward():
     x = T.const(np.arange(12.0).reshape(6, 2))
     npt.assert_array_equal(T.sum_row_blocks(x, 3).data, [[12.0, 15.0], [18.0, 21.0]])
     npt.assert_array_equal(T.sum_row_blocks(x, 1).data, x.data)
-    with pytest.raises(DimensionError):
-        T.stack_rows([])
-    with pytest.raises(DimensionError):
-        T.stack_rows([T.const(np.zeros((1, 2))), T.const(np.zeros((1, 3)))])
     with pytest.raises(DimensionError):
         T.sum_row_blocks(x, 4)
 
@@ -364,7 +345,7 @@ def test_sum_row_blocks_adds_blocks_in_order():
     assert T.sum_row_blocks(x, 3).item() == 0.0
 
 
-def test_finite_diff_matmul_t_stack_rows_sum_row_blocks():
+def test_finite_diff_matmul_t_put_rows_sum_row_blocks():
     rng = np.random.default_rng(5)
     a = T.param(rng.uniform(-1, 1, (3, 4)))
     b = T.param(rng.uniform(-1, 1, (5, 4)))
@@ -372,9 +353,10 @@ def test_finite_diff_matmul_t_stack_rows_sum_row_blocks():
     w = T.const(rng.uniform(-1, 1, (5, 5)))
 
     def loss():
-        y = T.matmul_t(T.stack_rows([a, T.tanh(c)]), b)
-        picked = T.sum_row_blocks(T.hadamard(T.sigmoid(y), w), 5)
-        return T.sum_all(T.hadamard(picked, picked))
+        stacked = O.add(T.put_rows(a, [0, 1, 2], 5), T.put_rows(O.tanh(c), [3, 4], 5))
+        y = T.matmul_t(stacked, b)
+        picked = T.sum_row_blocks(O.hadamard(O.sigmoid(y), w), 5)
+        return T.sum_all(O.hadamard(picked, picked))
 
     assert T.finite_diff_check(loss, [a, b, c], eps=1e-5) < 1e-7
 
@@ -384,7 +366,7 @@ def test_no_grad_builds_no_tape_and_leaves_grads_alone():
     w.grad[:] = 7.0
     before = w.grad.copy()
     with T.no_grad():
-        y = T.tanh(T.matmul(T.const([[1.0, 2.0]]), w))
+        y = O.tanh(O.matmul(T.const([[1.0, 2.0]]), w))
         loss = T.sum_all(y)
     for node in (y, loss):
         assert not node.requires_grad
@@ -393,7 +375,7 @@ def test_no_grad_builds_no_tape_and_leaves_grads_alone():
     T.backward(loss)
     npt.assert_array_equal(w.grad, before)
     # the tape is back after the block
-    assert T.sum_all(T.matmul(T.const([[1.0, 2.0]]), w))._parents != ()
+    assert T.sum_all(O.matmul(T.const([[1.0, 2.0]]), w))._parents != ()
 
 
 def test_no_grad_nests_and_restores_after_an_exception():
@@ -417,12 +399,12 @@ def test_take_rows_and_put_rows():
     x = T.param([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     got = T.take_rows(x, [2, 0, 2])
     npt.assert_array_equal(got.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
-    T.backward(T.sum_all(T.hadamard(got, T.const([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))))
+    T.backward(T.sum_all(O.hadamard(got, T.const([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))))
     npt.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])  # repeats add up
     y = T.param([[1.0], [2.0], [4.0]])
     put = T.put_rows(y, [3, 0, 3], 5)
     npt.assert_array_equal(put.data, [[2.0], [0.0], [0.0], [5.0], [0.0]])
-    T.backward(T.sum_all(T.hadamard(put, T.const([[1.0], [2.0], [3.0], [4.0], [5.0]]))))
+    T.backward(T.sum_all(O.hadamard(put, T.const([[1.0], [2.0], [3.0], [4.0], [5.0]]))))
     npt.assert_array_equal(y.grad, [[4.0], [1.0], [4.0]])
     with pytest.raises(DataError):
         T.take_rows(x, [3])
@@ -438,7 +420,7 @@ def _decoder_chain(h, w, b, targets):
     logits = T.matmul_t(h, w)
     if b is not None:
         logits = T.add_row(logits, b)
-    return T.take_per_row(T.log_softmax_rows(logits), targets)
+    return O.take_per_row(T.log_softmax_rows(logits), targets)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -454,14 +436,14 @@ def test_target_log_probs_equals_the_op_chain(monkeypatch, dtype, bias):
     targets = rng.integers(0, 11, 7)
     leaves = [h, w] + ([b] if bias else [])
     want = _decoder_chain(h, w, b, targets)
-    T.backward(T.sum_all(T.hadamard(want, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
+    T.backward(T.sum_all(O.hadamard(want, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
     want_grads = [p.grad.copy() for p in leaves]
     T.zero_grad(leaves)
     got = T.target_log_probs(h, w, b, targets)
     npt.assert_array_equal(got.data, want.data)
     with T.no_grad():
         npt.assert_array_equal(T.target_log_probs(h, w, b, targets).data, want.data)
-    T.backward(T.sum_all(T.hadamard(got, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
+    T.backward(T.sum_all(O.hadamard(got, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
     tol = 1e-6 if dtype == np.float32 else 1e-14
     for p, g in zip(leaves, want_grads):
         npt.assert_allclose(p.grad, g, rtol=tol, atol=tol)
@@ -475,7 +457,7 @@ def test_finite_diff_target_log_probs_take_rows_put_rows():
     rows = [5, 1, 2, 4]
 
     def loss():
-        picked = T.target_log_probs(T.take_rows(T.tanh(a), rows), w, b, [8, 0, 3, 3])
+        picked = T.target_log_probs(T.take_rows(O.tanh(a), rows), w, b, [8, 0, 3, 3])
         return T.sum_all(T.sum_row_blocks(T.put_rows(picked, rows, 6), 3))
 
     assert T.finite_diff_check(loss, [a, w, b], eps=1e-5) < 1e-7
