@@ -403,20 +403,33 @@ def zero_grad(params: Iterable[Tensor]) -> None:
         p.grad = np.zeros(p.data.shape, p.data.dtype)
 
 
-def clip_gradients(grads, bound: float):
-    """Clamp every gradient component into [-bound, bound], in place.
+def clip_gradients(grads: dict, bound: float) -> dict:
+    """Scale all gradients together, in place, so that their global L2
+    norm is at most bound; returns the same dict.
 
-    Returns the input: the same dict holding the same arrays, or the array
-    itself. A non-array input is converted once and that array returned.
+    The norm is one float64 sum of squares, taken one block of entries at a
+    time, so no gradient gets a float64 copy of its own size. Above the
+    bound every gradient is multiplied by bound / norm * (1 - 1e-5): the
+    margin keeps float32 rounding of the scaled gradients, and of the step
+    lr * g made from them, from taking the step past lr * bound.
     """
     if not bound > 0:
         raise ConfigError(f"clip bound must be positive, got {bound}")
-    if isinstance(grads, dict):
-        for v in grads.values():
-            np.clip(v, -bound, bound, out=v)
-        return grads
-    grads = np.asarray(grads)
-    return np.clip(grads, -bound, bound, out=grads)
+    sq = 0.0
+    for g in grads.values():
+        flat = g.reshape(-1)
+        for start in range(0, flat.size, _NORM_BLOCK):
+            block = flat[start:start + _NORM_BLOCK].astype(np.float64, copy=False)
+            sq += float(np.dot(block, block))
+    norm = np.sqrt(sq)
+    if norm > bound:
+        factor = bound / norm * (1.0 - 1e-5)
+        for g in grads.values():
+            g *= g.dtype.type(factor)
+    return grads
+
+
+_NORM_BLOCK = 1 << 16  # entries per float64 block of the norm: 512 KiB
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1e-4) -> float:

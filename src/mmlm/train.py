@@ -1,5 +1,5 @@
-"""SGD training with truncated BPTT, hard gradient clipping, and the
-validation-perplexity learning-rate halving schedule.
+"""SGD training with truncated BPTT, gradient clipping to a global L2 norm,
+and the validation-perplexity learning-rate halving schedule.
 
 The schedule counts epochs whose validation PPL rose above the previous
 epoch's value; at the configured count (default 3) the rate is halved and

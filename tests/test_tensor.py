@@ -259,22 +259,30 @@ def test_grad_accumulates_across_tapes_until_zeroed():
 
 
 def test_clip_gradients():
-    w, b = np.array([[3.0, -2.5, 1.0]]), np.array([[-7.0]], dtype=np.float32)
+    # one global norm over every gradient: sqrt(3^2 + 4^2 + 12^2) = 13
+    w, b = np.array([[3.0, 0.0, -4.0]]), np.array([[12.0]], dtype=np.float32)
     grads = {"w": w, "b": b}
     clipped = T.clip_gradients(grads, 2.0)
-    npt.assert_array_equal(clipped["w"], [[2.0, -2.0, 1.0]])
-    npt.assert_array_equal(clipped["b"], [[-2.0]])
-    # clamped in place: the returned dict and arrays are the inputs themselves
+    factor = 2.0 / 13.0 * (1.0 - 1e-5)
+    npt.assert_array_equal(clipped["w"], np.array([[3.0, 0.0, -4.0]]) * factor)
+    npt.assert_array_equal(clipped["b"], np.float32(12.0) * np.float32(factor))
+    # scaled in place: the returned dict and arrays are the inputs themselves
     assert clipped is grads and clipped["w"] is w and clipped["b"] is b
     assert b.dtype == np.float32
-    # already inside the bound: unchanged
-    g = np.array([0.5, -0.5])
-    assert T.clip_gradients(g, 2.0) is g
-    npt.assert_array_equal(g, [0.5, -0.5])
     with pytest.raises(ConfigError):
         T.clip_gradients(grads, 0.0)
     with pytest.raises(ConfigError):
         T.clip_gradients(grads, -1.0)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0])
+def test_clip_gradients_leaves_norms_at_or_below_the_bound(scale):
+    # global norm 2 * scale: exactly the bound at scale 1
+    grads = {"a": np.array([[scale, -scale]]), "b": np.array([[scale], [scale]], dtype=np.float32)}
+    want = {k: v.copy() for k, v in grads.items()}
+    T.clip_gradients(grads, 2.0)
+    for k, v in grads.items():
+        assert v.tobytes() == want[k].tobytes(), k
 
 
 def test_finite_diff_check_rejects_float32_and_bad_eps():
