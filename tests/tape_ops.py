@@ -1,5 +1,5 @@
-"""Tape ops that the package no longer runs, kept for the per-op reference
-path in oracles.py and for the tests of the tape itself.
+"""Tape ops that only the tests run: the per-op reference path in
+oracles.py and the tests of the tape itself.
 
 Each op is one tape node with a hand-written backward, built from the same
 helpers as the ops in mmlm.tensor.

@@ -7,8 +7,8 @@ import pytest
 
 import mmlm.checkpoint as C
 import mmlm.data as D
-from mmlm.errors import FormatError
-from mmlm.model import ModelConfig, build_model
+from mmlm.errors import ConfigError, FormatError, MmlmError
+from mmlm.model import ModelConfig, build_model, parameter_shapes
 from mmlm.train import TrainConfig, TrainState
 
 
@@ -218,3 +218,71 @@ def test_manifest_lists_every_tensor(tmp_path):
         assert f"{name}  {rows} x {cols}" in text
     assert "4 words" in text
     assert "epoch 2" in text and "8.250" in text
+
+
+def test_every_mutated_byte_loads_or_raises_a_package_error(tmp_path):
+    # one byte of a small fused-LSTM checkpoint changed at a time, over the
+    # whole file: bad UTF-8 or a number that does not parse is a FormatError,
+    # never a traceback
+    vocab = D.Vocabulary(["dog", "cat", "runs", "sleeps"], min_count=2)
+    cfg = ModelConfig(arch="lstm", hidden=3, vocab=len(vocab), context_dim=2,
+                      fusion="outer", unroll=6)
+    state = TrainState(epoch=1, lr=0.5, best_valid_ppl=8.25, best_epoch=1,
+                       curve=[(1, 2.0, 2.1, math.exp(2.1), 1.0)])
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, build_model(cfg, seed=1), vocab, TrainConfig(unroll=6), state)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(0)
+    bad = tmp_path / "bad.mmlm"
+    outcomes = {"loaded": 0, "refused": 0}
+    for _ in range(2000):
+        mutated = bytearray(blob)
+        at = int(rng.integers(len(blob)))
+        mutated[at] = (mutated[at] + int(rng.integers(1, 256))) % 256
+        bad.write_bytes(bytes(mutated))
+        try:
+            C.model_from_checkpoint(C.load_checkpoint(bad))
+            outcomes["loaded"] += 1
+        except MmlmError:
+            outcomes["refused"] += 1
+    assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
+
+
+def test_unknown_lstm_activation_in_a_checkpoint_is_refused(tmp_path):
+    vocab = D.Vocabulary(["a", "b"])
+    cfg = ModelConfig(arch="lstm", hidden=4, vocab=len(vocab), unroll=5)
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, build_model(cfg, seed=2), vocab, TrainConfig(unroll=5), TrainState())
+    blob = path.read_bytes()
+    key = b"model.lstm_activation = tanh\n"
+    assert key in blob
+    path.write_bytes(blob.replace(key, b"model.lstm_activation = tanx\n"))
+    ckpt = C.load_checkpoint(path)
+    with pytest.raises(ConfigError, match="tanx"):
+        C.model_from_checkpoint(ckpt)
+
+
+WIRINGS = [("delta-rnn", "none"), ("delta-rnn", "inner"), ("delta-rnn", "outer"),
+           ("gru", "none"), ("gru", "outer"), ("lstm", "none"), ("lstm", "outer")]
+
+
+@pytest.mark.parametrize("arch,fusion", WIRINGS)
+@pytest.mark.parametrize("fusion_bias,decoder_bias", [(True, True), (False, False),
+                                                      (True, False), (False, True)])
+def test_parameter_table_model_and_checkpoint_agree(tmp_path, arch, fusion, fusion_bias,
+                                                    decoder_bias):
+    vocab = D.Vocabulary(["a", "b", "c"])
+    cfg = ModelConfig(arch=arch, hidden=5, vocab=len(vocab), context_dim=3, fusion=fusion,
+                      fusion_bias=fusion_bias, decoder_bias=decoder_bias, unroll=6)
+    model = build_model(cfg, seed=6)
+    table = parameter_shapes(cfg)
+    named = model.named_parameters()
+    assert [(k, t.shape) for k, t in named.items()] == list(table.items())
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=6), TrainState())
+    ckpt = C.load_checkpoint(path)
+    assert [(k, a.shape) for k, a in ckpt.tensors.items()] == list(table.items())
+    loaded = C.model_from_checkpoint(ckpt).named_parameters()
+    assert list(loaded) == list(table)
+    for name, t in named.items():
+        assert loaded[name].data.tobytes() == t.data.tobytes(), name

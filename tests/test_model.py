@@ -41,6 +41,15 @@ def test_config_validation():
     tiny_config().validate()
 
 
+def test_config_rejects_unknown_lstm_activation():
+    for act in ("tanh", "sigmoid", "relu", "identity"):
+        ModelConfig(arch="lstm", hidden=4, vocab=10, lstm_activation=act).validate()
+    with pytest.raises(ConfigError, match="softsign"):
+        ModelConfig(arch="lstm", hidden=4, vocab=10, lstm_activation="softsign").validate()
+    with pytest.raises(ConfigError):
+        build_model(ModelConfig(arch="lstm", hidden=4, vocab=10, lstm_activation="gelu"), seed=0)
+
+
 def test_build_model_deterministic():
     cfg = tiny_config(fusion="outer")
     a = build_model(cfg, seed=5, dtype=np.float64)
