@@ -18,6 +18,7 @@ inner mode the neutral projection is all zeros.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +41,7 @@ class CellSpec:
     forward: Callable
     backward: Callable
 
-    @property
+    @functools.cached_property
     def inputs(self) -> tuple:
         """The input matrices, in the order the recurrence consumes them."""
         return tuple(name for name, _ in self.params if name[0] == "W")
@@ -99,9 +100,9 @@ class FusionParams:
 
 @dataclass
 class Cell:
-    """One recurrent cell: its architecture, its parameters by name (read
-    as attributes too, cell.W), the fusion block, and the LSTM's block input
-    and cell output nonlinearity."""
+    """One recurrent cell: its architecture, its parameters by name (also
+    set as attributes, so the math reads cell.W), the fusion block, and the
+    LSTM's block input and cell output nonlinearity."""
 
     arch: str
     params: dict
@@ -114,12 +115,7 @@ class Cell:
         if sorted(self.params) != sorted(names):
             raise ConfigError(f"{self.arch} takes parameters {names}, got {list(self.params)}")
         self.params = {name: self.params[name] for name in names}
-
-    def __getattr__(self, name):
-        try:
-            return self.__dict__["params"][name]
-        except KeyError:
-            raise AttributeError(name) from None
+        self.__dict__.update(self.params)  # cell.W is cell.params["W"]
 
     def named_parameters(self) -> dict:
         """Ordered name -> Tensor map for the cell and its fusion block."""

@@ -8,6 +8,7 @@ tensor block (u32 count, then u16 name length + name + u32 rows + u32 cols
 """
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -67,10 +68,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _saved_fields(cls) -> list:
+@functools.cache
+def _saved_fields(cls) -> tuple:
     """The fields of a config or state class that a checkpoint stores, in
     order: those with a scalar default, whose type parses the saved text."""
-    return [f for f in fields(cls) if f.default is not MISSING and f.default is not None]
+    return tuple(f for f in fields(cls) if f.default is not MISSING and f.default is not None)
 
 
 def _field_lines(prefix: str, obj, sep: str = " = ") -> list:
