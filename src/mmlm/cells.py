@@ -129,10 +129,16 @@ class Cell:
 
 @dataclass
 class StepState:
-    """Per-step recurrent state; cell is only used by the LSTM."""
+    """Per-step recurrent state, one row per sequence; cell is only used by
+    the LSTM."""
 
     h: Tensor
     cell: Tensor | None = None
+
+    def take(self, rows) -> StepState:
+        """The state of the given rows, in order; a row may repeat."""
+        return StepState(h=tz.const(self.h.data[rows]),
+                         cell=None if self.cell is None else tz.const(self.cell.data[rows]))
 
 
 def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:

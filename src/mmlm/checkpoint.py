@@ -24,6 +24,7 @@ from .train import TrainConfig, TrainState
 
 CHECKPOINT_MAGIC = b"MMLM"
 CHECKPOINT_VERSION = 1
+_READ_AHEAD = 1 << 16  # bytes of the vocabulary block read per call
 
 
 def parse_value(kind: type, text: str):
@@ -215,8 +216,20 @@ def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
 
     (word_count,) = take("<I")
     words = []
-    for _ in range(word_count):  # one call per field: this loop runs once per word
-        words.append(take_bytes(int.from_bytes(take_bytes(2), "little")).decode("utf-8"))
+    buf, pos = b"", 0  # read-ahead bytes of the block, and the next field's start in buf
+    while len(words) < word_count:
+        # u16 little-endian length, then the word
+        end = pos + 2 + (buf[pos] | buf[pos + 1] << 8) if pos + 2 <= len(buf) else pos + 2
+        if end > len(buf):
+            # read on: a chunk, or what the field lacks if that is more;
+            # take_bytes refuses to read past the end of the file
+            buf = buf[pos:] + take_bytes(max(end - len(buf), min(_READ_AHEAD, size - offset)))
+            pos = 0
+            continue
+        words.append(buf[pos + 2:end].decode("utf-8"))
+        pos = end
+    offset -= len(buf) - pos  # the block ends at the first unwalked byte
+    fh.seek(offset)
     vocab = Vocabulary(words, min_count=int(need("vocab_min_count")))
 
     (tensor_count,) = take("<I")

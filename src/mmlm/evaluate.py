@@ -16,7 +16,7 @@ import numpy as np
 from .data import BOS_ID, EOS_ID, SequenceBatch, Vocabulary
 from .errors import ConfigError, DataError, UsageError
 from .model import DecoderParams, SequenceModel
-from .tensor import no_grad
+from .tensor import const, no_grad
 
 CONDITIONS = ("L-L", "LV-LV", "LV-L")
 
@@ -165,6 +165,11 @@ def beam_search(model: SequenceModel, context=None, width: int = 13,
     are returned, best-first under the same rule with shorter ids first
     among equal scores; EOS is a live candidate from the very first step,
     so the pool is never empty.
+
+    The live hypotheses' recurrent states are the rows of one stacked
+    state, so each step is one model.advance over every kept hypothesis:
+    parent rows are gathered by index and the context gain is repeated
+    to the row count. A default sample makes 1 + (max_len - 1) calls.
     """
     if width < 1:
         raise ConfigError(f"beam width must be >= 1, got {width}")
@@ -178,9 +183,9 @@ def beam_search(model: SequenceModel, context=None, width: int = 13,
     state, gain = model.start_state(1, ctx)
     state, lp = model.advance(state, gain, BOS_ID)
     n_words = model.config.vocab - 4  # candidate words are ids 4..V-1
-    # live hypothesis i: word ids live[i], score scores[i], state states[i],
+    # live hypothesis i: word ids live[i], score scores[i], state row i,
     # next-token log-probs lp[i]
-    live, states, scores = [()], [state], np.zeros(1)
+    live, scores = [()], np.zeros(1)
     completed = []
     for step in range(1, max_len + 1):
         ends = scores + lp[:, EOS_ID]  # scores are float64, so are the sums
@@ -202,14 +207,12 @@ def beam_search(model: SequenceModel, context=None, width: int = 13,
         # all live ids have one length, so (id rank of parent, word) orders
         # parent ids + (w,) lexicographically; lexsort puts NaN last
         best = np.lexsort((word, id_rank[parent], neg[keep]))[:width]
-        next_live, next_states, rows = [], [], []
-        for p, w in zip(parent[best].tolist(), (word[best] + 4).tolist()):
-            st, row = model.advance(states[p], gain, w)
-            next_live.append(live[p] + (w,))
-            next_states.append(st)
-            rows.append(row)
-        live, states, scores = next_live, next_states, cand[keep[best]]
-        lp = np.concatenate(rows)
+        parents, words = parent[best], word[best] + 4
+        # one advance feeds every kept hypothesis its word, from its parent's row
+        gains = None if gain is None else const(np.repeat(gain.data, parents.size, axis=0))
+        state, lp = model.advance(state.take(parents), gains, words)
+        live = [live[p] + (w,) for p, w in zip(parents.tolist(), words.tolist())]
+        scores = cand[keep[best]]
 
     def rank_key(h: Hypothesis):
         score = h.logprob / max(len(h.ids) + 1, 1) if length_normalize else h.logprob

@@ -115,12 +115,22 @@ class SequenceModel:
     def advance(self, state: cells.StepState, gain, ids):
         """Feed one token per sequence; returns (new state, log P rows).
 
-        Builds no tape: the new state cannot be differentiated."""
+        state, gain (when fused) and ids hold one row per sequence, and row
+        i of the results is sequence i's. A one-row call runs on two copies
+        of its row and returns the first: at one row BLAS takes a
+        matrix-vector path whose last bits differ from the matrix-matrix
+        path of a larger call, so a lone sequence decodes as it would in a
+        small batch. Builds no tape: the new state cannot be differentiated."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        n = ids.size
+        if n == 1:
+            pad = np.zeros(2, dtype=np.int64)
+            state, ids = state.take(pad), ids[pad]
+            gain = None if gain is None else tz.const(gain.data[pad])
         with tz.no_grad():
             _, new_state = cells.recurrence(self.cell, ids.reshape(1, -1), gain, state)
             logp = tz.log_softmax_rows(self._logits(new_state.h))
-        return new_state, logp.data
+        return new_state.take(slice(n)), logp.data[:n]
 
     def forward_sequence(self, batch: SequenceBatch) -> list:
         """Per-step next-token distributions, one B x |V| tensor per row of

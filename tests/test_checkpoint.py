@@ -192,6 +192,31 @@ def test_truncated_and_corrupt_files(tmp_path):
         C.load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("read_ahead", [1, 7, None])
+def test_vocabulary_reads_across_read_ahead_chunks(tmp_path, monkeypatch, read_ahead):
+    if read_ahead is not None:
+        monkeypatch.setattr(C, "_READ_AHEAD", read_ahead)
+    # 3,000 words of 2 to 86 UTF-8 bytes make a block of about 140 KB, so
+    # fields cross the read-ahead chunks' ends at every read-ahead size
+    vocab = D.Vocabulary([f"w{i}" + "é" * (i % 41) for i in range(3000)])
+    model = build_model(ModelConfig(hidden=2, vocab=len(vocab), unroll=4), seed=0)
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=4), TrainState())
+    ckpt = C.load_checkpoint(path)
+    assert ckpt.vocab.id_to_token == vocab.id_to_token
+    for name, tensor in model.named_parameters().items():
+        npt.assert_array_equal(ckpt.tensors[name], tensor.data)
+    # a file cut inside the block, or just past it, is truncated
+    blob = path.read_bytes()
+    start = blob.index(struct.pack("<H", 2) + b"w0")
+    end = start + sum(2 + len(w.encode()) for w in vocab.words)
+    bad = tmp_path / "bad.mmlm"
+    for cut in [*range(start, start + 40), end - 1, end, end + 3]:
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(FormatError, match="truncated"):
+            C.load_checkpoint(bad)
+
+
 def test_tensor_mismatch_is_refused(tmp_path):
     model, vocab, tc, state = small_setup()
     path = tmp_path / "m.mmlm"

@@ -329,9 +329,19 @@ def test_beam_with_specials_only_vocabulary():
         assert beam_pairs(hyps) == beam_pairs(beam_search_per_candidate(m, width=width, max_len=5))
 
 
+class ScriptedState:
+    """One tuple of the ids fed so far per row."""
+
+    def __init__(self, fed):
+        self.fed = fed
+
+    def take(self, rows):
+        return ScriptedState([self.fed[r] for r in rows])
+
+
 class ScriptedModel:
-    """Stands in for SequenceModel: the state is the ids fed so far, and
-    every step emits the same log-prob row."""
+    """Stands in for SequenceModel with its batched interface: k ids in, one
+    state row and one log-prob row out per id, and every row is the same."""
 
     def __init__(self, row):
         self.config = ModelConfig(vocab=len(row), unroll=4)
@@ -339,10 +349,13 @@ class ScriptedModel:
         self.row = np.asarray(row, dtype=np.float64).reshape(1, -1)
 
     def start_state(self, batch_size, contexts):
-        return (), None
+        return ScriptedState([()] * batch_size), None
 
     def advance(self, state, gain, ids):
-        return state + (ids,), self.row
+        ids = np.atleast_1d(ids).tolist()
+        assert len(ids) == len(state.fed)
+        return (ScriptedState([fed + (i,) for fed, i in zip(state.fed, ids)]),
+                np.repeat(self.row, len(ids), axis=0))
 
 
 def test_beam_ranks_nan_after_every_number_and_breaks_ties_by_ids():
@@ -365,18 +378,23 @@ def test_beam_ranks_nan_after_every_number_and_breaks_ties_by_ids():
     assert all(not math.isnan(h.logprob) for h in got[:-len(nan_ids)])
 
 
-def test_beam_advances_once_per_kept_hypothesis():
+def test_beam_advances_once_per_step_over_every_kept_hypothesis():
     m = build(17, unroll=12)
     calls = []
     advance = m.advance
 
     def counted(state, gain, ids):
-        calls.append(ids)
-        return advance(state, gain, ids)
+        ids = np.atleast_1d(ids)
+        calls.append(ids.size)
+        assert state.h.rows == ids.size
+        new_state, lp = advance(state, gain, ids)
+        assert new_state.h.rows == lp.shape[0] == ids.size
+        return new_state, lp
 
     m.advance = counted
     E.beam_search(m, width=13, max_len=12)
-    assert len(calls) == 1 + 13 * 11  # BOS, then width hypotheses per non-final step
+    # BOS, then one call per non-final step over the 13 kept hypotheses
+    assert calls == [1] + [13] * 11
 
 
 def test_render_samples():

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mmlm.cells as C
 import mmlm.data as D
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
@@ -321,6 +322,43 @@ def test_advance_builds_no_tape():
     T.backward(T.sum_all(state.h))
     for name, p in m.named_parameters().items():
         assert not p.grad.any(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch,fusion", WIRINGS)
+def test_advance_rows_are_independent(arch, fusion, dtype):
+    """advance on k rows == k one-row calls, and a one-row call == row 0 of
+    a two-row call, bit for bit, at test sizes (H = 6).
+
+    Batched beam search matches its one-hypothesis-at-a-time oracle with ==
+    only because of this, and it rests on the BLAS. At one row numpy takes
+    a matrix-vector path, which advance avoids by padding to two rows. For
+    two rows or more, the rows of the V x H decoder product h @ U.T are
+    bit-identical at every row count on OpenBLAS 0.3.31 (one thread). The
+    square H x H recurrence product h @ V.T is not: its rows differ once
+    the row count reaches 5 at H = 256 and 19 at H = 64, in both dtypes.
+    So at benchmark sizes a batched sample can differ in the last bits from
+    a one-at-a-time search. A BLAS that breaks the property at test sizes
+    fails here."""
+    m = build_model(tiny_config(arch=arch, fusion=fusion), seed=17, dtype=dtype)
+    rng = np.random.default_rng(3)
+    k = 13  # the default beam width
+    rows = lambda: T.const(rng.uniform(-1, 1, (k, 6)).astype(dtype))  # noqa: E731
+    state = C.StepState(h=rows(), cell=rows() if arch == "lstm" else None)
+    gain = None if fusion == "none" else m._gain(rng.uniform(-1, 1, (k, 3)), k)
+    ids = rng.integers(0, 11, k)
+
+    def run(index):
+        g = None if gain is None else T.const(gain.data[index])
+        st, logp = m.advance(state.take(index), g, ids[index])
+        return [st.h.data, logp] + ([st.cell.data] if arch == "lstm" else [])
+
+    for n in (2, 5, k):
+        batched = run(np.arange(n))
+        for i in range(n):
+            for got, want in zip(run(np.array([i])), batched):
+                assert got.dtype == dtype
+                npt.assert_array_equal(got[0], want[i], err_msg=f"{n} rows, row {i}")
 
 
 def test_single_row_batch_runs():
