@@ -211,9 +211,10 @@ def recurrence(p: Cell, tokens, gain: Tensor | None, state: StepState):
     input matrix at once, then runs one step per row of tokens, in the same
     arithmetic as the step-by-step tape chain. With a tape it keeps every
     step's activations, and the backward is hand-written BPTT: one GEMM over
-    the T * B rows per recurrence matrix, one scatter into each input
-    matrix, and one sum for every row vector and for the gain. Under
-    no_grad it keeps nothing.
+    the T * B rows per recurrence matrix, one scatter into the looked-up
+    columns of each input matrix (a compact gradient, see
+    tensor._accum_columns), and one sum for every row vector and for the
+    gain. Under no_grad it keeps nothing.
     """
     sp = spec(p.arch)
     _check_gain(p.fusion, gain, p.arch)

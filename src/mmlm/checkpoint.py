@@ -73,7 +73,7 @@ def _fmt(value) -> str:
 def _saved_fields(cls) -> tuple:
     """The fields of a config or state class that a checkpoint stores, in
     order: those with a scalar default, whose type parses the saved text."""
-    return tuple(f for f in fields(cls) if f.default is not MISSING and f.default is not None)
+    return tuple(f for f in fields(cls) if f.default is not MISSING)
 
 
 def _field_lines(prefix: str, obj, sep: str = " = ") -> list:

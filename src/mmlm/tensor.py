@@ -22,9 +22,15 @@ from .errors import ConfigError, DataError, DimensionError, StateError
 
 
 class Tensor:
-    """One node of the tape: a 2-D array plus optional gradient state."""
+    """One node of the tape: a 2-D array plus optional gradient state.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_back_done")
+    A gradient exists once a backward writes one. grad_block holds it
+    full-shape, or, while grad_cols is set, as the block of those sorted
+    distinct columns; every other column's gradient is then zero.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad_block", "grad_cols", "_parents", "_backward",
+                 "_back_done")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -35,10 +41,28 @@ class Tensor:
             raise DimensionError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros(arr.shape, arr.dtype) if requires_grad else None
+        self.grad_block = self.grad_cols = None
         self._parents: tuple = ()
         self._backward = None
         self._back_done = False
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The full-shape gradient, zeros before any write; None outside
+        the gradient flow. The read stores what it returns, so in-place
+        edits of it are edits of the gradient."""
+        if not self.requires_grad and self.grad_block is None:
+            return None
+        if self.grad_block is None or self.grad_cols is not None:
+            full = np.zeros(self.data.shape, self.data.dtype)
+            if self.grad_block is not None:
+                full[:, self.grad_cols] = self.grad_block
+            self.grad = full
+        return self.grad_block
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self.grad_block, self.grad_cols = value, None
 
     @property
     def rows(self) -> int:
@@ -104,7 +128,7 @@ def _result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _taped(parents)
-    out.grad = None
+    out.grad_block = out.grad_cols = None
     # constants need no history; dropping it keeps eval-only graphs flat
     out._parents = parents if out.requires_grad else ()
     out._backward = backward if out.requires_grad else None
@@ -115,10 +139,10 @@ def _result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, copy=True)
+    if t.grad_block is None:
+        t.grad_block = np.array(g, copy=True)
     else:
-        t.grad += g
+        t.grad += g  # a compact gradient is expanded first
 
 
 def _need_same_dtype(op: str, a: Tensor, b: Tensor) -> None:
@@ -212,16 +236,38 @@ def add_row(x: Tensor, v: Tensor) -> Tensor:
 
 
 def _accum_columns(w: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
-    """Add row k of g into column idx[k] of w's gradient, touching only the
-    looked-up columns; duplicate ids accumulate in order."""
+    """Add row k of g into column idx[k] of w's gradient; duplicate ids
+    accumulate in order.
+
+    A missing or compact gradient stays compact: its block widens to the
+    union of the columns seen so far, and each entry gets the same additions
+    in the same order as a full-shape scatter, so it is equal bit for bit.
+    A full-shape gradient takes the columns in place.
+    """
     if not w.requires_grad:
         return
-    if w.grad is None:
-        w.grad = np.zeros(w.data.shape, w.data.dtype)
-    elif not w.grad.flags.c_contiguous:
-        w.grad = np.ascontiguousarray(w.grad)
-    rows, cols = w.data.shape
-    _add_at_flat(w.grad, (idx[:, None] + np.arange(rows) * cols).ravel(), g)
+    block, cols = w.grad_block, w.grad_cols
+    if block is not None and cols is None:
+        pos = idx
+        if not block.flags.c_contiguous:
+            block = w.grad_block = np.ascontiguousarray(block)
+    else:
+        seen = np.zeros(w.cols, bool)
+        seen[idx] = True
+        if cols is not None:
+            seen[cols] = True
+        merged = np.flatnonzero(seen)
+        where = np.empty(w.cols, np.intp)  # column id -> its place in merged
+        where[merged] = np.arange(merged.size)
+        if block is None or merged.size != cols.size:
+            wider = np.zeros((w.rows, merged.size), w.data.dtype)
+            if block is not None:
+                wider[:, where[cols]] = block
+            block, cols = wider, merged
+            w.grad_block, w.grad_cols = block, cols
+        pos = where[idx]
+    width = block.shape[1]
+    _add_at_flat(block, (pos[:, None] + np.arange(w.rows) * width).ravel(), g)
 
 
 def _add_at_flat(target: np.ndarray, flat_idx: np.ndarray, values: np.ndarray) -> None:
@@ -392,15 +438,16 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return  # constant loss: every gradient stays zero
     order = _toposort(loss)
-    loss.grad = np.ones((1, 1), dtype=loss.data.dtype)
+    loss.grad_block = np.ones((1, 1), dtype=loss.data.dtype)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None and node.grad_block is not None:
+            node._backward(node.grad_block)
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:
+    """Drop the gradients; the next write starts each one afresh."""
     for p in params:
-        p.grad = np.zeros(p.data.shape, p.data.dtype)
+        p.grad = None
 
 
 def clip_gradients(grads: dict, bound: float) -> dict:

@@ -59,7 +59,6 @@ class TrainState:
     increase_count: int = 0
     prev_valid_ppl: float = math.inf
     curve: list = field(default_factory=list)  # (epoch, train_nll, valid_nll, valid_ppl, lr)
-    best_params: dict | None = None  # name -> ndarray snapshot at the best epoch
 
 
 CURVE_HEADER = "epoch,train_nll,valid_nll,valid_ppl,lr"
@@ -92,15 +91,21 @@ def update_schedule(state: TrainState, new_valid_ppl: float, patience: int = 3,
 def sgd_step(named_params: dict, grads: dict, lr: float) -> None:
     """theta <- theta - lr * grad, in place; grads are already clipped.
 
-    Consumes grads: each gradient array is scaled by lr in place, so the
-    step makes no parameter-sized temporary.
+    A compact gradient (the block of the parameter's grad_cols) steps only
+    those columns; a parameter without a gradient is left alone. Consumes
+    grads: each is scaled by lr in place, so the step makes no
+    parameter-sized temporary.
     """
-    for name, p in named_params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
+    for name, g in grads.items():
+        p = named_params[name]
+        compact = g.shape != p.data.shape
+        if compact and (p.grad_cols is None or g.shape != (p.rows, p.grad_cols.size)):
             raise DimensionError(f"gradient for {name} is {g.shape}, parameter is {p.data.shape}")
         g *= p.data.dtype.type(lr)
-        p.data -= g
+        if compact:
+            p.data.T[p.grad_cols] -= g.T
+        else:
+            p.data -= g
 
 
 def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
@@ -124,26 +129,20 @@ def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
             )
         model.zero_grad()
         backward(loss)
-        grads = clip_gradients({k: p.grad for k, p in named.items()}, clip)
+        grads = clip_gradients({k: p.grad_block for k, p in named.items()
+                                if p.grad_block is not None}, clip)
         sgd_step(named, grads, lr)
         total += value
         tokens += count
     return total, tokens
 
 
-def snapshot_params(model) -> dict:
-    return {k: p.data.copy() for k, p in model.named_parameters().items()}
-
-
-def restore_params(model, snapshot: dict) -> None:
-    for k, p in model.named_parameters().items():
-        p.data[:] = snapshot[k]
-
-
 def fit(model, train_records, valid_records, vocab, config: TrainConfig,
         contexts=None, state: TrainState | None = None, on_epoch=None) -> TrainState:
-    """Run up to config.max_epochs epochs and keep the best-validation
-    parameter snapshot in the returned state.
+    """Run up to config.max_epochs epochs. The state records the best
+    validation perplexity and its epoch but no parameters; to keep the best
+    model, copy it in on_epoch when state.best_epoch == state.epoch, as
+    `mmlm train` does.
 
     Batch order reshuffles every epoch from a seed derived from
     (config.seed, epoch number), so a resumed run replays the identical
@@ -173,7 +172,6 @@ def fit(model, train_records, valid_records, vocab, config: TrainConfig,
         if valid_ppl < state.best_valid_ppl:
             state.best_valid_ppl = valid_ppl
             state.best_epoch = epoch
-            state.best_params = snapshot_params(model)
         update_schedule(state, valid_ppl, patience=config.patience, mode=config.schedule)
         state.curve.append((epoch, train_nll, valid_nll, valid_ppl, lr_used))
         if on_epoch is not None:

@@ -6,10 +6,10 @@ import pytest
 
 import mmlm.data as D
 import mmlm.evaluate as E
-import mmlm.train as TR
 from mmlm.errors import ConfigError, DataError, UsageError
 from mmlm.model import ModelConfig, build_model
 from oracles import beam_search_per_candidate, predict_next
+from snapshots import snapshot_params
 
 
 def build(vocab_size, fusion="none", seed=0, hidden=6, cdim=3, unroll=8):
@@ -80,11 +80,11 @@ def test_lv_l_equals_lv_lv_under_zero_contexts():
 def test_evaluate_is_pure():
     m = build(10, fusion="outer")
     batches = batches_for(10, ctx_dim=3)
-    before = TR.snapshot_params(m)
+    before = snapshot_params(m)
     r1 = E.evaluate(m, batches, "LV-LV")
     r2 = E.evaluate(m, batches, "LV-LV")
     assert r1 == r2
-    for k, v in TR.snapshot_params(m).items():
+    for k, v in snapshot_params(m).items():
         npt.assert_array_equal(v, before[k])
 
 

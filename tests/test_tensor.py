@@ -199,6 +199,46 @@ def test_embed_columns_backward_into_cleared_grad():
     assert w.grad.flags.c_contiguous
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_compact_column_gradient_equals_a_dense_scatter(dtype):
+    # repeated and duplicate ids over several calls, some widening the
+    # compact block and one (a reversed copy) inside it
+    rng = np.random.default_rng(21)
+    rows, vocab = 5, 40
+    w = T.param(rng.uniform(-1, 1, (rows, vocab)).astype(dtype))
+    want = np.zeros((rows, vocab), dtype)
+    calls = [rng.integers(0, vocab // 2, 30), np.array([3, 3, 3]), rng.integers(0, vocab, 17)]
+    calls.append(calls[0][::-1].copy())
+    for k, idx in enumerate(calls):
+        g = rng.standard_normal((idx.size, rows)).astype(dtype)
+        T._accum_columns(w, idx, g)
+        np.add.at(want.T, idx, g)
+        npt.assert_array_equal(w.grad_cols, np.unique(np.concatenate(calls[:k + 1])))
+        assert w.grad_block.shape == (rows, w.grad_cols.size)
+    assert w.grad.dtype == dtype and w.grad.tobytes() == want.tobytes()
+    assert w.grad_cols is None  # the read expanded it for good
+
+    # a dense write onto a compact gradient expands it first; column writes
+    # then land in the full-shape buffer
+    w.grad = None
+    for idx in calls[:2]:
+        T._accum_columns(w, idx, np.ones((idx.size, rows), dtype))
+    dense = rng.standard_normal((rows, vocab)).astype(dtype)
+    T._accum(w, dense)
+    assert w.grad_cols is None and w.grad_block.shape == (rows, vocab)
+    T._accum_columns(w, calls[2], np.ones((calls[2].size, rows), dtype))
+    want = np.zeros((rows, vocab), dtype)
+    for idx in calls[:2]:
+        np.add.at(want.T, idx, np.ones((idx.size, rows), dtype))
+    want += dense
+    np.add.at(want.T, calls[2], np.ones((calls[2].size, rows), dtype))
+    assert w.grad.tobytes() == want.tobytes()
+
+    T.zero_grad([w])
+    assert w.grad_block is None and w.grad_cols is None
+    assert w.grad.tobytes() == np.zeros((rows, vocab), dtype).tobytes()
+
+
 def test_embed_columns_rejects_out_of_range():
     w = T.const(np.zeros((2, 3)))
     with pytest.raises(DataError):

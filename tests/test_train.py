@@ -4,11 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mmlm.cells as CL
+import mmlm.checkpoint as CK
 import mmlm.data as D
 import mmlm.tensor as T
 import mmlm.train as TR
 from mmlm.errors import ConfigError, DimensionError, TrainingAbort
 from mmlm.model import ModelConfig, build_model
+from snapshots import restore_params, snapshot_params
 
 
 def make_records(sentences, split="train"):
@@ -115,12 +118,61 @@ def test_clip_then_update_rule():
             assert lr * 2.0 * (1 - 1e-4) <= step <= lr * 2.0, (lr, trial, step)
 
 
+def _dense_reference_step(model, batch, lr, clip):
+    """p - lr * g from the full-shape gradients, clipped to the global norm;
+    returns (parameters after the step, gradient norm)."""
+    loss, _ = model.sequence_nll(batch)
+    model.zero_grad()
+    T.backward(loss)
+    grads = {k: p.grad for k, p in model.named_parameters().items()}
+    norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+    factor = clip / norm * (1.0 - 1e-5) if norm > clip else None
+    out = {}
+    for k, p in model.named_parameters().items():
+        g = grads[k] if factor is None else grads[k] * p.dtype.type(factor)
+        out[k] = p.data - p.dtype.type(lr) * g
+    return out, norm
+
+
+def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
+    recs = make_records(CORPUS)
+    vocab = D.build_vocab(recs, min_count=1)
+    cfg = ModelConfig(arch="lstm", hidden=8, vocab=len(vocab), unroll=8)
+    fresh = build_model(cfg, seed=5)
+    path = str(tmp_path / "m.mmlm")
+    CK.save_checkpoint(path, fresh, vocab, TR.TrainConfig(unroll=8), TR.TrainState())
+    for model in (fresh, CK.model_from_checkpoint(CK.load_checkpoint(path))):
+        assert all(p.grad_block is None for p in model.parameters())
+
+    batch = D.encode_batches(recs, vocab, 8, 2)[0]
+    last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
+    looked_up = np.unique(batch.tokens[:last])
+    assert looked_up.size < len(vocab)
+    lr = 0.5
+    _, norm = _dense_reference_step(build_model(cfg, seed=5), batch, lr, math.inf)
+    # below the bound, at it (up to the float64 summation order of the
+    # norm) and above it
+    for clip in (norm * 10.0, norm * (1.0 + 1e-9), norm / 10.0):
+        want, _ = _dense_reference_step(build_model(cfg, seed=5), batch, lr, clip)
+        model = build_model(cfg, seed=5)
+        TR.train_epoch(model, [batch], lr, clip)
+        named = model.named_parameters()
+        for name in CL.spec("lstm").inputs:
+            npt.assert_array_equal(named[f"cell.{name}"].grad_cols, looked_up)
+            assert named[f"cell.{name}"].grad_block.shape == (cfg.hidden, looked_up.size)
+        for k, p in named.items():
+            if clip >= norm:
+                npt.assert_array_equal(p.data, want[k], err_msg=k)
+            else:
+                npt.assert_allclose(p.data, want[k], rtol=1e-6, err_msg=k)
+
+
 def test_zero_lr_epoch_leaves_params_bit_identical():
     recs, vocab, model = small_setup()
-    before = TR.snapshot_params(model)
+    before = snapshot_params(model)
     batches = D.encode_batches(recs, vocab, 8, 2)
     TR.train_epoch(model, batches, lr=0.0, clip=2.0)
-    for k, v in TR.snapshot_params(model).items():
+    for k, v in snapshot_params(model).items():
         npt.assert_array_equal(v, before[k])
 
 
@@ -194,10 +246,10 @@ def _fit_once(max_epochs, seed=1, state=None, model=None, on_epoch=None):
 
 def test_fit_zero_epochs_is_a_no_op():
     recs, vocab, model = small_setup(seed=11)
-    before = TR.snapshot_params(model)
+    before = snapshot_params(model)
     _, state = _fit_once(0, model=model)
     assert state.epoch == 0 and state.curve == []
-    for k, v in TR.snapshot_params(model).items():
+    for k, v in snapshot_params(model).items():
         npt.assert_array_equal(v, before[k])
 
 
@@ -206,8 +258,8 @@ def test_fit_curve_and_determinism():
     m2, s2 = _fit_once(5)
     assert [r[0] for r in s1.curve] == [1, 2, 3, 4, 5]
     assert s1.curve == s2.curve  # float-identical rows
-    for k, v in TR.snapshot_params(m1).items():
-        npt.assert_array_equal(v, TR.snapshot_params(m2)[k])
+    for k, v in snapshot_params(m1).items():
+        npt.assert_array_equal(v, snapshot_params(m2)[k])
     assert s1.best_epoch >= 1
     assert s1.best_valid_ppl == min(r[3] for r in s1.curve)
 
@@ -218,16 +270,22 @@ def test_fit_resume_matches_uninterrupted_run():
     _, resumed = _fit_once(6, model=part_model, state=part_state)
     assert resumed.curve == straight.curve
     assert resumed.best_epoch == straight.best_epoch
-    for k, v in TR.snapshot_params(part_model).items():
-        npt.assert_array_equal(v, TR.snapshot_params(straight_model)[k])
-    for k, v in resumed.best_params.items():
-        npt.assert_array_equal(v, straight.best_params[k])
+    for k, v in snapshot_params(part_model).items():
+        npt.assert_array_equal(v, snapshot_params(straight_model)[k])
 
 
 def test_fit_tracks_best_snapshot():
-    model, state = _fit_once(4)
-    TR.restore_params(model, state.best_params)
-    recs, vocab, _ = small_setup(seed=11)
+    # fit keeps no parameters; a caller snapshots the best epoch in on_epoch
+    _, vocab, model = small_setup(seed=11)
+    best = {}
+
+    def keep_best(st):
+        if st.best_epoch == st.epoch:
+            best.update(snapshot_params(model))
+
+    _, state = _fit_once(4, model=model, on_epoch=keep_best)
+    assert best
+    restore_params(model, best)
     valid = make_records(["a b", "c d e"], split="valid")
     batches = D.encode_batches(valid, vocab, 8, 2)
     _, ppl = TR.dataset_nll(model, batches)
