@@ -149,8 +149,7 @@ def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:
     return StepState(h=h)
 
 
-def project_context(fusion: FusionParams, ctx, batch_size: int | None = None,
-                    dtype=np.float64) -> Tensor:
+def project_context(fusion: FusionParams, ctx, batch_size: int | None = None) -> Tensor:
     """Project context vectors to the hidden width: rows of ctx @ M.T (+ b_M).
 
     ctx may be a Tensor, an array of shape B x D (or a single D-vector), or

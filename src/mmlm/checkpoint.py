@@ -20,7 +20,7 @@ import numpy as np
 from .data import Vocabulary
 from .errors import FormatError
 from .model import ModelConfig, SequenceModel, model_from_arrays, parameter_shapes
-from .train import TrainConfig, TrainState
+from .train import TrainConfig, TrainState, format_curve_row
 
 CHECKPOINT_MAGIC = b"MMLM"
 CHECKPOINT_VERSION = 1
@@ -119,10 +119,7 @@ def _render_config_text(model_config, train_config, vocab_min_count, state, chas
     lines.append(f"vocab_min_count = {vocab_min_count}")
     lines.append(f"config_hash = {chash}")
     lines += _field_lines("state", state)
-    for epoch, train_nll, valid_nll, valid_ppl, lr in state.curve:
-        row = ",".join([str(epoch)] + [repr(float(v))
-                                       for v in (train_nll, valid_nll, valid_ppl, lr)])
-        lines.append(f"curve = {row}")
+    lines += [f"curve = {format_curve_row(row)}" for row in state.curve]
     return "\n".join(lines) + "\n"
 
 

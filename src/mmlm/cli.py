@@ -25,10 +25,12 @@ ENV_SEED = "MMLM_SEED"
 
 # `train` options: key -> (type, default). Flags use the same names with
 # dashes; booleans take true/false in a config file. Every ModelConfig and
-# TrainConfig field is one, except the size `vocab`, which the vocabulary
-# sets; `vocab` here is the vocabulary file.
+# TrainConfig field is one, except two that the data set: `context_dim`,
+# from the context store, and the size `vocab`, from the vocabulary;
+# `vocab` here is the vocabulary file.
 _TRAIN_KEYS = {f.name: (type(f.default), f.default)
-               for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+               for cls in (ModelConfig, TrainConfig) for f in fields(cls)
+               if f.name != "context_dim"}
 _TRAIN_KEYS.update({
     "captions": (str, None), "vocab": (str, None), "contexts": (str, None),
     "out": (str, "."), "pretrained": (str, None), "pretrained_projection": (bool, False),
@@ -144,7 +146,7 @@ def cmd_train(args) -> int:
     store = D.load_contexts(opts["contexts"]) if opts["contexts"] else None
     if opts["fusion"] != "none" and store is None:
         raise UsageError("fused training needs --contexts")
-    context_dim = store.dim if store is not None else opts["context_dim"]
+    context_dim = store.dim if store is not None else ModelConfig.context_dim
     vocab = (D.load_vocab(opts["vocab"]) if opts["vocab"]
              else D.build_vocab(train_records, min_count=opts["min_count"]))
     model_config = _config(ModelConfig, opts, vocab=len(vocab), context_dim=context_dim)

@@ -86,27 +86,33 @@ def build_vocab(records, min_count: int = 5) -> Vocabulary:
     return Vocabulary(kept, min_count=min_count)
 
 
+VOCAB_HEADER = "# mmlm vocabulary v1"
+MIN_COUNT_HEADER = "# min_count ="
+
+
 def save_vocab(path, vocab: Vocabulary) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# mmlm vocabulary v1\n")
-        fh.write(f"# min_count = {vocab.min_count}\n")
+        fh.write(f"{VOCAB_HEADER}\n{MIN_COUNT_HEADER} {vocab.min_count}\n")
         for tok in vocab.words:
             fh.write(tok + "\n")
 
 
 def load_vocab(path) -> Vocabulary:
+    """Words in id order, one per non-empty line. Before the first word,
+    the header lines `# mmlm vocabulary v1` and `# min_count = N` are read
+    as such; every other line is a word, also one that starts with #."""
     min_count = 1
     words = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("min_count"):
-                    try:
-                        min_count = int(body.split("=", 1)[1])
-                    except (IndexError, ValueError):
-                        raise FormatError(f"{path}:{lineno}: bad min_count header") from None
+            if not words and line == VOCAB_HEADER:
+                continue
+            if not words and line.startswith(MIN_COUNT_HEADER):
+                try:
+                    min_count = int(line[len(MIN_COUNT_HEADER):])
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: bad min_count header") from None
                 continue
             if line:
                 words.append(line)

@@ -4,6 +4,11 @@ decoder, and masked sequence negative log likelihood.
 Sentences are framed [BOS, w_1, ..., w_L, EOS]; the model consumes a token
 and predicts the next one, starting from a zero hidden state, with the
 context vector projected once per sequence and reused at every step.
+
+There is one decoder. Training and scoring take the masked NLL through
+tensor.masked_nll, one tape op over the stacked hidden states; sampling
+takes full log-probability rows from tensor.log_probs, which shares its
+arithmetic and builds no tape.
 """
 
 from __future__ import annotations
@@ -99,13 +104,7 @@ class SequenceModel:
         ctx = None
         if contexts is not None:
             ctx = np.asarray(contexts, dtype=self.dtype)
-        return cells.project_context(self.cell.fusion, ctx, batch_size=batch_size, dtype=self.dtype)
-
-    def _logits(self, h: Tensor) -> Tensor:
-        out = tz.matmul_t(h, self.decoder.U)
-        if self.decoder.b_U is not None:
-            out = tz.add_row(out, self.decoder.b_U)
-        return out
+        return cells.project_context(self.cell.fusion, ctx, batch_size=batch_size)
 
     def start_state(self, batch_size: int = 1, contexts=None):
         """(zero recurrent state, context gain) for incremental decoding."""
@@ -129,29 +128,16 @@ class SequenceModel:
             gain = None if gain is None else tz.const(gain.data[pad])
         with tz.no_grad():
             _, new_state = cells.recurrence(self.cell, ids.reshape(1, -1), gain, state)
-            logp = tz.log_softmax_rows(self._logits(new_state.h))
-        return new_state.take(slice(n)), logp.data[:n]
-
-    def forward_sequence(self, batch: SequenceBatch) -> list:
-        """Per-step next-token distributions, one B x |V| tensor per row of
-        batch.tokens; entry t conditions on rows 0..t."""
-        self._validate_ids(batch.tokens)
-        state, gain = self.start_state(batch.batch_size, batch.contexts)
-        hs, _ = cells.recurrence(self.cell, batch.tokens, gain, state)
-        dists = tz.softmax_rows(self._logits(hs))
-        b = batch.batch_size
-        return [tz.take_rows(dists, np.arange(t * b, (t + 1) * b))
-                for t in range(batch.tokens.shape[0])]
+        logp = tz.log_probs(new_state.h, self.decoder.U, self.decoder.b_U)
+        return new_state.take(slice(n)), logp[:n]
 
     def sequence_nll(self, batch: SequenceBatch):
         """(loss tensor, counted targets): sum of -log P over masked targets.
 
         The recurrence runs as one op over the steps up to the last target;
-        the decoder then scores the masked targets of all steps at once, on
-        their rows of the stacked hidden states, so padding is never
-        decoded. Each sequence's terms are added in step order before the
-        batch total, so padding a batch with extra rows or columns leaves the
-        loss bit-identical.
+        tensor.masked_nll then scores the masked targets of all steps at
+        once, on their rows of the stacked hidden states, so padding is
+        never decoded and never changes the loss.
 
         A batch with no masked targets returns (constant zero, 0); the zero
         count is the caller's flag that nothing was scored.
@@ -164,12 +150,8 @@ class SequenceModel:
         state, gain = self.start_state(batch.batch_size, batch.contexts)
         # consuming row t predicts row t+1; row t * B + b of hs is sequence b after row t
         hs, _ = cells.recurrence(self.cell, batch.tokens[:last], gain, state)
-        targets = batch.tokens[1:last + 1].reshape(-1)
-        scored = np.flatnonzero(batch.mask[1:last + 1].reshape(-1))
-        logp = tz.target_log_probs(tz.take_rows(hs, scored),
-                                   self.decoder.U, self.decoder.b_U, targets[scored])
-        per_seq = tz.sum_row_blocks(tz.put_rows(logp, scored, targets.size), last)
-        loss = tz.scale(tz.sum_all(per_seq), -1.0)
+        loss = tz.masked_nll(hs, self.decoder.U, self.decoder.b_U,
+                             batch.tokens[1:last + 1], batch.mask[1:last + 1])
         return loss, int(batch.mask.sum())
 
 

@@ -170,15 +170,6 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data @ b.data.T, (a, b), back)
 
 
-def scale(x: Tensor, k: float) -> Tensor:
-    kk = x.data.dtype.type(k)
-
-    def back(g):
-        _accum(x, g * kk)
-
-    return _result(x.data * kk, (x,), back)
-
-
 def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) on a plain array, without exp overflow.
 
@@ -194,32 +185,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out /= den
     return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, computed with max subtraction for stability."""
-    m = x.data.max(axis=1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(x, y * (g - dot))
-
-    return _result(y, (x,), back)
-
-
-def log_softmax_rows(x: Tensor) -> Tensor:
-    m = x.data.max(axis=1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    y = shifted - lse
-
-    def back(g):
-        # the probabilities are only needed here, so scoring never computes them
-        _accum(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
-
-    return _result(y, (x,), back)
 
 
 def add_row(x: Tensor, v: Tensor) -> Tensor:
@@ -278,130 +243,95 @@ def _add_at_flat(target: np.ndarray, flat_idx: np.ndarray, values: np.ndarray) -
     np.add.at(target.reshape(-1), flat_idx, values.reshape(-1))
 
 
-def _row_indices(op: str, rows, limit: int) -> np.ndarray:
-    idx = np.asarray(rows)
-    if idx.ndim != 1:
-        raise DimensionError(f"{op}: row indices must be 1-D, got ndim={idx.ndim}")
-    if idx.size and (idx.min() < 0 or idx.max() >= limit):
-        raise DataError(f"{op}: row index out of range 0..{limit - 1}")
-    return idx
-
-
-def take_rows(x: Tensor, rows) -> Tensor:
-    """Rows rows[0], rows[1], ... of x, top to bottom."""
-    idx = _row_indices("take_rows", rows, x.rows)
-
-    def back(g):
-        buf = np.zeros(x.data.shape, x.data.dtype)
-        # a repeated row collects every copy's gradient
-        _add_at_flat(buf, (idx[:, None] * x.cols + np.arange(x.cols)).ravel(), g)
-        _accum(x, buf)
-
-    return _result(x.data[idx], (x,), back)
-
-
-def put_rows(x: Tensor, rows, n: int) -> Tensor:
-    """n x cols(x) zeros with row i of x added into row rows[i]."""
-    idx = _row_indices("put_rows", rows, n)
-    if idx.size != x.rows:
-        raise DimensionError(f"put_rows: {idx.size} row indices for {x.rows} rows")
-    out = np.zeros((n, x.cols), x.data.dtype)
-    np.add.at(out, idx, x.data)
-
-    def back(g):
-        _accum(x, g[idx])
-
-    return _result(out, (x,), back)
-
-
 _EXP_BLOCK_BYTES = 2 << 20  # scratch for the exponentials, one row block at a time
 
 
-def target_log_probs(h: Tensor, w: Tensor, b: Tensor | None, targets) -> Tensor:
-    """log softmax(h wᵀ + b)[i, targets[i]] for every row i, as a rows x 1 column.
+def _shifted_logits(h: np.ndarray, w: np.ndarray, b) -> tuple:
+    """(z, lse) of a softmax decoder: z = h wᵀ + b with each row's max
+    subtracted, in place in one rows x |V| array, and lse = each row's
+    log-sum-exp of z, as a rows x 1 column; log softmax is z - lse.
 
-    One op for a decoder's matmul_t, add_row, log_softmax_rows and
-    take_per_row, and equal to that chain bit for bit. It makes a single
-    rows x |V| array: the logits, biased and shifted in place, whose
-    exponentials go through a scratch buffer of about 2 MiB, one row block
-    at a time. The logits come from one GEMM, not one per row block,
-    because every BLAS call packs all of w again. With a tape the shifted
-    logits are kept, and the backward turns them into the logit gradient in
-    place, so w's gradient is one GEMM over the rows.
+    The logits come from one GEMM, not one per row block, because every
+    BLAS call packs all of w again. Their exponentials go through a scratch
+    buffer of about 2 MiB, one row block at a time.
     """
-    parents = (h, w) if b is None else (h, w, b)
-    if h.cols != w.cols:
-        raise DimensionError(f"target_log_probs: {h.data.shape} x {w.data.shape}^T")
-    if b is not None and b.data.shape != (1, w.rows):
-        raise DimensionError(f"target_log_probs: bias {b.data.shape} for {w.rows} classes")
-    for p in parents[1:]:
-        _need_same_dtype("target_log_probs", h, p)
-    idx = np.asarray(targets)
-    if idx.ndim != 1 or idx.size != h.rows:
-        raise DimensionError(
-            f"target_log_probs: need {h.rows} targets, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= w.rows):
-        raise DataError(f"target_log_probs: target out of range 0..{w.rows - 1}")
-    n, classes = h.rows, w.rows
-    z = h.data @ w.data.T
+    z = h @ w.T
     if b is not None:
-        z += b.data
+        z += b
     z -= z.max(axis=1, keepdims=True)
-    out = z[np.arange(n), idx].reshape(n, 1)
+    n, classes = z.shape
     lse = np.empty((n, 1), z.dtype)
     step = max(1, _EXP_BLOCK_BYTES // (classes * z.itemsize))
     buf = np.empty((min(step, n), classes), z.dtype)
     for start in range(0, n, step):
         e = np.exp(z[start:start + step], out=buf[:min(step, n - start)])
         np.log(e.sum(axis=1, keepdims=True), out=lse[start:start + step])
-    out -= lse
+    return z, lse
+
+
+def log_probs(h: Tensor, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """log softmax(h wᵀ + b) for every row of h, as a plain array; builds no
+    tape node."""
+    z, lse = _shifted_logits(h.data, w.data, None if b is None else b.data)
+    z -= lse
+    return z
+
+
+def masked_nll(hs: Tensor, w: Tensor, b: Tensor | None, targets, mask) -> Tensor:
+    """The decoder's loss: -sum of log softmax(h wᵀ + b)[target] over the
+    masked targets, as a 1 x 1 tensor.
+
+    targets and mask are T x B, and row t * B + j of hs is what predicts
+    targets[t, j]. Only the rows of masked targets are decoded. Each
+    sequence's terms are added in step order and the per-sequence sums then
+    added up, so padding a batch with extra rows or columns leaves the loss
+    bit-identical. With a tape the shifted logits are kept, and the backward
+    turns them into the logit gradient in place: w's gradient is one GEMM
+    over the decoded rows, and hs's lands in those rows of a zero buffer.
+    """
+    parents = (hs, w) if b is None else (hs, w, b)
+    tgt = np.asarray(targets)
+    if tgt.ndim != 2 or np.shape(mask) != tgt.shape or tgt.size != hs.rows:
+        raise DimensionError(f"masked_nll: {hs.rows} rows need T x B targets and mask,"
+                             f" got {tgt.shape} and {np.shape(mask)}")
+    if hs.cols != w.cols:
+        raise DimensionError(f"masked_nll: {hs.data.shape} x {w.data.shape}^T")
+    if b is not None and b.data.shape != (1, w.rows):
+        raise DimensionError(f"masked_nll: bias {b.data.shape} for {w.rows} classes")
+    for p in parents[1:]:
+        _need_same_dtype("masked_nll", hs, p)
+    scored = np.flatnonzero(np.asarray(mask).reshape(-1))
+    idx = tgt.reshape(-1)[scored]
+    if idx.size and (idx.min() < 0 or idx.max() >= w.rows):
+        raise DataError(f"masked_nll: target out of range 0..{w.rows - 1}")
+    n = scored.size
+    h = hs.data[scored]
+    z, lse = _shifted_logits(h, w.data, None if b is None else b.data)
+    picked = np.zeros(tgt.shape, z.dtype)
+    picked.reshape(-1)[scored] = z[np.arange(n), idx] - lse[:, 0]
+    per_seq = picked[0].copy()
+    for row in picked[1:]:
+        per_seq += row
     kept = z if _taped(parents) else None
 
     def back(g):
         nonlocal kept
         if kept is None:
-            raise StateError("target_log_probs: its kept logits were already consumed")
-        # d out_i / d logits_i = onehot(targets[i]) - softmax_i, scaled by g_i
+            raise StateError("masked_nll: its kept logits were already consumed")
+        # d loss_i / d logits_i = softmax_i - onehot(targets[i]), scaled by g
         d, kept = kept, None
         d -= lse
         np.exp(d, out=d)
-        d *= g
-        np.negative(d, out=d)
-        d[np.arange(n), idx] += g[:, 0]
-        _accum(h, d @ w.data)
-        _accum(w, d.T @ h.data)
+        d *= g[0, 0]
+        d[np.arange(n), idx] -= g[0, 0]
+        dh = np.zeros(hs.data.shape, hs.data.dtype)
+        dh[scored] += d @ w.data
+        _accum(hs, dh)
+        _accum(w, d.T @ h)
         if b is not None:
             _accum(b, d.sum(axis=0, keepdims=True))
 
-    return _result(out, parents, back)
-
-
-def sum_row_blocks(x: Tensor, blocks: int) -> Tensor:
-    """Sum the equal row blocks of x: x[0:n] + x[n:2n] + ..., first block first.
-
-    On a stack of T per-step B x C values this is the per-sequence total over
-    time, added in step order.
-    """
-    if blocks < 1 or x.rows % blocks:
-        raise DimensionError(f"sum_row_blocks: {x.rows} rows do not split into {blocks} blocks")
-    n = x.rows // blocks
-    out = x.data[:n].copy()
-    for k in range(1, blocks):
-        out += x.data[k * n:(k + 1) * n]
-
-    def back(g):
-        _accum(x, np.tile(g, (blocks, 1)))
-
-    return _result(out, (x,), back)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = np.array([[x.data.sum()]], dtype=x.data.dtype)
-
-    def back(g):
-        _accum(x, np.full_like(x.data, g[0, 0]))
-
-    return _result(out, (x,), back)
+    return _result(np.full((1, 1), -per_seq.sum(), z.dtype), parents, back)
 
 
 def _toposort(root: Tensor) -> list:

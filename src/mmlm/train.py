@@ -25,7 +25,6 @@ class TrainConfig:
     lr: float = 1.0
     clip: float = 2.0
     batch_size: int = 32
-    unroll: int = 49
     max_epochs: int = 1
     patience: int = 3
     seed: int = 0
@@ -38,8 +37,6 @@ class TrainConfig:
             raise ConfigError(f"clip bound must be positive, got {self.clip}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.unroll < 1:
-            raise ConfigError(f"unroll must be >= 1, got {self.unroll}")
         if self.max_epochs < 0:
             raise ConfigError(f"max epochs must be >= 0, got {self.max_epochs}")
         if self.patience < 1:
@@ -64,12 +61,15 @@ class TrainState:
 CURVE_HEADER = "epoch,train_nll,valid_nll,valid_ppl,lr"
 
 
+def format_curve_row(row) -> str:
+    """One curve row, (epoch, train_nll, valid_nll, valid_ppl, lr), as
+    comma-separated text; floats in full precision."""
+    epoch, *values = row
+    return ",".join([str(int(epoch))] + [repr(float(x)) for x in values])
+
+
 def format_curve(rows) -> str:
-    lines = [CURVE_HEADER]
-    for epoch, train_nll, valid_nll, valid_ppl, lr in rows:
-        lines.append(",".join([str(int(epoch))] + [repr(float(x))
-                     for x in (train_nll, valid_nll, valid_ppl, lr)]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CURVE_HEADER] + [format_curve_row(row) for row in rows]) + "\n"
 
 
 def update_schedule(state: TrainState, new_valid_ppl: float, patience: int = 3,
@@ -150,20 +150,17 @@ def fit(model, train_records, valid_records, vocab, config: TrainConfig,
     epoch continues the numbering (resume).
     """
     config.validate()
-    if config.unroll != model.config.unroll:
-        raise ConfigError(
-            f"train unroll {config.unroll} != model unroll {model.config.unroll}"
-        )
     if state is None:
         state = TrainState(lr=config.lr)
     ctx_store = contexts if model.config.fusion != "none" else None
-    valid_batches = encode_batches(valid_records, vocab, config.unroll,
-                                   config.batch_size, contexts=ctx_store)
+    unroll = model.config.unroll
+    valid_batches = encode_batches(valid_records, vocab, unroll, config.batch_size,
+                                   contexts=ctx_store)
     while state.epoch < config.max_epochs:
         epoch = state.epoch + 1
         rng = seed_stream(config.seed, f"shuffle/epoch{epoch}")
-        batches = encode_batches(train_records, vocab, config.unroll,
-                                 config.batch_size, contexts=ctx_store, rng=rng)
+        batches = encode_batches(train_records, vocab, unroll, config.batch_size,
+                                 contexts=ctx_store, rng=rng)
         lr_used = state.lr
         total, tokens = train_epoch(model, batches, lr_used, config.clip, epoch=epoch)
         train_nll = total / tokens if tokens else 0.0

@@ -5,7 +5,8 @@ numpy arrays, so agreement between these and the package is evidence, not
 tautology. The rest keep the package's earlier code as references for the
 code that replaced them: the piecewise sigmoid, the cell steps built from
 one tape op per product and gate (with step, predict_next and
-sequence_nll_per_step around them), and the per-candidate beam search.
+sequence_nll_per_step around them), the decoder as tape ops
+(forward_sequence), and the per-candidate beam search.
 """
 
 import numpy as np
@@ -15,8 +16,9 @@ import mmlm.evaluate as E
 import mmlm.tensor as T
 from mmlm.data import BOS_ID, EOS_ID
 from mmlm.errors import ConfigError, UsageError
-from tape_ops import (add, embed_columns, hadamard, identity, matmul, mul_row, one_minus,
-                      relu, sigmoid, take_per_row, tanh, transpose)
+from tape_ops import (add, embed_columns, hadamard, identity, log_softmax_rows, matmul, mul_row,
+                      one_minus, relu, scale, sigmoid, softmax_rows, sum_all, take_per_row,
+                      take_rows, tanh, transpose)
 
 
 def np_sigmoid(x):
@@ -153,6 +155,26 @@ def step(model, ids, state, gain):
     return lstm_step(p, embs, state, gain)
 
 
+def logits(model, h):
+    """The decoder's logits h Uᵀ + b_U, as tape ops."""
+    out = T.matmul_t(h, model.decoder.U)
+    if model.decoder.b_U is not None:
+        out = T.add_row(out, model.decoder.b_U)
+    return out
+
+
+def forward_sequence(model, batch):
+    """Per-step next-token distributions, one B x |V| tensor per row of
+    batch.tokens; entry t conditions on rows 0..t."""
+    model._validate_ids(batch.tokens)
+    state, gain = model.start_state(batch.batch_size, batch.contexts)
+    hs, _ = C.recurrence(model.cell, batch.tokens, gain, state)
+    dists = softmax_rows(logits(model, hs))
+    b = batch.batch_size
+    return [take_rows(dists, np.arange(t * b, (t + 1) * b))
+            for t in range(batch.tokens.shape[0])]
+
+
 def predict_next(model, prefix, context=None):
     """Distribution over the next token after consuming the prefix, one
     per-op step at a time."""
@@ -167,7 +189,7 @@ def predict_next(model, prefix, context=None):
     dist = None
     for t in range(ids.size):
         state = step(model, ids[t: t + 1], state, gain)
-        dist = T.softmax_rows(model._logits(state.h))
+        dist = softmax_rows(logits(model, state.h))
     return dist.data[0].copy()
 
 
@@ -241,11 +263,11 @@ def sequence_nll_per_step(model, batch):
         logits = matmul(state.h, transpose(model.decoder.U))
         if model.decoder.b_U is not None:
             logits = T.add_row(logits, model.decoder.b_U)
-        picked = take_per_row(T.log_softmax_rows(logits), batch.tokens[t + 1])
+        picked = take_per_row(log_softmax_rows(logits), batch.tokens[t + 1])
         m = T.const(batch.mask[t + 1].reshape(-1, 1).astype(model.dtype))
         contrib = hadamard(picked, m)
         total = contrib if total is None else add(total, contrib)
-    return T.scale(T.sum_all(total), -1.0), int(batch.mask.sum())
+    return scale(sum_all(total), -1.0), int(batch.mask.sum())
 
 
 def beam_search_per_candidate(model, context=None, width=13, max_len=None,

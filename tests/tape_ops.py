@@ -1,5 +1,6 @@
-"""Tape ops that only the tests run: the per-op reference path in
-oracles.py and the tests of the tape itself.
+"""Tape ops that only the tests run: the per-op reference paths in
+oracles.py (cell steps, the per-step decoder, forward_sequence), the loss
+reductions the tests differentiate, and the tests of the tape itself.
 
 Each op is one tape node with a hand-written backward, built from the same
 helpers as the ops in mmlm.tensor.
@@ -8,8 +9,8 @@ helpers as the ops in mmlm.tensor.
 import numpy as np
 
 from mmlm.errors import DataError, DimensionError
-from mmlm.tensor import (Tensor, _accum, _accum_columns, _need_same_dtype, _result,
-                         logistic, scale)
+from mmlm.tensor import (Tensor, _accum, _accum_columns, _add_at_flat, _need_same_dtype,
+                         _result, logistic)
 
 
 def _need_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -50,6 +51,24 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), back)
+
+
+def scale(x: Tensor, k: float) -> Tensor:
+    kk = x.data.dtype.type(k)
+
+    def back(g):
+        _accum(x, g * kk)
+
+    return _result(x.data * kk, (x,), back)
+
+
+def sum_all(x: Tensor) -> Tensor:
+    out = np.array([[x.data.sum()]], dtype=x.data.dtype)
+
+    def back(g):
+        _accum(x, np.full_like(x.data, g[0, 0]))
+
+    return _result(out, (x,), back)
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
@@ -155,5 +174,85 @@ def take_per_row(x: Tensor, cols) -> Tensor:
         buf = np.zeros_like(x.data)
         buf[rows_arange, idx] = g[:, 0]
         _accum(x, buf)
+
+    return _result(out, (x,), back)
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax, computed with max subtraction for stability."""
+    m = x.data.max(axis=1, keepdims=True)
+    e = np.exp(x.data - m)
+    y = e / e.sum(axis=1, keepdims=True)
+
+    def back(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        _accum(x, y * (g - dot))
+
+    return _result(y, (x,), back)
+
+
+def log_softmax_rows(x: Tensor) -> Tensor:
+    m = x.data.max(axis=1, keepdims=True)
+    shifted = x.data - m
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    y = shifted - lse
+
+    def back(g):
+        _accum(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
+
+    return _result(y, (x,), back)
+
+
+def sum_row_blocks(x: Tensor, blocks: int) -> Tensor:
+    """Sum the equal row blocks of x: x[0:n] + x[n:2n] + ..., first block first.
+
+    On a stack of T per-step B x C values this is the per-sequence total over
+    time, added in step order.
+    """
+    if blocks < 1 or x.rows % blocks:
+        raise DimensionError(f"sum_row_blocks: {x.rows} rows do not split into {blocks} blocks")
+    n = x.rows // blocks
+    out = x.data[:n].copy()
+    for k in range(1, blocks):
+        out += x.data[k * n:(k + 1) * n]
+
+    def back(g):
+        _accum(x, np.tile(g, (blocks, 1)))
+
+    return _result(out, (x,), back)
+
+
+def _row_indices(op: str, rows, limit: int) -> np.ndarray:
+    idx = np.asarray(rows)
+    if idx.ndim != 1:
+        raise DimensionError(f"{op}: row indices must be 1-D, got ndim={idx.ndim}")
+    if idx.size and (idx.min() < 0 or idx.max() >= limit):
+        raise DataError(f"{op}: row index out of range 0..{limit - 1}")
+    return idx
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Rows rows[0], rows[1], ... of x, top to bottom."""
+    idx = _row_indices("take_rows", rows, x.rows)
+
+    def back(g):
+        buf = np.zeros(x.data.shape, x.data.dtype)
+        # a repeated row collects every copy's gradient
+        _add_at_flat(buf, (idx[:, None] * x.cols + np.arange(x.cols)).ravel(), g)
+        _accum(x, buf)
+
+    return _result(x.data[idx], (x,), back)
+
+
+def put_rows(x: Tensor, rows, n: int) -> Tensor:
+    """n x cols(x) zeros with row i of x added into row rows[i]."""
+    idx = _row_indices("put_rows", rows, n)
+    if idx.size != x.rows:
+        raise DimensionError(f"put_rows: {idx.size} row indices for {x.rows} rows")
+    out = np.zeros((n, x.cols), x.data.dtype)
+    np.add.at(out, idx, x.data)
+
+    def back(g):
+        _accum(x, g[idx])
 
     return _result(out, (x,), back)

@@ -26,6 +26,7 @@ from mmlm.data import BOS_ID, EOS_ID, PAD_ID
 from mmlm.errors import ConfigError
 from mmlm.model import ModelConfig, build_model
 from mmlm.tensor import seed_stream
+from oracles import forward_sequence
 
 
 # -- 1. gradient correctness -------------------------------------------------
@@ -115,8 +116,8 @@ def test_criterion_3_identity_gating_reproduces_text_only():
         loss_f, count_f = fused.sequence_nll(batch_ctx)
         loss_p, count_p = plain.sequence_nll(batch_plain)
         assert loss_f.item() == loss_p.item() and count_f == count_p
-        dists_f = fused.forward_sequence(batch_ctx)
-        dists_p = plain.forward_sequence(batch_plain)
+        dists_f = forward_sequence(fused, batch_ctx)
+        dists_p = forward_sequence(plain, batch_plain)
         assert np.array_equal(dists_f[-1].data, dists_p[-1].data)
 
         # definitional identity: all-zero stored contexts make the two
@@ -213,7 +214,7 @@ def test_criterion_5_context_advantage_on_clustered_grammars():
             cfg = ModelConfig(arch="delta-rnn", hidden=20, vocab=len(vocab),
                               context_dim=16, fusion=fusion, unroll=unroll)
             model = build_model(cfg, seed=seed)
-            tc = TR.TrainConfig(lr=0.5, clip=2.0, batch_size=32, unroll=unroll,
+            tc = TR.TrainConfig(lr=0.5, clip=2.0, batch_size=32,
                                 max_epochs=20, seed=seed)
             contexts = store if fusion != "none" else None
             TR.fit(model, train_r, valid_r, vocab, tc, contexts=contexts)
@@ -332,7 +333,7 @@ def test_criterion_8_checkpoint_round_trip(tmp_path):
     before = model.sequence_nll(batch)[0].item()
 
     path = tmp_path / "model.mmlm"
-    tc = TR.TrainConfig(lr=0.5, max_epochs=4, unroll=6, seed=3)
+    tc = TR.TrainConfig(lr=0.5, max_epochs=4, seed=3)
     state = TR.TrainState(epoch=4, lr=0.5, best_valid_ppl=9.25, best_epoch=2)
     C.save_checkpoint(path, model, vocab, tc, state)
     ckpt = C.load_checkpoint(path)

@@ -13,8 +13,8 @@ from mmlm.model import ModelConfig, build_model
 
 
 from oracles import np_sigmoid, delta_step_np as delta_oracle, gru_step_np as gru_oracle, lstm_step_np as lstm_oracle
-from oracles import delta_rnn_step, gru_step, lstm_step, step as oracle_step
-from tape_ops import add, embed_columns, hadamard
+from oracles import delta_rnn_step, gru_step, logits, lstm_step, step as oracle_step
+from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, scale, sum_all
 
 
 def init_cell(arch, hidden, vocab, rng, dtype=np.float32, fusion=None, lstm_activation="tanh"):
@@ -310,7 +310,7 @@ def test_single_step_gradients(arch, mode):
         else:
             e = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
             st = lstm_step(p, e, C.StepState(T.const(h0), T.const(c0)), gain)
-        return T.sum_all(hadamard(st.h, probe))
+        return sum_all(hadamard(st.h, probe))
 
     err = T.finite_diff_check(loss, list(p.named_parameters().values()), eps=1e-5)
     assert err < 1e-4, err
@@ -355,7 +355,7 @@ def per_op_outputs(p, tokens, gain, state):
             state = gru_step(p, embs, state.h, gain)
         else:
             state = lstm_step(p, embs, state, gain)
-        placed = T.put_rows(state.h, np.arange(t * batch, (t + 1) * batch), steps * batch)
+        placed = put_rows(state.h, np.arange(t * batch, (t + 1) * batch), steps * batch)
         hs = placed if hs is None else add(hs, placed)
     return hs, state
 
@@ -370,7 +370,7 @@ def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
         T.zero_grad(params.values())
         gain = C.project_context(p.fusion, ctx) if mode else None
         hs, final = recur(p, tokens, gain, state)
-        loss = T.sum_all(hadamard(hs, probe))
+        loss = sum_all(hadamard(hs, probe))
         T.backward(loss)
         grads = {k: t.grad.copy() for k, t in params.items()}
         return loss.item(), hs.data, final, grads, None if gain is None else gain.grad.copy()
@@ -400,7 +400,7 @@ def test_advance_matches_one_per_op_step(arch, mode, act):
     ids = np.array([1, 4, 8, 4])
     got, logp = m.advance(state, gain, ids)
     want = oracle_step(m, ids, state, gain)
-    want_logp = T.log_softmax_rows(m._logits(want.h)).data
+    want_logp = log_softmax_rows(logits(m, want.h)).data
     npt.assert_allclose(got.h.data, want.h.data, rtol=1e-12, atol=1e-12)
     if arch == "lstm":
         npt.assert_allclose(got.cell.data, want.cell.data, rtol=1e-12, atol=1e-12)
@@ -438,9 +438,9 @@ def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
 def test_second_sweep_through_a_consumed_recurrence_raises():
     p, tokens, ctx, state = op_setup("gru", "outer", "tanh")
     hs, _ = C.recurrence(p, tokens, C.project_context(p.fusion, ctx), state)
-    T.backward(T.sum_all(hs))
+    T.backward(sum_all(hs))
     with pytest.raises(StateError):
-        T.backward(T.sum_all(T.scale(hs, 2.0)))
+        T.backward(sum_all(scale(hs, 2.0)))
 
 
 def test_recurrence_validates_its_inputs():

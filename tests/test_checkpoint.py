@@ -18,7 +18,7 @@ def small_setup(fusion="outer", decoder_bias=True):
                       context_dim=3, fusion=fusion, unroll=6,
                       decoder_bias=decoder_bias)
     model = build_model(cfg, seed=11)
-    tc = TrainConfig(lr=1.0, clip=2.0, batch_size=4, unroll=6, max_epochs=3, seed=11)
+    tc = TrainConfig(lr=1.0, clip=2.0, batch_size=4, max_epochs=3, seed=11)
     state = TrainState(epoch=2, lr=0.5, best_valid_ppl=8.25, best_epoch=1,
                        increase_count=1, prev_valid_ppl=8.5,
                        curve=[(1, 2.0, 2.1, math.exp(2.1), 1.0),
@@ -86,6 +86,24 @@ def test_curve_floats_survive_exactly(tmp_path):
     assert got == state.curve  # repr round-trip, no precision loss
 
 
+def test_checkpoint_with_a_train_unroll_line_still_loads(tmp_path):
+    # checkpoints written while TrainConfig had an unroll field carry a
+    # train.unroll line; the key is ignored
+    model, vocab, tc, state = small_setup()
+    path = tmp_path / "m.mmlm"
+    C.save_checkpoint(path, model, vocab, tc, state)
+    raw = path.read_bytes()
+    (text_len,) = struct.unpack_from("<I", raw, 6)
+    text = raw[10:10 + text_len].replace(b"train.clip", b"train.unroll = 6\ntrain.clip")
+    old = tmp_path / "old.mmlm"
+    old.write_bytes(raw[:6] + struct.pack("<I", len(text)) + text + raw[10 + text_len:])
+    ckpt, want = C.load_checkpoint(old), C.load_checkpoint(path)
+    assert ckpt.train_config == tc and ckpt.model_config == model.config
+    assert ckpt.state == want.state and ckpt.config_hash == want.config_hash
+    for name, arr in want.tensors.items():
+        assert ckpt.tensors[name].tobytes() == arr.tobytes()
+
+
 def test_config_hash_ignores_max_epochs_only():
     _, _, tc, _ = small_setup()
     mc = ModelConfig(arch="gru", hidden=4, vocab=8, context_dim=2, unroll=6)
@@ -122,7 +140,7 @@ def test_lstm_checkpoint_round_trips(tmp_path):
                       fusion="outer", unroll=5)
     model = build_model(cfg, seed=2)
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=5), TrainState())
+    C.save_checkpoint(path, model, vocab, TrainConfig(), TrainState())
     loaded = C.model_from_checkpoint(C.load_checkpoint(path))
     batch = fixed_batch(len(vocab), ctx_dim=2)
     assert model.sequence_nll(batch)[0].item() == loaded.sequence_nll(batch)[0].item()
@@ -138,7 +156,7 @@ def test_loaded_parameters_are_owned_aligned_float32(tmp_path, arch, fusion, fus
                       fusion=fusion, fusion_bias=fusion_bias, unroll=6)
     model = build_model(cfg, seed=4)
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=6), TrainState())
+    C.save_checkpoint(path, model, vocab, TrainConfig(), TrainState())
     loaded = C.model_from_checkpoint(C.load_checkpoint(path))
     want = model.named_parameters()
     got = loaded.named_parameters()
@@ -201,7 +219,7 @@ def test_vocabulary_reads_across_read_ahead_chunks(tmp_path, monkeypatch, read_a
     vocab = D.Vocabulary([f"w{i}" + "é" * (i % 41) for i in range(3000)])
     model = build_model(ModelConfig(hidden=2, vocab=len(vocab), unroll=4), seed=0)
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=4), TrainState())
+    C.save_checkpoint(path, model, vocab, TrainConfig(), TrainState())
     ckpt = C.load_checkpoint(path)
     assert ckpt.vocab.id_to_token == vocab.id_to_token
     for name, tensor in model.named_parameters().items():
@@ -255,7 +273,7 @@ def test_every_mutated_byte_loads_or_raises_a_package_error(tmp_path):
     state = TrainState(epoch=1, lr=0.5, best_valid_ppl=8.25, best_epoch=1,
                        curve=[(1, 2.0, 2.1, math.exp(2.1), 1.0)])
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, build_model(cfg, seed=1), vocab, TrainConfig(unroll=6), state)
+    C.save_checkpoint(path, build_model(cfg, seed=1), vocab, TrainConfig(), state)
     blob = path.read_bytes()
     rng = np.random.default_rng(0)
     bad = tmp_path / "bad.mmlm"
@@ -277,7 +295,7 @@ def test_unknown_lstm_activation_in_a_checkpoint_is_refused(tmp_path):
     vocab = D.Vocabulary(["a", "b"])
     cfg = ModelConfig(arch="lstm", hidden=4, vocab=len(vocab), unroll=5)
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, build_model(cfg, seed=2), vocab, TrainConfig(unroll=5), TrainState())
+    C.save_checkpoint(path, build_model(cfg, seed=2), vocab, TrainConfig(), TrainState())
     blob = path.read_bytes()
     key = b"model.lstm_activation = tanh\n"
     assert key in blob
@@ -304,7 +322,7 @@ def test_parameter_table_model_and_checkpoint_agree(tmp_path, arch, fusion, fusi
     named = model.named_parameters()
     assert [(k, t.shape) for k, t in named.items()] == list(table.items())
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, model, vocab, TrainConfig(unroll=6), TrainState())
+    C.save_checkpoint(path, model, vocab, TrainConfig(), TrainState())
     ckpt = C.load_checkpoint(path)
     assert [(k, a.shape) for k, a in ckpt.tensors.items()] == list(table.items())
     loaded = C.model_from_checkpoint(ckpt).named_parameters()

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 import mmlm.cli as cli
 import mmlm.data as D
 from mmlm.checkpoint import load_checkpoint
+from mmlm.model import ModelConfig
 
 TOY_RAW = """\
 img1\tenglish\ttrain\tThe dog runs
@@ -141,6 +144,17 @@ def test_train_writes_artifacts(prep, capsys):
     assert len(ckpt.state.curve) == 2
 
 
+def test_checkpoint_curve_rows_equal_curve_csv(prep):
+    out = prep / "run"
+    assert cli.main(train_args(prep, out)) == 0
+    raw = (out / "model_last.mmlm").read_bytes()
+    (text_len,) = struct.unpack_from("<I", raw, 6)
+    text = raw[10:10 + text_len].decode("utf-8")
+    rows = [line[len("curve = "):] for line in text.splitlines() if line.startswith("curve = ")]
+    body = (out / "curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and rows == body
+
+
 def test_train_resume_is_bit_exact(prep):
     full, half = prep / "full", prep / "half"
     assert cli.main(train_args(prep, full, ["--max-epochs", "3"])) == 0
@@ -195,6 +209,20 @@ def test_train_unknown_config_key_exits_2(prep, capsys):
     cfg.write_text("hiden = 4\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(prep / "x")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_train_context_dim_is_not_an_option(prep, capsys):
+    # the dim comes from the context store; a text-only model keeps the default
+    cfg = prep / "run.cfg"
+    cfg.write_text("context_dim = 7\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(prep / "x")]) == 2
+    assert "unknown config key 'context_dim'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(train_args(prep, prep / "x", ["--context-dim", "7"]))
+    assert exc.value.code == 2
+    assert cli.main(train_args(prep, prep / "run", ["--max-epochs", "1"])) == 0
+    config = load_checkpoint(prep / "run/model_last.mmlm").model_config
+    assert config.context_dim == ModelConfig.context_dim
 
 
 def test_train_seed_from_environment(prep, monkeypatch):

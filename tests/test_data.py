@@ -53,6 +53,23 @@ def test_vocab_file_roundtrip(tmp_path):
     assert back.min_count == 2
 
 
+def test_vocab_file_keeps_words_that_start_with_a_hash(tmp_path):
+    v = D.build_vocab([["a", "#tag", "b", "#tag", "a", "#", "##x"]], min_count=1)
+    assert v.words == ["#tag", "a", "#", "##x", "b"]
+    p = tmp_path / "vocab.txt"
+    D.save_vocab(p, v)
+    back = D.load_vocab(p)
+    assert back.id_to_token == v.id_to_token
+    assert back.min_count == 1
+    # only the header lines of the documented form are headers
+    p.write_text("# min_count = 2\n#\n# mmlm vocabulary v1\n")
+    assert D.load_vocab(p).words == ["#", "# mmlm vocabulary v1"]
+    assert D.load_vocab(p).min_count == 2
+    p.write_text("# mmlm vocabulary v1\n# min_count = two\n")
+    with pytest.raises(FormatError):
+        D.load_vocab(p)
+
+
 def test_frame_and_single_word_example():
     framed = D.frame_ids([7], 49)
     assert framed == [D.BOS_ID, 7, D.EOS_ID]

@@ -9,7 +9,9 @@ import mmlm.data as D
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
 from mmlm.model import DecoderParams, ModelConfig, SequenceModel, build_model
-from oracles import forward_np, predict_next, sequence_nll_np, sequence_nll_per_step
+from oracles import (forward_np, forward_sequence, predict_next, sequence_nll_np,
+                     sequence_nll_per_step)
+from tape_ops import sum_all
 
 
 def tiny_config(**kw):
@@ -91,7 +93,7 @@ def test_uniform_model_distributions():
     m.decoder.U.data[:] = 0.0
     m.decoder.b_U.data[:] = 0.0
     batch = make_batch([[4, 5, 6], [7, 8, 9]])
-    for dist in m.forward_sequence(batch):
+    for dist in forward_sequence(m, batch):
         npt.assert_allclose(dist.data, np.full((2, 11), 1.0 / 11.0), rtol=1e-12)
     loss, count = m.sequence_nll(batch)
     assert count == 8  # two sentences, 3 words + EOS each
@@ -103,7 +105,7 @@ def test_distributions_sum_to_one():
         m = build_model(tiny_config(arch=arch, fusion="outer"), seed=2, dtype=np.float64)
         ctx = np.tile(np.array([0.3, -0.2, 0.5]), (2, 1))
         batch = make_batch([[4, 5], [6, 7, 8, 9]], contexts=ctx)
-        for dist in m.forward_sequence(batch):
+        for dist in forward_sequence(m, batch):
             npt.assert_allclose(dist.data.sum(axis=1), np.ones(2), atol=1e-6)
             assert dist.data.min() >= 0.0
 
@@ -116,7 +118,7 @@ def test_forward_matches_naive_oracle(arch, fusion):
     rng = np.random.default_rng(0)
     ctx = rng.uniform(-1, 1, (3, 3)) if fusion == "outer" else None
     batch = make_batch([[4, 5, 6, 7], [8, 9], [10, 4, 5]], contexts=ctx)
-    got = m.forward_sequence(batch)
+    got = forward_sequence(m, batch)
     want = forward_np(m, batch.tokens, batch.contexts)
     assert len(got) == len(want) == batch.tokens.shape[0]
     for g, w in zip(got, want):
@@ -167,16 +169,21 @@ def test_only_masked_targets_reach_the_decoder(monkeypatch):
     batch.mask = np.hstack([batch.mask, np.zeros((batch.mask.shape[0], 1), np.float32)])
     batch.image_ids = batch.image_ids + [""]
     seen = []
-    decode = T.target_log_probs
+    nll, decode = T.masked_nll, T._shifted_logits
 
-    def spy(h, w, b, targets):
-        seen.append((h.rows, list(targets)))
-        return decode(h, w, b, targets)
+    def spy_nll(hs, w, b, targets, mask):
+        seen.append(list(np.asarray(targets)[np.asarray(mask) > 0]))
+        return nll(hs, w, b, targets, mask)
 
-    monkeypatch.setattr(T, "target_log_probs", spy)
+    def spy_decode(h, w, b):
+        seen.append(h.shape[0])
+        return decode(h, w, b)
+
+    monkeypatch.setattr(T, "masked_nll", spy_nll)
+    monkeypatch.setattr(T, "_shifted_logits", spy_decode)
     loss, count = m.sequence_nll(batch)
     # 6 steps x 4 columns are stacked; 6 + 2 + 4 of them are targets
-    assert seen == [(int(batch.mask.sum()), [4, 9, 6, 5, 3, 4, 6, 5, 7, 3, 8, 3])]
+    assert seen == [[4, 9, 6, 5, 3, 4, 6, 5, 7, 3, 8, 3], int(batch.mask.sum())]
     assert count == 12
     with T.no_grad():
         assert m.sequence_nll(batch)[0].item() == loss.item()
@@ -247,7 +254,7 @@ def test_null_context_equals_explicit_zeros():
     loss_a, _ = m.sequence_nll(with_zeros)
     loss_b, _ = m.sequence_nll(with_null)
     assert loss_a.item() == loss_b.item()  # bit-exact
-    for da, db in zip(m.forward_sequence(with_zeros), m.forward_sequence(with_null)):
+    for da, db in zip(forward_sequence(m, with_zeros), forward_sequence(m, with_null)):
         npt.assert_array_equal(da.data, db.data)
 
 
@@ -263,7 +270,7 @@ def test_out_of_range_token_reports_position():
     batch = make_batch([[4, 5], [6, 7]])
     batch.tokens[2, 1] = 99
     with pytest.raises(DataError) as ei:
-        m.forward_sequence(batch)
+        forward_sequence(m, batch)
     msg = str(ei.value)
     assert "99" in msg and "step 2" in msg and "sequence 1" in msg
 
@@ -279,7 +286,7 @@ def test_predict_next_matches_forward_bit_exactly():
             mask=np.ones((len(prefix), 1), dtype=np.float32),
             contexts=batch_ctx, image_ids=[""],
         )
-        last = m.forward_sequence(batch)[-1]
+        last = forward_sequence(m, batch)[-1]
         npt.assert_array_equal(got, last.data[0])
 
 
@@ -306,7 +313,7 @@ def test_advance_is_consistent_with_forward():
         tokens=np.array(tokens, dtype=np.int64).reshape(-1, 1),
         mask=np.ones((3, 1), dtype=np.float32), contexts=ctx, image_ids=[""],
     )
-    dists = m.forward_sequence(batch)
+    dists = forward_sequence(m, batch)
     for lp, dist in zip(logps, dists):
         npt.assert_allclose(np.exp(lp), dist.data[0], atol=1e-12)
 
@@ -319,7 +326,7 @@ def test_advance_builds_no_tape():
         state, logp = m.advance(state, gain, tok)
         for t in (state.h, state.cell):
             assert not t.requires_grad and t._parents == ()
-    T.backward(T.sum_all(state.h))
+    T.backward(sum_all(state.h))
     for name, p in m.named_parameters().items():
         assert not p.grad.any(), name
 
@@ -367,7 +374,7 @@ def test_single_row_batch_runs():
         tokens=np.array([[D.BOS_ID]], dtype=np.int64),
         mask=np.zeros((1, 1), dtype=np.float32), contexts=None, image_ids=[""],
     )
-    dists = m.forward_sequence(batch)
+    dists = forward_sequence(m, batch)
     assert len(dists) == 1
     npt.assert_allclose(dists[0].data.sum(), 1.0, atol=1e-12)
 

@@ -53,7 +53,7 @@ def test_matmul_backward_hand_computed():
     # c = a @ b, loss = sum(c):  da = ones @ b.T, db = a.T @ ones
     a = T.param([[1.0, 2.0], [3.0, 4.0]])
     b = T.param([[5.0, 6.0], [7.0, 8.0]])
-    T.backward(T.sum_all(O.matmul(a, b)))
+    T.backward(O.sum_all(O.matmul(a, b)))
     npt.assert_array_equal(a.grad, [[11.0, 15.0], [11.0, 15.0]])
     npt.assert_array_equal(b.grad, [[4.0, 4.0], [6.0, 6.0]])
 
@@ -70,7 +70,7 @@ def test_add_and_hadamard_require_same_shape():
 def test_hadamard_backward():
     a = T.param([[2.0, 3.0]])
     b = T.param([[5.0, 7.0]])
-    T.backward(T.sum_all(O.hadamard(a, b)))
+    T.backward(O.sum_all(O.hadamard(a, b)))
     npt.assert_array_equal(a.grad, [[5.0, 7.0]])
     npt.assert_array_equal(b.grad, [[2.0, 3.0]])
 
@@ -109,20 +109,20 @@ def test_logistic_equals_the_piecewise_sigmoid(dtype):
 
 def test_relu_derivative_zero_at_zero():
     x = T.param([[-1.0, 0.0, 2.0]])
-    T.backward(T.sum_all(O.relu(x)))
+    T.backward(O.sum_all(O.relu(x)))
     npt.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
 def test_softmax_known_value():
     x = T.const([[math.log(1.0), math.log(3.0)]])
-    npt.assert_allclose(T.softmax_rows(x).data, [[0.25, 0.75]], rtol=1e-12)
+    npt.assert_allclose(O.softmax_rows(x).data, [[0.25, 0.75]], rtol=1e-12)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = T.const(rng.uniform(-50, 50, (4, 9)))
-        y = T.softmax_rows(x).data
+        y = O.softmax_rows(x).data
         assert y.min() >= 0.0
         npt.assert_allclose(y.sum(axis=1), np.ones(4), atol=1e-6)
 
@@ -130,8 +130,8 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     x = rng.uniform(-5, 5, (3, 7))
-    a = T.softmax_rows(T.const(x)).data
-    b = T.softmax_rows(T.const(x + 123.0)).data
+    a = O.softmax_rows(T.const(x)).data
+    b = O.softmax_rows(T.const(x + 123.0)).data
     npt.assert_allclose(a, b, atol=1e-12)
 
 
@@ -139,8 +139,8 @@ def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(2)
     x = rng.uniform(-10, 10, (5, 6))
     npt.assert_allclose(
-        T.log_softmax_rows(T.const(x)).data,
-        np.log(T.softmax_rows(T.const(x)).data),
+        O.log_softmax_rows(T.const(x)).data,
+        np.log(O.softmax_rows(T.const(x)).data),
         atol=1e-12,
     )
 
@@ -148,7 +148,7 @@ def test_log_softmax_matches_log_of_softmax():
 def test_transpose_backward():
     a = T.param([[1.0, 2.0, 3.0]])
     w = T.const([[1.0], [10.0], [100.0]])
-    T.backward(T.sum_all(O.hadamard(O.transpose(a), w)))
+    T.backward(O.sum_all(O.hadamard(O.transpose(a), w)))
     npt.assert_array_equal(a.grad, [[1.0, 10.0, 100.0]])
 
 
@@ -157,7 +157,7 @@ def test_add_row_and_mul_row():
     v = T.param([[10.0, 20.0]])
     out = T.add_row(x, v)
     npt.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
-    T.backward(T.sum_all(out))
+    T.backward(O.sum_all(out))
     npt.assert_array_equal(x.grad, np.ones((2, 2)))
     npt.assert_array_equal(v.grad, [[2.0, 2.0]])  # bias grad sums over rows
 
@@ -165,7 +165,7 @@ def test_add_row_and_mul_row():
     v2 = T.param([[10.0, 20.0]])
     out2 = O.mul_row(x2, v2)
     npt.assert_array_equal(out2.data, [[10.0, 40.0], [30.0, 80.0]])
-    T.backward(T.sum_all(out2))
+    T.backward(O.sum_all(out2))
     npt.assert_array_equal(x2.grad, [[10.0, 20.0], [10.0, 20.0]])
     npt.assert_array_equal(v2.grad, [[4.0, 6.0]])
 
@@ -183,7 +183,7 @@ def test_embed_columns_forward_and_backward():
     w = T.param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # hidden=2, vocab=3
     out = O.embed_columns(w, np.array([2, 0, 2]))
     npt.assert_array_equal(out.data, [[3.0, 6.0], [1.0, 4.0], [3.0, 6.0]])
-    T.backward(T.sum_all(out))
+    T.backward(O.sum_all(out))
     # column 2 looked up twice, column 0 once, column 1 never
     npt.assert_array_equal(w.grad, [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
 
@@ -193,7 +193,7 @@ def test_embed_columns_backward_into_cleared_grad():
     w = T.param([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     w.grad = None
     out = O.embed_columns(w, np.array([3, 1, 3, 3]))
-    T.backward(T.sum_all(O.hadamard(out, T.const([[1.0, 2.0], [3.0, 4.0],
+    T.backward(O.sum_all(O.hadamard(out, T.const([[1.0, 2.0], [3.0, 4.0],
                                                    [5.0, 6.0], [7.0, 8.0]]))))
     npt.assert_array_equal(w.grad, [[0.0, 3.0, 0.0, 13.0], [0.0, 4.0, 0.0, 16.0]])
     assert w.grad.flags.c_contiguous
@@ -251,7 +251,7 @@ def test_take_per_row():
     x = T.param([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     out = O.take_per_row(x, np.array([2, 0]))
     npt.assert_array_equal(out.data, [[3.0], [4.0]])
-    T.backward(T.scale(T.sum_all(out), 2.0))
+    T.backward(O.scale(O.sum_all(out), 2.0))
     npt.assert_array_equal(x.grad, [[0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
     with pytest.raises(DimensionError):
         O.take_per_row(x, np.array([0]))
@@ -262,12 +262,12 @@ def test_take_per_row():
 def test_backward_requires_scalar():
     a = T.param(np.ones((2, 2)))
     with pytest.raises(DimensionError):
-        T.backward(T.scale(a, 2.0))
+        T.backward(O.scale(a, 2.0))
 
 
 def test_backward_twice_is_state_error():
     a = T.param(np.ones((1, 1)))
-    loss = T.sum_all(T.scale(a, 3.0))
+    loss = O.sum_all(O.scale(a, 3.0))
     T.backward(loss)
     with pytest.raises(StateError):
         T.backward(loss)
@@ -275,7 +275,7 @@ def test_backward_twice_is_state_error():
 
 def test_constant_loss_leaves_grads_zero():
     a = T.param(np.ones((2, 2)))
-    loss = T.sum_all(T.const(np.ones((1, 1))))
+    loss = O.sum_all(T.const(np.ones((1, 1))))
     T.backward(loss)
     npt.assert_array_equal(a.grad, np.zeros((2, 2)))
 
@@ -284,15 +284,15 @@ def test_shared_subexpression_visited_once():
     # h is used twice; d(h*h + h)/da at a=3 is 2a + 1 = 7
     a = T.param([[3.0]])
     h = O.identity(a)
-    loss = T.sum_all(O.add(O.hadamard(h, h), h))
+    loss = O.sum_all(O.add(O.hadamard(h, h), h))
     T.backward(loss)
     npt.assert_array_equal(a.grad, [[7.0]])
 
 
 def test_grad_accumulates_across_tapes_until_zeroed():
     a = T.param([[1.0]])
-    T.backward(T.sum_all(T.scale(a, 2.0)))
-    T.backward(T.sum_all(T.scale(a, 3.0)))
+    T.backward(O.sum_all(O.scale(a, 2.0)))
+    T.backward(O.sum_all(O.scale(a, 3.0)))
     npt.assert_array_equal(a.grad, [[5.0]])
     T.zero_grad([a])
     npt.assert_array_equal(a.grad, [[0.0]])
@@ -328,10 +328,10 @@ def test_clip_gradients_leaves_norms_at_or_below_the_bound(scale):
 def test_finite_diff_check_rejects_float32_and_bad_eps():
     a = T.param(np.ones((1, 1), dtype=np.float32))
     with pytest.raises(ConfigError):
-        T.finite_diff_check(lambda: T.sum_all(a), [a])
+        T.finite_diff_check(lambda: O.sum_all(a), [a])
     b = T.param(np.ones((1, 1)))
     with pytest.raises(ConfigError):
-        T.finite_diff_check(lambda: T.sum_all(b), [b], eps=0.0)
+        T.finite_diff_check(lambda: O.sum_all(b), [b], eps=0.0)
 
 
 def test_finite_diff_check_flags_wrong_gradient():
@@ -340,7 +340,7 @@ def test_finite_diff_check_flags_wrong_gradient():
 
     def loss():
         out = T._result(a.data * 2.0, (a,), lambda g: T._accum(a, g * 5.0))
-        return T.sum_all(out)
+        return O.sum_all(out)
 
     assert T.finite_diff_check(loss, [a]) > 0.4
 
@@ -359,10 +359,10 @@ def test_finite_diff_random_graphs_stay_tight():
             x = T.add_row(O.matmul(a, b), v)
             g1 = O.sigmoid(x)
             g2 = O.tanh(O.mul_row(x, v))
-            mixed = O.add(O.hadamard(g1, g2), T.scale(g2, 0.5))
-            pick = O.take_per_row(T.log_softmax_rows(mixed), pick_cols)
+            mixed = O.add(O.hadamard(g1, g2), O.scale(g2, 0.5))
+            pick = O.take_per_row(O.log_softmax_rows(mixed), pick_cols)
             e = O.embed_columns(a, emb_ids)
-            return O.add(T.sum_all(pick), T.sum_all(T.softmax_rows(e)))
+            return O.add(O.sum_all(pick), O.sum_all(O.softmax_rows(e)))
 
         worst = max(worst, T.finite_diff_check(loss, [a, b, v], eps=1e-5))
     assert worst < 1e-6, worst
@@ -381,16 +381,16 @@ def test_matmul_t_matches_matmul_of_transpose():
 
 def test_sum_row_blocks_forward():
     x = T.const(np.arange(12.0).reshape(6, 2))
-    npt.assert_array_equal(T.sum_row_blocks(x, 3).data, [[12.0, 15.0], [18.0, 21.0]])
-    npt.assert_array_equal(T.sum_row_blocks(x, 1).data, x.data)
+    npt.assert_array_equal(O.sum_row_blocks(x, 3).data, [[12.0, 15.0], [18.0, 21.0]])
+    npt.assert_array_equal(O.sum_row_blocks(x, 1).data, x.data)
     with pytest.raises(DimensionError):
-        T.sum_row_blocks(x, 4)
+        O.sum_row_blocks(x, 4)
 
 
 def test_sum_row_blocks_adds_blocks_in_order():
     # 1 + 1e16 - 1e16 is 0 left to right; any other order gives 1
     x = T.const([[1.0], [1e16], [-1e16]])
-    assert T.sum_row_blocks(x, 3).item() == 0.0
+    assert O.sum_row_blocks(x, 3).item() == 0.0
 
 
 def test_finite_diff_matmul_t_put_rows_sum_row_blocks():
@@ -401,10 +401,10 @@ def test_finite_diff_matmul_t_put_rows_sum_row_blocks():
     w = T.const(rng.uniform(-1, 1, (5, 5)))
 
     def loss():
-        stacked = O.add(T.put_rows(a, [0, 1, 2], 5), T.put_rows(O.tanh(c), [3, 4], 5))
+        stacked = O.add(O.put_rows(a, [0, 1, 2], 5), O.put_rows(O.tanh(c), [3, 4], 5))
         y = T.matmul_t(stacked, b)
-        picked = T.sum_row_blocks(O.hadamard(O.sigmoid(y), w), 5)
-        return T.sum_all(O.hadamard(picked, picked))
+        picked = O.sum_row_blocks(O.hadamard(O.sigmoid(y), w), 5)
+        return O.sum_all(O.hadamard(picked, picked))
 
     assert T.finite_diff_check(loss, [a, b, c], eps=1e-5) < 1e-7
 
@@ -415,7 +415,7 @@ def test_no_grad_builds_no_tape_and_leaves_grads_alone():
     before = w.grad.copy()
     with T.no_grad():
         y = O.tanh(O.matmul(T.const([[1.0, 2.0]]), w))
-        loss = T.sum_all(y)
+        loss = O.sum_all(y)
     for node in (y, loss):
         assert not node.requires_grad
         assert node._parents == () and node._backward is None
@@ -423,14 +423,14 @@ def test_no_grad_builds_no_tape_and_leaves_grads_alone():
     T.backward(loss)
     npt.assert_array_equal(w.grad, before)
     # the tape is back after the block
-    assert T.sum_all(O.matmul(T.const([[1.0, 2.0]]), w))._parents != ()
+    assert O.sum_all(O.matmul(T.const([[1.0, 2.0]]), w))._parents != ()
 
 
 def test_no_grad_nests_and_restores_after_an_exception():
     w = T.param([[1.0]])
 
     def taped():
-        return T.scale(w, 2.0).requires_grad
+        return O.scale(w, 2.0).requires_grad
 
     with T.no_grad():
         with T.no_grad():
@@ -445,93 +445,161 @@ def test_no_grad_nests_and_restores_after_an_exception():
 
 def test_take_rows_and_put_rows():
     x = T.param([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    got = T.take_rows(x, [2, 0, 2])
+    got = O.take_rows(x, [2, 0, 2])
     npt.assert_array_equal(got.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
-    T.backward(T.sum_all(O.hadamard(got, T.const([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))))
+    T.backward(O.sum_all(O.hadamard(got, T.const([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))))
     npt.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])  # repeats add up
     y = T.param([[1.0], [2.0], [4.0]])
-    put = T.put_rows(y, [3, 0, 3], 5)
+    put = O.put_rows(y, [3, 0, 3], 5)
     npt.assert_array_equal(put.data, [[2.0], [0.0], [0.0], [5.0], [0.0]])
-    T.backward(T.sum_all(O.hadamard(put, T.const([[1.0], [2.0], [3.0], [4.0], [5.0]]))))
+    T.backward(O.sum_all(O.hadamard(put, T.const([[1.0], [2.0], [3.0], [4.0], [5.0]]))))
     npt.assert_array_equal(y.grad, [[4.0], [1.0], [4.0]])
     with pytest.raises(DataError):
-        T.take_rows(x, [3])
+        O.take_rows(x, [3])
     with pytest.raises(DataError):
-        T.put_rows(y, [0, 1, 5], 5)
+        O.put_rows(y, [0, 1, 5], 5)
     with pytest.raises(DimensionError):
-        T.put_rows(y, [0, 1], 5)
+        O.put_rows(y, [0, 1], 5)
     with pytest.raises(DimensionError):
-        T.take_rows(x, [[0]])
+        O.take_rows(x, [[0]])
 
 
-def _decoder_chain(h, w, b, targets):
-    logits = T.matmul_t(h, w)
+def _decoder_chain(hs, w, b, targets, mask):
+    """masked_nll as the op chain it replaced: the decoder on the masked rows,
+    put back in place, summed per sequence in step order, then over
+    sequences."""
+    scored = np.flatnonzero(mask.reshape(-1))
+    logits = T.matmul_t(O.take_rows(hs, scored), w)
     if b is not None:
         logits = T.add_row(logits, b)
-    return O.take_per_row(T.log_softmax_rows(logits), targets)
+    picked = O.take_per_row(O.log_softmax_rows(logits), targets.reshape(-1)[scored])
+    per_seq = O.sum_row_blocks(O.put_rows(picked, scored, targets.size), targets.shape[0])
+    return O.scale(O.sum_all(per_seq), -1.0)
+
+
+# 3 steps of 4 sequences, the last one all padding
+MASK = np.array([[1, 1, 1, 0], [1, 0, 1, 0], [1, 0, 1, 0]], dtype=np.float32)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bias", [True, False])
-def test_target_log_probs_equals_the_op_chain(monkeypatch, dtype, bias):
+def test_masked_nll_equals_the_op_chain(monkeypatch, dtype, bias):
     # a 100-byte scratch holds one or two rows of 11 classes, so the
-    # exponentials of the 7 rows take several blocks
+    # exponentials of the 7 decoded rows take several blocks
     monkeypatch.setattr(T, "_EXP_BLOCK_BYTES", 100)
     rng = np.random.default_rng(6)
-    h = T.param(rng.uniform(-3, 3, (7, 5)).astype(dtype))
+    hs = T.param(rng.uniform(-3, 3, (12, 5)).astype(dtype))
     w = T.param(rng.uniform(-3, 3, (11, 5)).astype(dtype))
     b = T.param(rng.uniform(-1, 1, (1, 11)).astype(dtype)) if bias else None
-    targets = rng.integers(0, 11, 7)
-    leaves = [h, w] + ([b] if bias else [])
-    want = _decoder_chain(h, w, b, targets)
-    T.backward(T.sum_all(O.hadamard(want, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
+    targets = rng.integers(0, 11, (3, 4))
+    leaves = [hs, w] + ([b] if bias else [])
+    want = _decoder_chain(hs, w, b, targets, MASK)
+    T.backward(O.scale(want, 3.0))
     want_grads = [p.grad.copy() for p in leaves]
     T.zero_grad(leaves)
-    got = T.target_log_probs(h, w, b, targets)
-    npt.assert_array_equal(got.data, want.data)
+    got = T.masked_nll(hs, w, b, targets, MASK)
+    assert got.data.tobytes() == want.data.tobytes()
     with T.no_grad():
-        npt.assert_array_equal(T.target_log_probs(h, w, b, targets).data, want.data)
-    T.backward(T.sum_all(O.hadamard(got, T.const(np.arange(7.0, dtype=dtype).reshape(7, 1)))))
+        assert T.masked_nll(hs, w, b, targets, MASK).data.tobytes() == want.data.tobytes()
+    T.backward(O.scale(got, 3.0))
     tol = 1e-6 if dtype == np.float32 else 1e-14
     for p, g in zip(leaves, want_grads):
         npt.assert_allclose(p.grad, g, rtol=tol, atol=tol)
+    assert not hs.grad[MASK.reshape(-1) == 0].any()  # undecoded rows get no gradient
 
 
-def test_finite_diff_target_log_probs_take_rows_put_rows():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_probs_equals_the_op_chain(monkeypatch, dtype):
+    monkeypatch.setattr(T, "_EXP_BLOCK_BYTES", 100)
+    rng = np.random.default_rng(8)
+    h = T.const(rng.uniform(-3, 3, (7, 5)).astype(dtype))
+    w = T.param(rng.uniform(-3, 3, (11, 5)).astype(dtype))
+    b = T.param(rng.uniform(-1, 1, (1, 11)).astype(dtype))
+    want = O.log_softmax_rows(T.add_row(T.matmul_t(h, w), b)).data
+    assert T.log_probs(h, w, b).tobytes() == want.tobytes()
+    want = O.log_softmax_rows(T.matmul_t(h, w)).data
+    assert T.log_probs(h, w, None).tobytes() == want.tobytes()
+
+
+def _step_order_nll(logp, targets, mask):
+    """-(sum over sequences of each sequence's log-probs added in step
+    order), one addition at a time in logp's dtype."""
+    total = None
+    for j in range(targets.shape[1]):
+        seq = logp.dtype.type(0.0)
+        for t in range(targets.shape[0]):
+            if mask[t, j]:
+                seq = seq + logp[t * targets.shape[1] + j, targets[t, j]]
+        total = seq if total is None else total + seq
+    return -total
+
+
+def test_masked_nll_adds_each_sequence_in_step_order():
+    # one class ten orders of magnitude below the rest: adding 1.386 to
+    # -1e16 moves it by 2, so the order of the additions shows in the sum
+    h = T.const(np.zeros((6, 2)))
+    w = T.const(np.zeros((5, 2)))
+    b = T.const([[0.0, 0.0, 0.0, 0.0, -1e16]])
+    targets = np.array([[4, 0], [0, 4], [0, 1]])
+    mask = np.ones((3, 2))
+    logp = T.log_probs(h, w, b)
+    got = T.masked_nll(h, w, b, targets, mask).item()
+    assert got == _step_order_nll(logp, targets, mask)
+    assert got != _step_order_nll(logp, targets[::-1], mask)  # the order matters here
+    # random float32 rows on a ragged batch, and one sequence of 20 steps,
+    # where numpy's pairwise sum over the steps gives another result
+    rng = np.random.default_rng(10)
+    for steps, batch in ((3, 4), (20, 1)):
+        h = T.const(rng.uniform(-3, 3, (steps * batch, 5)).astype(np.float32))
+        w = T.const(rng.uniform(-3, 3, (11, 5)).astype(np.float32))
+        targets = rng.integers(0, 11, (steps, batch))
+        mask = MASK if batch == 4 else np.ones((steps, 1), np.float32)
+        logp = T.log_probs(h, w, None)
+        got = T.masked_nll(h, w, None, targets, mask).data[0, 0]
+        assert got == _step_order_nll(logp, targets, mask)
+    assert got != -logp[np.arange(steps), targets[:, 0]].sum()
+
+
+def test_finite_diff_masked_nll():
     rng = np.random.default_rng(7)
     a = T.param(rng.uniform(-1, 1, (6, 4)))
     w = T.param(rng.uniform(-1, 1, (9, 4)))
     b = T.param(rng.uniform(-1, 1, (1, 9)))
-    rows = [5, 1, 2, 4]
+    targets = np.array([[8, 0], [3, 5], [3, 2]])
+    mask = np.array([[1, 1], [1, 0], [1, 0]])
 
     def loss():
-        picked = T.target_log_probs(T.take_rows(O.tanh(a), rows), w, b, [8, 0, 3, 3])
-        return T.sum_all(T.sum_row_blocks(T.put_rows(picked, rows, 6), 3))
+        return T.masked_nll(O.tanh(a), w, b, targets, mask)
 
     assert T.finite_diff_check(loss, [a, w, b], eps=1e-5) < 1e-7
 
 
-def test_target_log_probs_validates_and_backs_up_once():
+def test_masked_nll_validates_and_backs_up_once():
     h = T.param(np.zeros((2, 3)))
     w = T.param(np.zeros((4, 3)))
+    tgt, mask = np.array([[0, 3]]), np.ones((1, 2))
     with pytest.raises(DimensionError):
-        T.target_log_probs(h, T.param(np.zeros((4, 2))), None, [0, 1])
+        T.masked_nll(h, T.param(np.zeros((4, 2))), None, tgt, mask)
     with pytest.raises(DimensionError):
-        T.target_log_probs(h, w, T.param(np.zeros((1, 3))), [0, 1])
+        T.masked_nll(h, w, T.param(np.zeros((1, 3))), tgt, mask)
     with pytest.raises(DimensionError):
-        T.target_log_probs(h, w, None, [0])
+        T.masked_nll(h, w, None, np.array([[0]]), np.ones((1, 1)))
+    with pytest.raises(DimensionError):
+        T.masked_nll(h, w, None, tgt, np.ones((2, 1)))
     with pytest.raises(DataError):
-        T.target_log_probs(h, w, None, [0, 4])
+        T.masked_nll(h, w, None, np.array([[0, 4]]), mask)
     with pytest.raises(ConfigError):
-        T.target_log_probs(h, T.param(np.zeros((4, 3), dtype=np.float32)), None, [0, 1])
-    # uniform logits: log(1/4) at every row
-    y = T.target_log_probs(h, w, None, [0, 3])
-    npt.assert_allclose(y.data, np.log([[0.25], [0.25]]), rtol=1e-15)
+        T.masked_nll(h, T.param(np.zeros((4, 3), dtype=np.float32)), None, tgt, mask)
+    # a target out of range is fine where the mask skips it
+    T.masked_nll(h, w, None, np.array([[0, 4]]), np.array([[1, 0]]))
+    # uniform logits: -log(1/4) at every target
+    y = T.masked_nll(h, w, None, tgt, mask)
+    npt.assert_allclose(y.item(), 2 * np.log(4.0), rtol=1e-15)
     # the backward consumes the kept logits, so a second sweep through the
     # node is refused instead of reading them twice
-    T.backward(T.sum_all(y))
+    T.backward(y)
     with pytest.raises(StateError):
-        T.backward(T.scale(T.sum_all(y), 2.0))
+        T.backward(O.scale(y, 2.0))
 
 
 def test_seed_stream_deterministic_and_name_split():

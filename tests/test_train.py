@@ -32,7 +32,7 @@ def small_setup(seed=0, hidden=8, dtype=np.float64):
 def test_train_config_validation():
     TR.TrainConfig(max_epochs=0).validate()
     for bad in (
-        dict(lr=0.0), dict(clip=0.0), dict(batch_size=0), dict(unroll=0),
+        dict(lr=0.0), dict(clip=0.0), dict(batch_size=0),
         dict(max_epochs=-1), dict(patience=0), dict(schedule="plateau"),
     ):
         with pytest.raises(ConfigError):
@@ -140,7 +140,7 @@ def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
     cfg = ModelConfig(arch="lstm", hidden=8, vocab=len(vocab), unroll=8)
     fresh = build_model(cfg, seed=5)
     path = str(tmp_path / "m.mmlm")
-    CK.save_checkpoint(path, fresh, vocab, TR.TrainConfig(unroll=8), TR.TrainState())
+    CK.save_checkpoint(path, fresh, vocab, TR.TrainConfig(), TR.TrainState())
     for model in (fresh, CK.model_from_checkpoint(CK.load_checkpoint(path))):
         assert all(p.grad_block is None for p in model.parameters())
 
@@ -238,7 +238,7 @@ def _fit_once(max_epochs, seed=1, state=None, model=None, on_epoch=None):
     recs, vocab, fresh = small_setup(seed=11)
     model = model if model is not None else fresh
     valid = make_records(["a b", "c d e"], split="valid")
-    cfg = TR.TrainConfig(lr=0.5, clip=2.0, batch_size=2, unroll=8,
+    cfg = TR.TrainConfig(lr=0.5, clip=2.0, batch_size=2,
                          max_epochs=max_epochs, seed=seed)
     st = TR.fit(model, recs, valid, vocab, cfg, state=state, on_epoch=on_epoch)
     return model, st
@@ -292,14 +292,10 @@ def test_fit_tracks_best_snapshot():
     npt.assert_allclose(ppl, state.best_valid_ppl, rtol=1e-12)
 
 
-def test_fit_on_epoch_callback_and_unroll_mismatch():
+def test_fit_on_epoch_callback():
     seen = []
     _fit_once(3, on_epoch=lambda st: seen.append(st.epoch))
     assert seen == [1, 2, 3]
-    recs, vocab, model = small_setup()
-    cfg = TR.TrainConfig(unroll=5, max_epochs=1)  # model was built with unroll=8
-    with pytest.raises(ConfigError):
-        TR.fit(model, recs, recs, vocab, cfg)
 
 
 def test_format_curve_roundtrips_floats():
