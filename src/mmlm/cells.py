@@ -71,17 +71,22 @@ def draw(init: str, rng, shape: tuple, dtype) -> np.ndarray:
     """A fresh parameter array: "uniform" draws U(-0.1, 0.1) row-major from
     rng, "zeros" and "ones" draw nothing.
 
-    The uniform draws go in blocks straight into the array, so a V x H
-    matrix never has a float64 copy the size of itself; the values are the
-    same as one rng.uniform call of the full shape.
+    The uniform draws go in blocks of float64 straight into the array, so a
+    V x H matrix never has a float64 copy the size of itself. Each block is
+    filled by rng.random and mapped to -0.1 + 0.2 u, the arithmetic of
+    rng.uniform(-0.1, 0.1), so the values are the same as one rng.uniform
+    call of the full shape.
     """
     if init != "uniform":
         return {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
     out = np.empty(shape, dtype=dtype)
     flat = out.reshape(-1)
+    buf = np.empty(min(_DRAW_BLOCK, flat.size))
     for start in range(0, flat.size, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, flat.size)
-        flat[start:stop] = rng.uniform(-0.1, 0.1, size=stop - start)
+        u = buf[:min(_DRAW_BLOCK, flat.size - start)]
+        rng.random(out=u)
+        u *= 0.2
+        np.add(u, -0.1, out=flat[start:start + u.size])
     return out
 
 
@@ -282,7 +287,7 @@ def _delta_forward(p, xs, g, h, c, kept):
     V, alpha, beta1 = p.V.data, p.alpha.data, p.beta1.data
     out = np.empty_like(x)
     for t in range(len(x)):
-        d_rec = h @ V.T
+        d_rec = tz.dot_t(h, V)
         pre = d_rec * x[t] * alpha + (d_rec * beta1 + dat[t])
         if inner:
             pre = pre + g
@@ -334,10 +339,10 @@ def _gru_forward(p, xs, g, h, c, kept):
     V_z, V_r, V_h = p.V_z.data, p.V_r.data, p.V_h.data
     out = np.empty_like(x_z)
     for t in range(len(x_z)):
-        z = tz.logistic(x_z[t] + h @ V_z.T)
-        r = tz.logistic(x_r[t] + h @ V_r.T)
+        z = tz.logistic(x_z[t] + tz.dot_t(h, V_z))
+        r = tz.logistic(x_r[t] + tz.dot_t(h, V_r))
         rh = r * h
-        cand = np.tanh(x_h[t] + rh @ V_h.T)
+        cand = np.tanh(x_h[t] + tz.dot_t(rh, V_h))
         new = z * h + (1.0 - z) * cand
         if kept is not None:
             kept.append((z, r, rh, cand, new))
@@ -382,11 +387,11 @@ def _lstm_forward(p, xs, g, h, c, kept):
     phi = lstm_activation(p.activation)[0]
     out = np.empty_like(x_z)
     for t in range(len(x_z)):
-        z = phi(x_z[t] + h @ V_z.T)
-        i = tz.logistic(x_i[t] + h @ V_i.T + c * U_i)
-        f = tz.logistic(x_f[t] + h @ V_f.T + c * U_f)
+        z = phi(x_z[t] + tz.dot_t(h, V_z))
+        i = tz.logistic(x_i[t] + tz.dot_t(h, V_i) + c * U_i)
+        f = tz.logistic(x_f[t] + tz.dot_t(h, V_f) + c * U_f)
         c = f * c + i * z
-        o = tz.logistic(x_r[t] + h @ V_r.T + c * U_r)
+        o = tz.logistic(x_r[t] + tz.dot_t(h, V_r) + c * U_r)
         phi_c = phi(c)
         y = o * phi_c
         if kept is not None:

@@ -47,9 +47,7 @@ def _config(cls, opts: dict, **given):
 
 def read_config_file(path) -> dict:
     """Parse `key = value` lines; full-line # comments; keys per schema."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    values = read_key_values(text, path, ConfigError, keys=_TRAIN_KEYS)
+    values = read_key_values(D.read_text(path), path, ConfigError, keys=_TRAIN_KEYS)
     for key, val in values.items():
         try:
             values[key] = parse_value(_TRAIN_KEYS[key][0], val)
@@ -144,9 +142,11 @@ def cmd_train(args) -> int:
         raise UsageError(f"{opts['captions']}: no valid-split records; "
                          "the schedule needs a validation set")
     store = D.load_contexts(opts["contexts"]) if opts["contexts"] else None
-    if opts["fusion"] != "none" and store is None:
+    fused = opts["fusion"] != "none"
+    if fused and store is None:
         raise UsageError("fused training needs --contexts")
-    context_dim = store.dim if store is not None else ModelConfig.context_dim
+    # a text-only model never reads the contexts, so their dim stays out of its config
+    context_dim = store.dim if fused else ModelConfig.context_dim
     vocab = (D.load_vocab(opts["vocab"]) if opts["vocab"]
              else D.build_vocab(train_records, min_count=opts["min_count"]))
     model_config = _config(ModelConfig, opts, vocab=len(vocab), context_dim=context_dim)

@@ -11,6 +11,7 @@ External formats:
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -27,6 +28,23 @@ SPLITS = ("train", "valid", "test")
 CONTEXT_MAGIC = b"MMCV"
 CONTEXT_VERSION = 1
 UNK_SUBWORD = "[UNK]"
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents with its newlines translated, as
+    open(path, encoding="utf-8").read() gives them; bytes that are not UTF-8
+    are a FormatError naming the line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return _universal_newlines(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        line = _universal_newlines(raw[:e.start].decode("utf-8")).count("\n") + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class Vocabulary:
@@ -103,19 +121,17 @@ def load_vocab(path) -> Vocabulary:
     as such; every other line is a word, also one that starts with #."""
     min_count = 1
     words = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not words and line == VOCAB_HEADER:
-                continue
-            if not words and line.startswith(MIN_COUNT_HEADER):
-                try:
-                    min_count = int(line[len(MIN_COUNT_HEADER):])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad min_count header") from None
-                continue
-            if line:
-                words.append(line)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not words and line == VOCAB_HEADER:
+            continue
+        if not words and line.startswith(MIN_COUNT_HEADER):
+            try:
+                min_count = int(line[len(MIN_COUNT_HEADER):])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad min_count header") from None
+            continue
+        if line:
+            words.append(line)
     return Vocabulary(words, min_count=min_count)
 
 
@@ -129,23 +145,21 @@ class CaptionRecord:
 
 def read_captions(path) -> list:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-            image_id, language, split, text = parts
-            if not image_id:
-                raise FormatError(f"{path}:{lineno}: empty image id")
-            if split not in SPLITS:
-                raise FormatError(f"{path}:{lineno}: split must be one of {SPLITS}, got {split!r}")
-            tokens = text.split()
-            if not tokens:
-                raise FormatError(f"{path}:{lineno}: caption has no tokens")
-            records.append(CaptionRecord(image_id, language, split, tokens))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        image_id, language, split, text = parts
+        if not image_id:
+            raise FormatError(f"{path}:{lineno}: empty image id")
+        if split not in SPLITS:
+            raise FormatError(f"{path}:{lineno}: split must be one of {SPLITS}, got {split!r}")
+        tokens = text.split()
+        if not tokens:
+            raise FormatError(f"{path}:{lineno}: caption has no tokens")
+        records.append(CaptionRecord(image_id, language, split, tokens))
     return records
 
 
@@ -190,37 +204,28 @@ class ContextStore:
 
 def load_contexts_text(path) -> ContextStore:
     store = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected `id TAB values`")
-            image_id, values = parts
-            try:
-                vec = np.array([float(x) for x in values.split()], dtype=np.float32)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: unparseable float") from None
-            if vec.size == 0:
-                raise FormatError(f"{path}:{lineno}: no values")
-            if store is None:
-                store = ContextStore(vec.size)
-            try:
-                store.add(image_id, vec)
-            except (DimensionError, DataError) as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected `id TAB values`")
+        image_id, values = parts
+        try:
+            vec = np.array([float(x) for x in values.split()], dtype=np.float32)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: unparseable float") from None
+        if vec.size == 0:
+            raise FormatError(f"{path}:{lineno}: no values")
+        if store is None:
+            store = ContextStore(vec.size)
+        try:
+            store.add(image_id, vec)
+        except (DimensionError, DataError) as e:
+            raise FormatError(f"{path}:{lineno}: {e}") from None
     if store is None:
         raise FormatError(f"{path}: no context records")
     return store
-
-
-def save_contexts_text(path, store: ContextStore) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id in store.ids():
-            vec = store.get(image_id)
-            fh.write(image_id + "\t" + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
 def save_contexts_binary(path, store: ContextStore) -> None:
@@ -234,33 +239,40 @@ def save_contexts_binary(path, store: ContextStore) -> None:
             fh.write(store.get(image_id).astype("<f4").tobytes())
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+def _read_exact(fh, n: int, size: int, path, what: str) -> bytes:
+    """The next n bytes of a file of `size` bytes. The bytes left are
+    checked first, so a corrupt length cannot ask for gigabytes."""
+    if n > size - fh.tell():
         raise FormatError(f"{path}: truncated while reading {what}")
-    return buf
+    return fh.read(n)
 
 
 def load_contexts_binary(path) -> ContextStore:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
+        size = os.fstat(fh.fileno()).st_size
+        magic = _read_exact(fh, 4, size, path, "magic")
         if magic != CONTEXT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {CONTEXT_MAGIC!r}")
-        version, dim, count = struct.unpack("<HIQ", _read_exact(fh, 14, path, "header"))
+        version, dim, count = struct.unpack("<HIQ", _read_exact(fh, 14, size, path, "header"))
         if version != CONTEXT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if dim < 1:
+            raise FormatError(f"{path}: context dimension must be positive, got {dim}")
         store = ContextStore(dim)
         for i in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, f"record {i + 1} id length"))
-            image_id = _read_exact(fh, id_len, path, f"record {i + 1} id").decode("utf-8")
-            vec = np.frombuffer(
-                _read_exact(fh, 4 * dim, path, f"record {i + 1} vector"), dtype="<f4"
-            )
+            what = f"record {i + 1}"
+            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, size, path, f"{what} id length"))
+            try:
+                image_id = _read_exact(fh, id_len, size, path, f"{what} id").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: {what}: id is not UTF-8") from None
+            vec = np.frombuffer(_read_exact(fh, 4 * dim, size, path, f"{what} vector"),
+                                dtype="<f4")
             try:
                 store.add(image_id, vec)
             except DataError as e:
-                raise FormatError(f"{path}: record {i + 1}: {e}") from None
-        if fh.read(1):
+                raise FormatError(f"{path}: {what}: {e}") from None
+        if fh.tell() != size:
             raise FormatError(f"{path}: trailing bytes after {count} records")
     return store
 
@@ -370,28 +382,26 @@ class PretrainedEmbeddings:
     @classmethod
     def load(cls, path) -> "PretrainedEmbeddings":
         vectors: dict = {}
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline().strip()
+        first, *lines = read_text(path).split("\n")
+        try:
+            dim = int(first.strip())
+        except ValueError:
+            raise FormatError(f"{path}:1: first line must be the vector dimension") from None
+        if dim < 1:
+            raise FormatError(f"{path}:1: dimension must be positive, got {dim}")
+        for lineno, line in enumerate(lines, start=2):
+            if not line:
+                continue
+            parts = line.split(" ")
+            if len(parts) != dim + 1:
+                raise FormatError(f"{path}:{lineno}: expected token + {dim} floats, got {len(parts) - 1}")
+            token = parts[0]
+            if token in vectors:
+                raise FormatError(f"{path}:{lineno}: duplicate subword {token!r}")
             try:
-                dim = int(first)
+                vectors[token] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
-                raise FormatError(f"{path}:1: first line must be the vector dimension") from None
-            if dim < 1:
-                raise FormatError(f"{path}:1: dimension must be positive, got {dim}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if len(parts) != dim + 1:
-                    raise FormatError(f"{path}:{lineno}: expected token + {dim} floats, got {len(parts) - 1}")
-                token = parts[0]
-                if token in vectors:
-                    raise FormatError(f"{path}:{lineno}: duplicate subword {token!r}")
-                try:
-                    vectors[token] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: unparseable float") from None
+                raise FormatError(f"{path}:{lineno}: unparseable float") from None
         if not vectors:
             raise FormatError(f"{path}: no subword vectors")
         return cls(vectors, dim)

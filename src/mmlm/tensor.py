@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
 import struct
 from typing import Callable, Iterable
@@ -153,6 +154,53 @@ def _need_same_dtype(op: str, a: Tensor, b: Tensor) -> None:
         )
 
 
+_WEIGHT_MAJOR_ROWS = 32  # most rows of x that dot_t multiplies weight-major
+_WEIGHT_MAJOR_MIN_SIZE = 1 << 15  # fewest entries of w that dot_t multiplies weight-major
+
+
+def dot_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T for a weight w stored one output per row, as a C-contiguous
+    array equal to x @ w.T bit for bit.
+
+    A product of at most _WEIGHT_MAJOR_ROWS rows with a w of at least
+    _WEIGHT_MAJOR_MIN_SIZE entries runs weight-major, as (w @ x.T).T copied
+    back to row order, wherever the BLAS gives both orders the same bytes
+    (see _orders_agree). OpenBLAS packs the whole right operand on every
+    call, and a transposed right operand is its slow case: at 13 rows over
+    an 8000 x 256 float32 decoder, x @ w.T takes about 1.4 times as long as
+    the weight-major product and its copy. From 64 rows on, the copy costs
+    more than the order saves. So does it, and the call, for a small w: a
+    64 x 64 product took 1.1 to 1.4 times as long weight-major at every
+    row count from 2 to 32.
+    """
+    if (x.shape[0] > _WEIGHT_MAJOR_ROWS or w.size < _WEIGHT_MAJOR_MIN_SIZE
+            or not _orders_agree(x.dtype)):
+        return x @ w.T
+    return np.ascontiguousarray((w @ x.T).T)
+
+
+@functools.cache
+def _orders_agree(dtype: np.dtype) -> bool:
+    """Whether this BLAS gives x @ w.T and (w @ x.T).T the same bytes in
+    dtype, tried on 1 to _WEIGHT_MAJOR_ROWS rows of x against a 203 x 24 w.
+
+    The answer depends on the BLAS kernels. With OpenBLAS 0.3.31's AVX-512
+    kernels (SkylakeX), float32 agreed at every shape tried, and float64
+    differs from 12 rows on for a w whose row count is 193 or more and not
+    a multiple of 8, as the probe's is. With its AVX2 kernels (Haswell,
+    Zen), both dtypes differ from 3 or 4 rows on once w has 20 columns.
+    """
+    # values over [-1, 1] with full mantissas; numpy.random would cost its
+    # import, about 20 ms, in a command that draws nothing
+    w = np.sin(np.arange(203 * 24)).reshape(203, 24).astype(dtype)
+    xs = np.cos(0.7 * np.arange(_WEIGHT_MAJOR_ROWS * 24)).reshape(-1, 24).astype(dtype)
+    for rows in range(1, _WEIGHT_MAJOR_ROWS + 1):
+        x = xs[:rows]
+        if (x @ w.T).tobytes() != np.ascontiguousarray((w @ x.T).T).tobytes():
+            return False
+    return True
+
+
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T for a weight b stored one output per row.
 
@@ -167,7 +215,7 @@ def matmul_t(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.data)
         _accum(b, g.T @ a.data)
 
-    return _result(a.data @ b.data.T, (a, b), back)
+    return _result(dot_t(a.data, b.data), (a, b), back)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -255,7 +303,7 @@ def _shifted_logits(h: np.ndarray, w: np.ndarray, b) -> tuple:
     BLAS call packs all of w again. Their exponentials go through a scratch
     buffer of about 2 MiB, one row block at a time.
     """
-    z = h @ w.T
+    z = dot_t(h, w)
     if b is not None:
         z += b
     z -= z.max(axis=1, keepdims=True)
@@ -407,40 +455,6 @@ def clip_gradients(grads: dict, bound: float) -> dict:
 
 
 _NORM_BLOCK = 1 << 16  # entries per float64 block of the norm: 512 KiB
-
-
-def finite_diff_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1e-4) -> float:
-    """Compare analytic gradients of f() against central differences.
-
-    f must rebuild its graph from the given parameter leaves on every call
-    and return a 1x1 loss. Returns the worst relative error
-    |a - n| / max(1e-8, |a| + |n|) over all parameter components.
-    """
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    params = list(params)
-    for p in params:
-        if p.data.dtype != np.float64:
-            raise ConfigError("finite_diff_check runs in 64-bit mode; cast parameters first")
-    zero_grad(params)
-    backward(f())
-    analytic = [p.grad.copy() for p in params]
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lp = f().item()
-            flat[i] = orig - eps
-            lm = f().item()
-            flat[i] = orig
-            num = (lp - lm) / (2.0 * eps)
-            err = abs(gflat[i] - num) / max(1e-8, abs(gflat[i]) + abs(num))
-            if err > worst:
-                worst = err
-    return worst
 
 
 def seed_stream(seed: int, name: str) -> np.random.Generator:

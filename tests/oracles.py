@@ -6,7 +6,8 @@ tautology. The rest keep the package's earlier code as references for the
 code that replaced them: the piecewise sigmoid, the cell steps built from
 one tape op per product and gate (with step, predict_next and
 sequence_nll_per_step around them), the decoder as tape ops
-(forward_sequence), and the per-candidate beam search.
+(forward_sequence), and the per-candidate beam search. finite_diff_check
+holds the tape's gradients against central differences.
 """
 
 import numpy as np
@@ -311,3 +312,37 @@ def beam_search_per_candidate(model, context=None, width=13, max_len=None,
         return (-score, len(h.ids), h.ids)
 
     return sorted(completed, key=rank_key)
+
+
+def finite_diff_check(f, params, eps: float = 1e-4) -> float:
+    """Compare analytic gradients of f() against central differences.
+
+    f must rebuild its graph from the given parameter leaves on every call
+    and return a 1x1 loss. Returns the worst relative error
+    |a - n| / max(1e-8, |a| + |n|) over all parameter components.
+    """
+    if not eps > 0:
+        raise ConfigError(f"eps must be positive, got {eps}")
+    params = list(params)
+    for p in params:
+        if p.data.dtype != np.float64:
+            raise ConfigError("finite_diff_check runs in 64-bit mode; cast parameters first")
+    T.zero_grad(params)
+    T.backward(f())
+    analytic = [p.grad.copy() for p in params]
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lp = f().item()
+            flat[i] = orig - eps
+            lm = f().item()
+            flat[i] = orig
+            num = (lp - lm) / (2.0 * eps)
+            err = abs(gflat[i] - num) / max(1e-8, abs(gflat[i]) + abs(num))
+            if err > worst:
+                worst = err
+    return worst

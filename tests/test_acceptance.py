@@ -26,7 +26,7 @@ from mmlm.data import BOS_ID, EOS_ID, PAD_ID
 from mmlm.errors import ConfigError
 from mmlm.model import ModelConfig, build_model
 from mmlm.tensor import seed_stream
-from oracles import forward_sequence
+from oracles import finite_diff_check, forward_sequence
 
 
 # -- 1. gradient correctness -------------------------------------------------
@@ -65,7 +65,7 @@ def test_criterion_1_gradients_match_finite_differences():
         def loss():
             return model.sequence_nll(batch)[0]
 
-        err = T.finite_diff_check(loss, model.parameters(), eps=1e-4)
+        err = finite_diff_check(loss, model.parameters(), eps=1e-4)
         print(f"{arch}/{fusion}/bias={bias}: max rel err {err:.3e}", flush=True)
         assert err <= 1e-4, (arch, fusion, bias, err)
         worst_overall = max(worst_overall, err)

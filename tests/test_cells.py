@@ -13,7 +13,7 @@ from mmlm.model import ModelConfig, build_model
 
 
 from oracles import np_sigmoid, delta_step_np as delta_oracle, gru_step_np as gru_oracle, lstm_step_np as lstm_oracle
-from oracles import delta_rnn_step, gru_step, logits, lstm_step, step as oracle_step
+from oracles import delta_rnn_step, finite_diff_check, gru_step, logits, lstm_step, step as oracle_step
 from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, scale, sum_all
 
 
@@ -246,6 +246,20 @@ def test_init_ranges_and_determinism():
     npt.assert_array_equal(f.b_M.data, np.ones((1, 4)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_draw_equals_one_uniform_call_bit_for_bit(dtype):
+    # sizes below, at and past the block, and not a multiple of it; the
+    # draws of one shape go on from where the previous shape's stopped
+    block = C._DRAW_BLOCK
+    shapes = [(1, 1), (3, 5), (1, block - 1), (1, block), (1, block + 1), (7, 2 * block // 7 + 3)]
+    got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for shape in shapes:
+        got = C.draw("uniform", got_rng, shape, dtype)
+        want = want_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == want.tobytes(), shape
+
+
 def test_cell_validates_its_wiring():
     rng = T.seed_stream(0, "v")
     with pytest.raises(ConfigError):
@@ -312,7 +326,7 @@ def test_single_step_gradients(arch, mode):
             st = lstm_step(p, e, C.StepState(T.const(h0), T.const(c0)), gain)
         return sum_all(hadamard(st.h, probe))
 
-    err = T.finite_diff_check(loss, list(p.named_parameters().values()), eps=1e-5)
+    err = finite_diff_check(loss, list(p.named_parameters().values()), eps=1e-5)
     assert err < 1e-4, err
 
 

@@ -175,6 +175,21 @@ def test_train_resume_without_new_epochs_still_writes_artifacts(prep):
     assert not (again / "model_best.mmlm").exists()
 
 
+def test_text_only_run_with_contexts_resumes_without_them(prep):
+    # a text-only model never reads the contexts, so --contexts leaves its
+    # config, and the hash that guards --resume, as they are
+    with_ctx, without = prep / "with", prep / "without"
+    contexts = ["--contexts", str(prep / "prep/contexts.mmcv")]
+    assert cli.main(train_args(prep, with_ctx, ["--max-epochs", "1", *contexts])) == 0
+    assert load_checkpoint(with_ctx / "model_last.mmlm").model_config.context_dim \
+        == ModelConfig.context_dim
+    assert cli.main(train_args(prep, with_ctx, ["--max-epochs", "2", "--resume",
+                                                str(with_ctx / "model_last.mmlm")])) == 0
+    assert cli.main(train_args(prep, without, ["--max-epochs", "2"])) == 0
+    for name in ("model_last.mmlm", "curve.csv"):
+        assert (with_ctx / name).read_bytes() == (without / name).read_bytes()
+
+
 def test_train_resume_refuses_config_drift(prep, capsys):
     out = prep / "run"
     assert cli.main(train_args(prep, out)) == 0

@@ -1,10 +1,21 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import mmlm.data as D
 import mmlm.tensor as T
-from mmlm.errors import ConfigError, DataError, DimensionError, FormatError
+from mmlm.cli import read_config_file
+from mmlm.errors import ConfigError, DataError, DimensionError, FormatError, MmlmError
+
+
+def save_contexts_text(path, store: D.ContextStore) -> None:
+    """The text form of a context store: one `id TAB values` line per image."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for image_id in store.ids():
+            vec = store.get(image_id)
+            fh.write(image_id + "\t" + " ".join(repr(float(x)) for x in vec) + "\n")
 
 
 def test_specials_fixed():
@@ -198,7 +209,7 @@ def test_context_binary_roundtrip_bit_exact(tmp_path):
         npt.assert_array_equal(back.get(i), s.get(i))
     # text and binary forms decode to identical float32 stores
     txtp = tmp_path / "ctx.txt"
-    D.save_contexts_text(txtp, s)
+    save_contexts_text(txtp, s)
     from_text = D.load_contexts_text(txtp)
     for i in s.ids():
         npt.assert_array_equal(from_text.get(i), s.get(i))
@@ -223,6 +234,91 @@ def test_context_binary_corruption(tmp_path):
     p.write_bytes(raw + b"\x00")
     with pytest.raises(FormatError):
         D.load_contexts_binary(p)
+
+
+def _toy_store():
+    s = D.ContextStore(3)
+    for i, image_id in enumerate(("img1", "bild-ä", "img3")):
+        s.add(image_id, np.linspace(-i, i + 0.5, 3))
+    return s
+
+
+def _write_each_format(tmp_path) -> dict:
+    """format -> (a small valid file of it, its loader)."""
+    words = ["dog", "café", "runs", "#tag", "naïve", "sleeps"]
+    paths = {name: tmp_path / f"toy.{name}" for name in
+             ("vocab", "captions", "contexts-text", "contexts-binary", "pretrained")}
+    D.save_vocab(paths["vocab"], D.Vocabulary(words, min_count=2))
+    D.write_captions(paths["captions"], [
+        D.CaptionRecord("img1", "english", "train", ["the", "dog", "runs"]),
+        D.CaptionRecord("bild-ä", "deutsch", "valid", ["ein", "café"]),
+        D.CaptionRecord("img3", "english", "test", ["a", "naïve", "cat", "sleeps"])])
+    save_contexts_text(paths["contexts-text"], _toy_store())
+    D.save_contexts_binary(paths["contexts-binary"], _toy_store())
+    paths["pretrained"].write_text("2\n[UNK] 0.0 0.0\ncaf 1.0 0.5\n##é -1.0 2.0\n",
+                                   encoding="utf-8")
+    loaders = {"vocab": D.load_vocab, "captions": D.read_captions,
+               "contexts-text": D.load_contexts, "contexts-binary": D.load_contexts,
+               "pretrained": D.PretrainedEmbeddings.load}
+    return {name: (path, loaders[name]) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("fmt", ["vocab", "captions", "contexts-text", "contexts-binary",
+                                 "pretrained"])
+def test_every_mutated_byte_of_a_data_file_loads_or_raises_a_package_error(tmp_path, fmt):
+    # one byte changed at a time, 2,000 times: bad UTF-8, a field that does
+    # not parse or a length past the end of the file is a package error
+    # (exit 2), never a traceback or a request for gigabytes
+    path, load = _write_each_format(tmp_path)[fmt]
+    blob = path.read_bytes()
+    load(path)
+    rng = np.random.default_rng(1)
+    bad = tmp_path / f"bad.{fmt}"
+    outcomes = {"loaded": 0, "refused": 0, "decode": 0}
+    for _ in range(2000):
+        mutated = bytearray(blob)
+        at = int(rng.integers(len(blob)))
+        mutated[at] = (mutated[at] + int(rng.integers(1, 256))) % 256
+        bad.write_bytes(bytes(mutated))
+        try:
+            load(bad)
+            outcomes["loaded"] += 1
+        except MmlmError as exc:
+            outcomes["refused"] += 1
+            outcomes["decode"] += "UTF-8" in str(exc)
+    assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
+    assert outcomes["decode"] > 0, outcomes
+
+
+@pytest.mark.parametrize("fmt", ["vocab", "captions", "contexts-text", "pretrained", "config"])
+def test_bytes_that_are_not_utf8_are_a_format_error_naming_the_line(tmp_path, fmt):
+    if fmt == "config":
+        path, load = tmp_path / "run.cfg", read_config_file
+        path.write_text("# toy run\nseed = 3\nhidden = 4\n", encoding="utf-8")
+    else:
+        path, load = _write_each_format(tmp_path)[fmt]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]  # 0xff never occurs in UTF-8
+    path.write_bytes(b"\r\n".join(lines))  # CRLF ends a line as LF does
+    with pytest.raises(FormatError, match=f"{path}:3: not UTF-8"):
+        load(path)
+
+
+def test_a_binary_context_length_past_the_end_is_refused_before_reading(tmp_path):
+    path = tmp_path / "ctx.mmcv"
+    D.save_contexts_binary(path, _toy_store())
+    blob = path.read_bytes()
+    # the header is magic, u16 version, u32 dim, u64 count
+    huge_dim = blob[:6] + struct.pack("<I", 2**31) + blob[10:]
+    path.write_bytes(huge_dim)
+    with pytest.raises(FormatError, match="truncated while reading record 1 vector"):
+        D.load_contexts_binary(path)
+    path.write_bytes(blob[:6] + struct.pack("<I", 0) + blob[10:])
+    with pytest.raises(FormatError, match="dimension must be positive"):
+        D.load_contexts_binary(path)
+    path.write_bytes(blob[:18] + struct.pack("<H", 60000) + blob[20:])
+    with pytest.raises(FormatError, match="truncated while reading record 1 id"):
+        D.load_contexts_binary(path)
 
 
 def test_encode_batches_contexts_and_shuffle():

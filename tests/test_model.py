@@ -9,8 +9,8 @@ import mmlm.data as D
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
 from mmlm.model import DecoderParams, ModelConfig, SequenceModel, build_model
-from oracles import (forward_np, forward_sequence, predict_next, sequence_nll_np,
-                     sequence_nll_per_step)
+from oracles import (finite_diff_check, forward_np, forward_sequence, predict_next,
+                     sequence_nll_np, sequence_nll_per_step)
 from tape_ops import sum_all
 
 
@@ -389,7 +389,7 @@ def test_end_to_end_gradcheck_smoke():
     def loss():
         return m.sequence_nll(batch)[0]
 
-    err = T.finite_diff_check(loss, m.parameters(), eps=1e-5)
+    err = finite_diff_check(loss, m.parameters(), eps=1e-5)
     assert err < 1e-4, err
 
 

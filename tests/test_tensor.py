@@ -7,7 +7,7 @@ import pytest
 import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, StateError
 import tape_ops as O
-from oracles import sigmoid_piecewise
+from oracles import finite_diff_check, sigmoid_piecewise
 
 
 def test_tensor_wraps_2d_and_promotes():
@@ -328,10 +328,10 @@ def test_clip_gradients_leaves_norms_at_or_below_the_bound(scale):
 def test_finite_diff_check_rejects_float32_and_bad_eps():
     a = T.param(np.ones((1, 1), dtype=np.float32))
     with pytest.raises(ConfigError):
-        T.finite_diff_check(lambda: O.sum_all(a), [a])
+        finite_diff_check(lambda: O.sum_all(a), [a])
     b = T.param(np.ones((1, 1)))
     with pytest.raises(ConfigError):
-        T.finite_diff_check(lambda: O.sum_all(b), [b], eps=0.0)
+        finite_diff_check(lambda: O.sum_all(b), [b], eps=0.0)
 
 
 def test_finite_diff_check_flags_wrong_gradient():
@@ -342,7 +342,7 @@ def test_finite_diff_check_flags_wrong_gradient():
         out = T._result(a.data * 2.0, (a,), lambda g: T._accum(a, g * 5.0))
         return O.sum_all(out)
 
-    assert T.finite_diff_check(loss, [a]) > 0.4
+    assert finite_diff_check(loss, [a]) > 0.4
 
 
 def test_finite_diff_random_graphs_stay_tight():
@@ -364,7 +364,7 @@ def test_finite_diff_random_graphs_stay_tight():
             e = O.embed_columns(a, emb_ids)
             return O.add(O.sum_all(pick), O.sum_all(O.softmax_rows(e)))
 
-        worst = max(worst, T.finite_diff_check(loss, [a, b, v], eps=1e-5))
+        worst = max(worst, finite_diff_check(loss, [a, b, v], eps=1e-5))
     assert worst < 1e-6, worst
 
 
@@ -406,7 +406,7 @@ def test_finite_diff_matmul_t_put_rows_sum_row_blocks():
         picked = O.sum_row_blocks(O.hadamard(O.sigmoid(y), w), 5)
         return O.sum_all(O.hadamard(picked, picked))
 
-    assert T.finite_diff_check(loss, [a, b, c], eps=1e-5) < 1e-7
+    assert finite_diff_check(loss, [a, b, c], eps=1e-5) < 1e-7
 
 
 def test_no_grad_builds_no_tape_and_leaves_grads_alone():
@@ -509,16 +509,43 @@ def test_masked_nll_equals_the_op_chain(monkeypatch, dtype, bias):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dot_t_equals_the_plain_product_bit_for_bit(dtype):
+    # H x H and V x H weights, 1 to 40 rows: both sides of the row bound
+    # and of the size floor, and both orders wherever the BLAS lets the
+    # weight-major one run. With OpenBLAS's AVX-512 kernels the float64
+    # orders differ at 300 x 128 from 12 rows on.
+    weight_major = T._orders_agree(np.dtype(dtype))
+    rng = np.random.default_rng(12)
+    for shape in ((6, 6), (64, 64), (11, 6), (256, 256), (1000, 64), (300, 128)):
+        w = rng.uniform(-1, 1, shape).astype(dtype)
+        for rows in range(1, 41):
+            x = rng.uniform(-1, 1, (rows, shape[1])).astype(dtype)
+            want = (x @ w.T).tobytes()
+            got = T.dot_t(x, w)
+            assert got.flags.c_contiguous and got.dtype == dtype
+            assert got.tobytes() == want, (shape, rows)
+            if weight_major and rows <= T._WEIGHT_MAJOR_ROWS \
+                    and w.size >= T._WEIGHT_MAJOR_MIN_SIZE:
+                assert (w @ x.T).T.tobytes() == want, (shape, rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_log_probs_equals_the_op_chain(monkeypatch, dtype):
     monkeypatch.setattr(T, "_EXP_BLOCK_BYTES", 100)
     rng = np.random.default_rng(8)
-    h = T.const(rng.uniform(-3, 3, (7, 5)).astype(dtype))
-    w = T.param(rng.uniform(-3, 3, (11, 5)).astype(dtype))
-    b = T.param(rng.uniform(-1, 1, (1, 11)).astype(dtype))
-    want = O.log_softmax_rows(T.add_row(T.matmul_t(h, w), b)).data
-    assert T.log_probs(h, w, b).tobytes() == want.tobytes()
-    want = O.log_softmax_rows(T.matmul_t(h, w)).data
-    assert T.log_probs(h, w, None).tobytes() == want.tobytes()
+    # row counts on both sides of dot_t's weight-major bound, and a decoder
+    # at its size floor next to a small one
+    for rows in (1, 7, T._WEIGHT_MAJOR_ROWS, T._WEIGHT_MAJOR_ROWS + 1):
+        for classes, width in ((11, 5), (T._WEIGHT_MAJOR_MIN_SIZE // 32, 32)):
+            h = T.const(rng.uniform(-3, 3, (rows, width)).astype(dtype))
+            w = T.param(rng.uniform(-3, 3, (classes, width)).astype(dtype))
+            b = T.param(rng.uniform(-1, 1, (1, classes)).astype(dtype))
+            logits = T.const(h.data @ w.data.T)  # the plain product, not dot_t's
+            want = O.log_softmax_rows(T.add_row(logits, b)).data
+            got = T.log_probs(h, w, b)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), (rows, classes)
+            want = O.log_softmax_rows(logits).data
+            assert T.log_probs(h, w, None).tobytes() == want.tobytes(), (rows, classes)
 
 
 def _step_order_nll(logp, targets, mask):
@@ -571,7 +598,7 @@ def test_finite_diff_masked_nll():
     def loss():
         return T.masked_nll(O.tanh(a), w, b, targets, mask)
 
-    assert T.finite_diff_check(loss, [a, w, b], eps=1e-5) < 1e-7
+    assert finite_diff_check(loss, [a, w, b], eps=1e-5) < 1e-7
 
 
 def test_masked_nll_validates_and_backs_up_once():
