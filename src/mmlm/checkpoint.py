@@ -1,10 +1,12 @@
 """Binary model checkpoints: config text + vocabulary + named tensors.
 
 Layout: magic "MMLM", version u16, u32-length-prefixed UTF-8 config text,
-vocabulary block (u32 count, then u16 length + UTF-8 per word, id order),
-tensor block (u32 count, then u16 name length + name + u32 rows + u32 cols
-+ row-major little-endian f32 data per tensor). Parameters are stored as
-32-bit floats; saving a 64-bit model truncates.
+vocabulary block (u32 count, u32 byte length, then the words in id order
+joined by "\n" in UTF-8), tensor block (u32 count, then u16 name length +
+name + u32 rows + u32 cols + row-major little-endian f32 data per tensor).
+Parameters are stored as 32-bit floats; saving a 64-bit model truncates.
+Version 1 files, whose vocabulary block is a u32 count and then a u16
+length + UTF-8 per word, still load.
 """
 
 import contextlib
@@ -18,13 +20,13 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .data import Vocabulary
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .model import ModelConfig, SequenceModel, model_from_arrays, parameter_shapes
 from .train import TrainConfig, TrainState, format_curve_row
 
 CHECKPOINT_MAGIC = b"MMLM"
-CHECKPOINT_VERSION = 1
-_READ_AHEAD = 1 << 16  # bytes of the vocabulary block read per call
+CHECKPOINT_VERSION = 2
+_READ_AHEAD = 1 << 16  # bytes of a version-1 vocabulary block read per call
 
 
 def parse_value(kind: type, text: str):
@@ -133,35 +135,66 @@ def _parse_curve(rows: list, path: str) -> list:
     return curve
 
 
+def _discard(path) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+
+
+def replace_file(path, fill) -> None:
+    """Put a new file at path while the previous one stays complete on disk.
+
+    fill(tmp) creates `<path>.tmp`; then the previous file is renamed to
+    `<path>.old`, the new one is renamed into place and the old one is
+    unlinked. No rename lands on an existing name: renaming over a file
+    makes ext4 start writing the new one back (auto_da_alloc), which took
+    three times as long for an 18 MB checkpoint. A process killed midway
+    leaves the previous file under its name, or between the two renames
+    under `<path>.old`, which the next call clears up. Nothing is fsynced,
+    so this survives a crashed process, not a power loss. An existing file
+    is never written through, so another name may link to it."""
+    path = os.fspath(path)
+    tmp, old = path + ".tmp", path + ".old"
+    _discard(tmp)  # a killed call's leftover, possibly a link to another file
+    try:
+        fill(tmp)
+    except BaseException:
+        _discard(tmp)
+        raise
+    if os.path.lexists(path):
+        _discard(old)
+        os.rename(path, old)
+    os.rename(tmp, path)
+    _discard(old)
+
+
 def save_checkpoint(path, model: SequenceModel, vocab: Vocabulary,
                     train_config: TrainConfig, state: TrainState) -> None:
+    """Write a version-2 checkpoint at path through `replace_file`."""
     chash = compute_config_hash(model.config, train_config)
     text = _render_config_text(model.config, train_config, vocab.min_count,
                                state, chash).encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION),
-              struct.pack("<I", len(text)), text]
     words = vocab.words
-    chunks.append(struct.pack("<I", len(words)))
-    for word in words:
-        raw = word.encode("utf-8")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
+    block = "\n".join(words)
+    if words and block.count("\n") != len(words) - 1:
+        bad = next(w for w in words if "\n" in w)
+        raise DataError(f"vocabulary word {bad!r} holds a newline; a checkpoint cannot store it")
+    block = block.encode("utf-8")
     named = model.named_parameters()
-    chunks.append(struct.pack("<I", len(named)))
-    # A new file, not the old one truncated: ext4 flushes a file rewritten
-    # after truncation when it is closed, which made an overwrite about four
-    # times slower than a fresh write and its time uneven. Where the name
-    # cannot be removed, open() rewrites the old file or reports why not.
-    with contextlib.suppress(OSError):
-        os.unlink(path)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-        for name, tensor in named.items():
-            raw = name.encode("utf-8")
-            rows, cols = tensor.shape
-            fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<II", rows, cols))
-            # the tensor's own buffer; a copy only for a 64-bit model
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+    head = b"".join([CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(text)),
+                     text, struct.pack("<II", len(words), len(block)), block,
+                     struct.pack("<I", len(named))])
+
+    def write(tmp):
+        with open(tmp, "xb") as fh:
+            fh.write(head)
+            for name, tensor in named.items():
+                raw = name.encode("utf-8")
+                rows, cols = tensor.shape
+                fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<II", rows, cols))
+                # the tensor's own buffer; a copy only for a 64-bit model
+                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+
+    replace_file(path, write)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -195,7 +228,7 @@ def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
     if take_bytes(4) != CHECKPOINT_MAGIC:
         raise FormatError(f"{spath}: not a checkpoint file (bad magic)")
     (version,) = take("<H")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"{spath}: unsupported checkpoint version {version}")
     (text_len,) = take("<I")
     values = read_key_values(take_bytes(text_len).decode("utf-8"), spath, FormatError,
@@ -211,22 +244,31 @@ def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
     state = _from_fields(TrainState, "state", values, spath,
                          curve=_parse_curve(values["curve"], spath))
 
-    (word_count,) = take("<I")
-    words = []
-    buf, pos = b"", 0  # read-ahead bytes of the block, and the next field's start in buf
-    while len(words) < word_count:
-        # u16 little-endian length, then the word
-        end = pos + 2 + (buf[pos] | buf[pos + 1] << 8) if pos + 2 <= len(buf) else pos + 2
-        if end > len(buf):
-            # read on: a chunk, or what the field lacks if that is more;
-            # take_bytes refuses to read past the end of the file
-            buf = buf[pos:] + take_bytes(max(end - len(buf), min(_READ_AHEAD, size - offset)))
-            pos = 0
-            continue
-        words.append(buf[pos + 2:end].decode("utf-8"))
-        pos = end
-    offset -= len(buf) - pos  # the block ends at the first unwalked byte
-    fh.seek(offset)
+    if version == 1:
+        (word_count,) = take("<I")
+        words = []
+        buf, pos = b"", 0  # read-ahead bytes of the block, and the next field's start in buf
+        while len(words) < word_count:
+            # u16 little-endian length, then the word
+            end = pos + 2 + (buf[pos] | buf[pos + 1] << 8) if pos + 2 <= len(buf) else pos + 2
+            if end > len(buf):
+                # read on: a chunk, or what the field lacks if that is more;
+                # take_bytes refuses to read past the end of the file
+                buf = buf[pos:] + take_bytes(max(end - len(buf),
+                                                 min(_READ_AHEAD, size - offset)))
+                pos = 0
+                continue
+            words.append(buf[pos + 2:end].decode("utf-8"))
+            pos = end
+        offset -= len(buf) - pos  # the block ends at the first unwalked byte
+        fh.seek(offset)
+    else:
+        word_count, block_len = take("<II")
+        block = take_bytes(block_len).decode("utf-8")
+        words = block.split("\n") if block or word_count else []
+        if len(words) != word_count:
+            raise FormatError(f"{spath}: vocabulary block holds {len(words)} words, "
+                              f"its count says {word_count}")
     vocab = Vocabulary(words, min_count=int(need("vocab_min_count")))
 
     (tensor_count,) = take("<I")

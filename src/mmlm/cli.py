@@ -16,7 +16,7 @@ from . import evaluate as E
 from .cells import spec
 from .checkpoint import (compute_config_hash, load_checkpoint,
                          model_from_checkpoint, parse_value, read_key_values,
-                         render_manifest, save_checkpoint)
+                         render_manifest, replace_file, save_checkpoint)
 from .errors import ConfigError, MmlmError, TrainingAbort, UsageError
 from .model import ModelConfig, build_model
 from .train import TrainConfig, fit, format_curve
@@ -127,8 +127,13 @@ def cmd_prepare(args) -> int:
 
 
 def _write_curve(path, state) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_curve(state.curve))  # header line included
+    text = format_curve(state.curve)  # header line included
+
+    def write(tmp):
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+
+    replace_file(path, write)
 
 
 def cmd_train(args) -> int:
@@ -141,11 +146,12 @@ def cmd_train(args) -> int:
     if not valid_records:
         raise UsageError(f"{opts['captions']}: no valid-split records; "
                          "the schedule needs a validation set")
-    store = D.load_contexts(opts["contexts"]) if opts["contexts"] else None
+    # a text-only model never reads the contexts: they are not loaded, and
+    # their dim stays out of its config
     fused = opts["fusion"] != "none"
-    if fused and store is None:
+    if fused and not opts["contexts"]:
         raise UsageError("fused training needs --contexts")
-    # a text-only model never reads the contexts, so their dim stays out of its config
+    store = D.load_contexts(opts["contexts"]) if fused else None
     context_dim = store.dim if fused else ModelConfig.context_dim
     vocab = (D.load_vocab(opts["vocab"]) if opts["vocab"]
              else D.build_vocab(train_records, min_count=opts["min_count"]))
@@ -179,12 +185,18 @@ def cmd_train(args) -> int:
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
 
+    last = os.path.join(out, "model_last.mmlm")
+
     def on_epoch(st) -> None:
-        save_checkpoint(os.path.join(out, "model_last.mmlm"),
-                        model, vocab, train_config, st)
+        save_checkpoint(last, model, vocab, train_config, st)
         if st.best_epoch == st.epoch:
-            save_checkpoint(os.path.join(out, "model_best.mmlm"),
-                            model, vocab, train_config, st)
+            # model_best names model_last's file; the next save of model_last
+            # makes a new file, so this one stays as it is
+            best = os.path.join(out, "model_best.mmlm")
+            try:
+                replace_file(best, lambda tmp: os.link(last, tmp))
+            except OSError:  # a file system without hard links
+                save_checkpoint(best, model, vocab, train_config, st)
         _write_curve(os.path.join(out, "curve.csv"), st)
 
     first_epoch = state.epoch if state is not None else 0
@@ -193,8 +205,7 @@ def cmd_train(args) -> int:
     if state.epoch == first_epoch:
         # a run that adds no epochs still leaves complete artifacts behind;
         # otherwise the last epoch's on_epoch already wrote them
-        save_checkpoint(os.path.join(out, "model_last.mmlm"),
-                        model, vocab, train_config, state)
+        save_checkpoint(last, model, vocab, train_config, state)
         _write_curve(os.path.join(out, "curve.csv"), state)
     best = ("none" if state.best_epoch == 0
             else f"{state.best_valid_ppl:.3f} (epoch {state.best_epoch})")

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import mmlm.cli as cli
 import mmlm.data as D
 from mmlm.checkpoint import load_checkpoint
 from mmlm.model import ModelConfig
+from mmlm.train import TrainState
 
 TOY_RAW = """\
 img1\tenglish\ttrain\tThe dog runs
@@ -188,6 +190,98 @@ def test_text_only_run_with_contexts_resumes_without_them(prep):
     assert cli.main(train_args(prep, without, ["--max-epochs", "2"])) == 0
     for name in ("model_last.mmlm", "curve.csv"):
         assert (with_ctx / name).read_bytes() == (without / name).read_bytes()
+
+
+def test_text_only_run_never_loads_the_contexts(prep, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"a text-only run loaded {path}")
+
+    monkeypatch.setattr(D, "load_contexts", refuse)
+    contexts = ["--contexts", str(prep / "prep/contexts.mmcv")]
+    assert cli.main(train_args(prep, prep / "run", ["--max-epochs", "1", *contexts])) == 0
+    with pytest.raises(AssertionError, match="text-only run loaded"):
+        cli.main(train_args(prep, prep / "fused", ["--fusion", "outer", *contexts]))
+
+
+def train_with_bests(monkeypatch, prep, out, bests):
+    """Run `mmlm train` with a fit that calls on_epoch once per entry of
+    bests, the best epoch after that epoch, changing the parameters before
+    each call; the bytes of model_last.mmlm after each epoch."""
+    saved = []
+
+    def fake_fit(model, *args, on_epoch, **kwargs):
+        for epoch, best in enumerate(bests, start=1):
+            for p in model.named_parameters().values():
+                p.data += 1
+            state = TrainState(epoch=epoch, best_epoch=best, best_valid_ppl=2.0,
+                               curve=[(e, 1.0, 1.0, 2.0, 1.0) for e in range(1, epoch + 1)])
+            on_epoch(state)
+            saved.append((out / "model_last.mmlm").read_bytes())
+        return state
+
+    monkeypatch.setattr(cli, "fit", fake_fit)
+    assert cli.main(train_args(prep, out, ["--max-epochs", str(len(bests))])) == 0
+    return saved
+
+
+def test_model_best_is_model_last_of_its_epoch_and_outlives_later_saves(prep, monkeypatch):
+    out = prep / "run"
+    saved = train_with_bests(monkeypatch, prep, out, [1, 1, 1, 4, 4])
+    assert len(set(saved)) == 5
+    best = out / "model_best.mmlm"
+    # epoch 4 was the last best: model_best is that epoch's model_last file,
+    # which epoch 5's save of model_last left alone for a new file
+    assert best.read_bytes() == saved[3]
+    assert (out / "model_last.mmlm").read_bytes() == saved[4]
+    assert not os.path.samefile(best, out / "model_last.mmlm")
+    assert load_checkpoint(best).state.best_epoch == load_checkpoint(best).state.epoch == 4
+    assert sorted(os.listdir(out)) == ["curve.csv", "model_best.mmlm", "model_last.mmlm"]
+
+
+def test_model_best_links_model_last_at_a_best_epoch(prep, monkeypatch):
+    out = prep / "run"
+    saved = train_with_bests(monkeypatch, prep, out, [1, 2])
+    assert os.path.samefile(out / "model_best.mmlm", out / "model_last.mmlm")
+    assert (out / "model_best.mmlm").read_bytes() == saved[1]
+
+
+def test_model_best_is_saved_in_full_where_links_fail(prep, monkeypatch):
+    def no_link(src, dst):
+        raise OSError(1, "Operation not permitted")
+
+    linked, unlinked = prep / "linked", prep / "unlinked"
+    with_links = train_with_bests(monkeypatch, prep, linked, [1, 2, 2])
+    monkeypatch.setattr(os, "link", no_link)
+    without = train_with_bests(monkeypatch, prep, unlinked, [1, 2, 2])
+    assert without == with_links
+    best = unlinked / "model_best.mmlm"
+    assert best.read_bytes() == (linked / "model_best.mmlm").read_bytes() == without[1]
+    assert sorted(os.listdir(unlinked)) == ["curve.csv", "model_best.mmlm", "model_last.mmlm"]
+
+
+def test_train_renames_onto_no_existing_name(prep, monkeypatch):
+    # every file a run writes goes through a temp and an aside name, so an
+    # earlier file that another name links to is never written through
+    out = prep / "run"
+    assert cli.main(train_args(prep, out, ["--max-epochs", "1"])) == 0
+    earlier = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    for name in earlier:
+        os.link(out / name, prep / f"kept-{name}")
+    rename = os.rename
+    renamed = []
+
+    def checked_rename(src, dst):
+        assert not os.path.lexists(dst), dst
+        renamed.append(os.path.basename(dst))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", checked_rename)
+    assert cli.main(train_args(prep, out, ["--max-epochs", "4", "--resume",
+                                           str(out / "model_last.mmlm")])) == 0
+    assert {"model_last.mmlm", "curve.csv"} <= set(renamed)
+    for name, raw in earlier.items():
+        assert (prep / f"kept-{name}").read_bytes() == raw
+    assert sorted(os.listdir(out)) == ["curve.csv", "model_best.mmlm", "model_last.mmlm"]
 
 
 def test_train_resume_refuses_config_drift(prep, capsys):

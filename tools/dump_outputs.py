@@ -6,10 +6,14 @@ checkouts bit for bit.
 Runs one round of the workload from `bench/` of the given checkout, with
 that checkout's `src/`, and writes as JSON: each eval row's NLL and
 perplexity, every beam hypothesis with its score, each `mmlm train`'s first
-batch NLL, per-step update norms, `curve.csv`, and the sha256 of every
-tensor of its `model_last.mmlm` and of the file. Two checkouts give the same
-outputs when their JSON files are byte-equal; floats are written with
-repr, so they round-trip exactly.
+batch NLL, per-step update norms, `curve.csv`, the vocabulary of its
+`model_last.mmlm` as loaded, the sha256 of every tensor of its
+`model_last.mmlm` and `model_best.mmlm` as loaded, and the sha256 of
+`model_last.mmlm`'s file. Two checkouts give the same outputs when their
+JSON files are byte-equal; floats are written with repr, so they round-trip
+exactly. A checkpoint file's sha256 (`file`, and each save record's
+`digest`) changes by design with the checkpoint format version, so between
+checkouts that write different versions every other output should be equal.
 """
 
 import hashlib
@@ -25,6 +29,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _tensor_shas(ckpt) -> dict:
+    import numpy as np
+    return {k: _sha(np.ascontiguousarray(v).tobytes()) for k, v in ckpt.tensors.items()}
 
 
 def main(root, workload, seed, out_path) -> None:
@@ -51,8 +60,11 @@ def main(root, workload, seed, out_path) -> None:
                 d["first"] = repr(d["first"][0]) if d.get("first") else None
                 d["norms"] = [repr(x) for x in d["norms"]]
                 d["shapes"] = {k: list(v) for k, v in d["shapes"].items()}
-                d["tensors"] = {k: _sha(np.ascontiguousarray(v).tobytes())
-                                for k, v in load_checkpoint(ckpt).tensors.items()}
+                last = load_checkpoint(ckpt)
+                d["vocab"] = last.vocab.id_to_token
+                d["tensors"] = _tensor_shas(last)
+                d["best_tensors"] = _tensor_shas(
+                    load_checkpoint(os.path.join(run, "model_best.mmlm")))
                 with open(ckpt, "rb") as fh:
                     d["file"] = _sha(fh.read())
                 with open(os.path.join(run, "curve.csv"), encoding="utf-8") as fh:
