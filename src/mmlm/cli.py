@@ -238,9 +238,10 @@ def cmd_eval(args) -> int:
         raise UsageError(f"{args.captions}: no {args.split}-split records")
     language = _eval_language(records, args.language)
     records = [r for r in records if r.language == language]
-    store = D.load_contexts(args.contexts) if args.contexts else None
-    if "LV-LV" in conditions and store is None:
+    # only LV-LV reads the contexts: L-L strips them and LV-L zeroes them
+    if "LV-LV" in conditions and not args.contexts:
         raise UsageError("condition LV-LV needs --contexts")
+    store = D.load_contexts(args.contexts) if "LV-LV" in conditions else None
     batches = D.encode_batches(records, ckpt.vocab, model.config.unroll,
                                ckpt.train_config.batch_size, contexts=store)
     model_id = args.model_id or (f"mm-{model.config.arch}" if fused
@@ -280,14 +281,13 @@ def cmd_sample(args) -> int:
     if args.image_id:
         if not args.contexts:
             raise UsageError("--image-id needs --contexts")
-        store = D.load_contexts(args.contexts)
-        context = store.get(args.image_id)
+        if model.config.fusion == "none":
+            raise UsageError("a text-only model cannot condition on an image")
+        context = D.load_contexts(args.contexts).get(args.image_id)
         label = f"image {args.image_id}"
     else:
         context = None
         label = "null-context"
-    if context is not None and model.config.fusion == "none":
-        raise UsageError("a text-only model cannot condition on an image")
     hyps = E.beam_search(model, context=context, width=args.width,
                          max_len=args.max_len,
                          length_normalize=args.length_normalize)
@@ -304,68 +304,73 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The `mmlm` parser. Given a command's name it holds only that command,
+    whose argv then parses and reports as in the full parser."""
     parser = argparse.ArgumentParser(
         prog="mmlm",
         description="Recurrent language models with optional visual context fusion.")
     sub = parser.add_subparsers(dest="command", required=True)
     boolopt = argparse.BooleanOptionalAction
 
-    p = sub.add_parser("prepare", help="canonicalize a raw caption corpus")
-    p.add_argument("--captions", required=True,
-                   help="raw TSV: image_id, language, split, caption text")
-    p.add_argument("--features", help="context vectors, text or binary")
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-count", type=int, default=5)
-    p.set_defaults(func=cmd_prepare)
+    def add(name, func, help):
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(func=func)
+            return p
 
-    p = sub.add_parser("train", help="fit a model and write checkpoints")
-    p.add_argument("--config", help="key = value file; flags override")
-    for key, (kind, _) in _TRAIN_KEYS.items():
-        flag = f"--{key.replace('_', '-')}"
-        if kind is bool:
-            p.add_argument(flag, action=boolopt, default=None)
-        else:
-            p.add_argument(flag, type=kind, default=None)
-    p.set_defaults(func=cmd_train)
+    if p := add("prepare", cmd_prepare, "canonicalize a raw caption corpus"):
+        p.add_argument("--captions", required=True,
+                       help="raw TSV: image_id, language, split, caption text")
+        p.add_argument("--features", help="context vectors, text or binary")
+        p.add_argument("--out", required=True)
+        p.add_argument("--min-count", type=int, default=5)
 
-    p = sub.add_parser("eval", help="perplexity report for a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("--captions", required=True)
-    p.add_argument("--split", default="test", choices=D.SPLITS)
-    p.add_argument("--contexts")
-    p.add_argument("--conditions", help="comma-separated subset of L-L,LV-LV,LV-L")
-    p.add_argument("--language")
-    p.add_argument("--model-id")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_eval)
+    if p := add("train", cmd_train, "fit a model and write checkpoints"):
+        p.add_argument("--config", help="key = value file; flags override")
+        for key, (kind, _) in _TRAIN_KEYS.items():
+            flag = f"--{key.replace('_', '-')}"
+            if kind is bool:
+                p.add_argument(flag, action=boolopt, default=None)
+            else:
+                p.add_argument(flag, type=kind, default=None)
 
-    p = sub.add_parser("neighbors", help="decoder-embedding cosine neighbors")
-    p.add_argument("checkpoint")
-    p.add_argument("queries", nargs="+")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_neighbors)
+    if p := add("eval", cmd_eval, "perplexity report for a checkpoint"):
+        p.add_argument("checkpoint")
+        p.add_argument("--captions", required=True)
+        p.add_argument("--split", default="test", choices=D.SPLITS)
+        p.add_argument("--contexts")
+        p.add_argument("--conditions", help="comma-separated subset of L-L,LV-LV,LV-L")
+        p.add_argument("--language")
+        p.add_argument("--model-id")
+        p.add_argument("--out", default=".")
 
-    p = sub.add_parser("sample", help="beam-search sentences from a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("--image-id")
-    p.add_argument("--contexts")
-    p.add_argument("--width", type=int, default=13)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--length-normalize", action="store_true")
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_sample)
+    if p := add("neighbors", cmd_neighbors, "decoder-embedding cosine neighbors"):
+        p.add_argument("checkpoint")
+        p.add_argument("queries", nargs="+")
+        p.add_argument("--k", type=int, default=10)
+        p.add_argument("--out", default=".")
 
-    p = sub.add_parser("inspect", help="dump a checkpoint manifest")
-    p.add_argument("checkpoint")
-    p.set_defaults(func=cmd_inspect)
+    if p := add("sample", cmd_sample, "beam-search sentences from a checkpoint"):
+        p.add_argument("checkpoint")
+        p.add_argument("--image-id")
+        p.add_argument("--contexts")
+        p.add_argument("--width", type=int, default=13)
+        p.add_argument("--max-len", type=int)
+        p.add_argument("--length-normalize", action="store_true")
+        p.add_argument("--out", default=".")
 
-    return parser
+    if p := add("inspect", cmd_inspect, "dump a checkpoint manifest"):
+        p.add_argument("checkpoint")
+
+    return parser if command is None or command in sub.choices else build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:  # the full parser's usage line names every command
+        build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TrainingAbort as exc:

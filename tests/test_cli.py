@@ -192,14 +192,18 @@ def test_text_only_run_with_contexts_resumes_without_them(prep):
         assert (with_ctx / name).read_bytes() == (without / name).read_bytes()
 
 
-def test_text_only_run_never_loads_the_contexts(prep, monkeypatch):
+def refuse_contexts(monkeypatch):
     def refuse(path):
-        raise AssertionError(f"a text-only run loaded {path}")
+        raise AssertionError(f"loaded {path}")
 
     monkeypatch.setattr(D, "load_contexts", refuse)
+
+
+def test_text_only_run_never_loads_the_contexts(prep, monkeypatch):
+    refuse_contexts(monkeypatch)
     contexts = ["--contexts", str(prep / "prep/contexts.mmcv")]
     assert cli.main(train_args(prep, prep / "run", ["--max-epochs", "1", *contexts])) == 0
-    with pytest.raises(AssertionError, match="text-only run loaded"):
+    with pytest.raises(AssertionError, match="loaded .*contexts.mmcv"):
         cli.main(train_args(prep, prep / "fused", ["--fusion", "outer", *contexts]))
 
 
@@ -421,6 +425,39 @@ def test_eval_fused_three_conditions(prep, capsys):
     assert rows[0].split(",")[3:] == rows[2].split(",")[3:]
 
 
+def eval_rows(prep, ckpt, out, extra):
+    assert cli.main(["eval", str(ckpt), "--captions", str(prep / "prep/captions.tsv"),
+                     "--out", str(prep / out), *extra]) == 0
+    return (prep / out / "eval.csv").read_text().splitlines()[1:]
+
+
+def test_eval_reads_contexts_only_for_lv_lv(prep, monkeypatch):
+    # L-L strips the contexts and LV-L zeroes them, so neither reads the file
+    fused = fused_run(prep)
+    assert cli.main(train_args(prep, prep / "run")) == 0
+    contexts = ["--contexts", str(prep / "prep/contexts.mmcv")]
+    loaded = eval_rows(prep, fused, "all", [*contexts, "--conditions", "L-L,LV-LV,LV-L"])
+    text_only = eval_rows(prep, prep / "run/model_last.mmlm", "text", [])
+    refuse_contexts(monkeypatch)
+    assert eval_rows(prep, fused, "part", [*contexts, "--conditions", "L-L,LV-L"]) \
+        == [loaded[0], loaded[2]]
+    assert eval_rows(prep, fused, "lv-l", [*contexts, "--conditions", "LV-L"]) \
+        == [loaded[2]]
+    assert eval_rows(prep, prep / "run/model_last.mmlm", "text2", contexts) == text_only
+
+
+def test_eval_without_lv_lv_needs_no_vector_per_image(prep, capsys):
+    fused = fused_run(prep)
+    partial = prep / "partial.tsv"
+    write_features(partial, ["img0", "img1"])  # the test split is img5's
+    contexts = ["--contexts", str(partial)]
+    assert len(eval_rows(prep, fused, "ev", [*contexts, "--conditions", "L-L,LV-L"])) == 2
+    capsys.readouterr()
+    assert cli.main(["eval", str(fused), "--captions", str(prep / "prep/captions.tsv"),
+                     *contexts, "--out", str(prep / "ev")]) == 2
+    assert "img5" in capsys.readouterr().err
+
+
 def test_eval_rejects_bad_condition(prep, capsys):
     ckpt = fused_run(prep)
     rc = cli.main(["eval", str(ckpt),
@@ -490,13 +527,16 @@ def test_sample_unknown_image_names_id(prep, capsys):
     assert "img99" in capsys.readouterr().err
 
 
-def test_sample_image_on_text_only_model_exits_2(prep, capsys):
+def test_sample_image_on_text_only_model_exits_2(prep, capsys, monkeypatch):
     out = prep / "run"
     assert cli.main(train_args(prep, out)) == 0
+    capsys.readouterr()
+    refuse_contexts(monkeypatch)  # refused before the file is read
     rc = cli.main(["sample", str(out / "model_last.mmlm"), "--image-id", "img2",
                    "--contexts", str(prep / "prep/contexts.mmcv"),
                    "--out", str(prep / "sm")])
     assert rc == 2
+    assert "text-only model cannot condition on an image" in capsys.readouterr().err
 
 
 def test_inspect_lists_tensors(prep, capsys):
@@ -512,3 +552,113 @@ def test_inspect_lists_tensors(prep, capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.main(["inspect", str(tmp_path / "nope.mmlm")]) == 2
     assert "nope.mmlm" in capsys.readouterr().err
+
+
+# `main` builds only the invoked command's parser; every argv must parse,
+# and every help text and usage error must read, as under the full parser.
+COMMANDS = ["prepare", "train", "eval", "neighbors", "sample", "inspect"]
+
+
+def help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_holds_one_command_with_the_full_help(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert f"usage: mmlm [-h] {{{command}}} ..." in cli.build_parser(command).format_usage()
+    full = help_text(cli.build_parser(), [command, "--help"], capsys)
+    assert full.startswith(f"usage: mmlm {command} ")
+    assert help_text(cli.build_parser(command), [command, "--help"], capsys) == full
+
+
+def test_unknown_names_get_the_full_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser().format_help()
+    for name in ("bogus", "-h", "Train"):
+        assert cli.build_parser(name).format_help() == full
+
+
+def representative_argvs():
+    argvs = [["prepare", "--captions", "c", "--out", "o"],
+             ["prepare", "--captions", "c", "--features", "f", "--out", "o", "--min-count", "2"],
+             ["train"], ["train", "--config", "x"],
+             ["eval", "ck", "--captions", "c"],
+             ["eval", "ck", "--captions", "c", "--split", "valid", "--contexts", "x",
+              "--conditions", "L-L,LV-L", "--language", "en", "--model-id", "m", "--out", "o"],
+             ["neighbors", "ck", "dog"],
+             ["neighbors", "ck", "dog", "cat", "ball", "--k", "3", "--out", "o"],
+             ["sample", "ck"],
+             ["sample", "ck", "--image-id", "i", "--contexts", "x", "--width", "3",
+              "--max-len", "4", "--length-normalize", "--out", "o"],
+             ["inspect", "ck"]]
+    every = ["train"]
+    for key, (kind, _) in cli._TRAIN_KEYS.items():
+        flag = f"--{key.replace('_', '-')}"
+        if kind is bool:
+            argvs += [["train", flag], ["train", f"--no-{flag[2:]}"]]
+            every.append(flag)
+        else:
+            value = {str: "x", int: "3", float: "0.5"}[kind]
+            argvs.append(["train", flag, value])
+            every += [flag, value]
+    return argvs + [every]
+
+
+@pytest.mark.parametrize("argv", representative_argvs(), ids=" ".join)
+def test_command_parser_gives_the_full_parsers_namespace(argv):
+    got = cli.build_parser(argv[0]).parse_args(argv)
+    assert got == cli.build_parser().parse_args(argv)
+    if argv[0] == "train" and len(argv) > 1:  # each given flag arrives typed
+        flag = argv[1].removeprefix("--").removeprefix("no-").replace("-", "_")
+        assert getattr(got, flag) is not None
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], "usage: mmlm [-h] {prepare,train,eval,neighbors,sample,inspect} ...\n"
+         "mmlm: error: the following arguments are required: command\n"),
+    (["bogus"], "usage: mmlm [-h] {prepare,train,eval,neighbors,sample,inspect} ...\n"
+                "mmlm: error: argument command: invalid choice: 'bogus' (choose from "
+                "'prepare', 'train', 'eval', 'neighbors', 'sample', 'inspect')\n"),
+    (["sample"], "usage: mmlm sample [-h] [--image-id IMAGE_ID] [--contexts CONTEXTS]\n"
+                 "                   [--width WIDTH] [--max-len MAX_LEN] [--length-normalize]\n"
+                 "                   [--out OUT]\n"
+                 "                   checkpoint\n"
+                 "mmlm sample: error: the following arguments are required: checkpoint\n"),
+    # an argument left over by a command is the top-level parser's error
+    (["inspect", "a", "b"], "usage: mmlm [-h] {prepare,train,eval,neighbors,sample,inspect} ...\n"
+                            "mmlm: error: unrecognized arguments: b\n"),
+])
+def test_usage_errors_read_as_before(argv, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{prepare,train,eval,neighbors,sample,inspect}" in out
+    for command in COMMANDS:
+        assert f"\n    {command} " in out
+
+
+def test_main_builds_only_the_invoked_commands_parser(prep, monkeypatch):
+    ckpt = fused_run(prep)
+    built = []
+    build = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["inspect", str(ckpt)]) == 0
+    assert built == ["inspect"]
