@@ -67,30 +67,35 @@ def param_table(arch: str, hidden: int, vocab: int) -> dict:
             for name, init in spec(arch).params}
 
 
-def draw(init: str, rng, shape: tuple, dtype) -> np.ndarray:
-    """A fresh parameter array: "uniform" draws U(-0.1, 0.1) row-major from
-    rng, "zeros" and "ones" draw nothing.
+def draw(init: str, rng, out: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Fill the C-contiguous array out with a parameter's initial values and
+    return it: "uniform" draws U(-0.1, 0.1) row-major from rng, "zeros" and
+    "ones" draw nothing.
 
-    The uniform draws go in blocks of float64 straight into the array, so a
-    V x H matrix never has a float64 copy the size of itself. Each block is
-    filled by rng.random and mapped to -0.1 + 0.2 u, the arithmetic of
-    rng.uniform(-0.1, 0.1), so the values are the same as one rng.uniform
-    call of the full shape.
+    The uniform draws go in blocks of float64 through buf (a fresh block of
+    at most DRAW_BLOCK entries when None), so a V x H matrix never has a
+    float64 copy the size of itself. Each block is filled by rng.random and
+    mapped to -0.1 + 0.2 u in place, the arithmetic of rng.uniform(-0.1,
+    0.1), so the values are the same as one rng.uniform call of the full
+    shape, whatever the block size. The block is then copied into out,
+    which casts it without the buffers a ufunc writing out would allocate.
     """
     if init != "uniform":
-        return {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
-    out = np.empty(shape, dtype=dtype)
+        out[...] = {"zeros": 0, "ones": 1}[init]
+        return out
     flat = out.reshape(-1)
-    buf = np.empty(min(_DRAW_BLOCK, flat.size))
-    for start in range(0, flat.size, _DRAW_BLOCK):
-        u = buf[:min(_DRAW_BLOCK, flat.size - start)]
+    if buf is None:
+        buf = np.empty(max(1, min(DRAW_BLOCK, flat.size)))
+    for start in range(0, flat.size, buf.size):
+        u = buf[:min(buf.size, flat.size - start)]
         rng.random(out=u)
         u *= 0.2
-        np.add(u, -0.1, out=flat[start:start + u.size])
+        u += -0.1
+        flat[start:start + u.size] = u
     return out
 
 
-_DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
+DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
 
 
 @dataclass
@@ -253,8 +258,9 @@ def recurrence(p: Cell, tokens, gain: Tensor | None, state: StepState):
         acts, kept = kept, None
         hprev = np.concatenate([h0[None], out[:-1]])
         dxs, grads, dgain = sp.backward(p, xs, g, hprev, c0, acts, grad.reshape(out.shape))
+        cmap = None  # one column map for all the input matrices
         for name, dx in zip(names, dxs):
-            tz._accum_columns(p.params[name], flat, _rows(dx))
+            cmap = tz._accum_columns(p.params[name], flat, _rows(dx), cmap)
         for name, d in grads.items():
             tz._accum(p.params[name], d)
         if gain is not None:

@@ -159,14 +159,26 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceMod
     """Fresh model: weight matrices U(-0.1, 0.1), biases zero, mixing
     vectors and b_M ones; deterministic per (config, seed). The cell, the
     fusion block and the decoder each draw from their own stream of the
-    seed, in parameter_table order."""
-    streams = {}
-    arrays = {}
-    for name, (shape, init) in parameter_table(config).items():
-        block = name.split(".")[0]
-        if block not in streams:
-            streams[block] = tz.seed_stream(seed, f"init/{block}")
-        arrays[name] = cells.draw(init, streams[block], shape, dtype)
+    seed, in parameter_table order.
+
+    The fusion and decoder streams are drawn on a second thread
+    (tensor.beside) while this one draws the cell's. This thread allocates
+    every array first, in parameter_table order, and the worker's draw
+    buffer too, so the worker allocates nothing.
+    """
+    table = parameter_table(config)
+    arrays = {name: np.empty(shape, dtype) for name, (shape, _) in table.items()}
+    streams = {block: tz.seed_stream(seed, f"init/{block}")
+               for block in dict.fromkeys(name.split(".")[0] for name in table)}
+
+    def fill(blocks, buf=None):
+        for name, (_, init) in table.items():
+            block = name.split(".")[0]
+            if block in blocks:
+                cells.draw(init, streams[block], arrays[name], buf)
+
+    with tz.beside(fill, ("fusion", "decoder"), np.empty(cells.DRAW_BLOCK)):
+        fill(("cell",))
     return model_from_arrays(config, arrays)
 
 

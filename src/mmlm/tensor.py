@@ -15,7 +15,8 @@ import contextvars
 import functools
 import hashlib
 import struct
-from typing import Callable, Iterable
+import threading
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -146,6 +147,38 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g  # a compact gradient is expanded first
 
 
+@contextlib.contextmanager
+def beside(fn: Callable, *args, **kwargs):
+    """Run fn(*args, **kwargs) on a second thread while the block runs on
+    this one; the worker is joined on exit, also when the block raises, and
+    an exception fn raised is raised here once the block is done.
+
+    fn must be plain numpy that allocates nothing (its outputs are buffers
+    the caller made): an array a worker allocates lands in a second malloc
+    arena, whose freed memory the caller's later arrays cannot reuse. It
+    must build no tape node and call nothing a tracer wraps. numpy's BLAS
+    calls, ufuncs and Generator fills release the GIL, so the two threads
+    overlap on two cores. Each side's arithmetic is unchanged, so every
+    result is the same bytes as when the two run one after the other.
+    """
+    failed = []
+
+    def work():
+        try:
+            fn(*args, **kwargs)
+        except BaseException as exc:  # handed to the caller's thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=work, name="mmlm-beside")
+    worker.start()
+    try:
+        yield
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
 def _need_same_dtype(op: str, a: Tensor, b: Tensor) -> None:
     if a.data.dtype != b.data.dtype:
         raise ConfigError(
@@ -248,39 +281,66 @@ def add_row(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data + v.data, (x, v), back)
 
 
-def _accum_columns(w: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+class _ColumnMap(NamedTuple):
+    """Where _accum_columns puts one id list's rows in a compact gradient."""
+
+    before: np.ndarray | None  # the gradient's columns before (None: no gradient yet)
+    cols: np.ndarray  # its columns after: before and the ids, sorted and distinct
+    moved: np.ndarray | None  # the place in cols of each column of before
+    flat: np.ndarray  # the flat place in the block of each entry of the rows
+
+
+def _column_map(idx: np.ndarray, before, vocab: int, rows: int) -> _ColumnMap:
+    seen = np.zeros(vocab, bool)
+    seen[idx] = True
+    if before is not None:
+        seen[before] = True
+    cols = np.flatnonzero(seen)
+    where = np.empty(vocab, np.intp)  # column id -> its place in cols
+    where[cols] = np.arange(cols.size)
+    return _ColumnMap(before, cols, None if before is None else where[before],
+                      _flat_index(where[idx], rows, cols.size))
+
+
+def _flat_index(pos: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The flat index of entry (r, pos[k]) of a rows x width block, for row k
+    of g and each r: the order _add_at_flat reads g in."""
+    return (pos[:, None] + np.arange(rows) * width).ravel()
+
+
+def _accum_columns(w: Tensor, idx: np.ndarray, g: np.ndarray, shared=None):
     """Add row k of g into column idx[k] of w's gradient; duplicate ids
-    accumulate in order.
+    accumulate in order. Returns the column map it used, or shared.
 
     A missing or compact gradient stays compact: its block widens to the
     union of the columns seen so far, and each entry gets the same additions
     in the same order as a full-shape scatter, so it is equal bit for bit.
     A full-shape gradient takes the columns in place.
+
+    shared is the map an earlier call with the same idx returned. It is
+    used again where it fits, that is where w has as many rows and its
+    gradient is missing or compact over the same columns array as before
+    that call, so a backward that scatters one id list into several
+    matrices builds the map once.
     """
     if not w.requires_grad:
-        return
+        return shared
     block, cols = w.grad_block, w.grad_cols
     if block is not None and cols is None:
-        pos = idx
         if not block.flags.c_contiguous:
             block = w.grad_block = np.ascontiguousarray(block)
-    else:
-        seen = np.zeros(w.cols, bool)
-        seen[idx] = True
-        if cols is not None:
-            seen[cols] = True
-        merged = np.flatnonzero(seen)
-        where = np.empty(w.cols, np.intp)  # column id -> its place in merged
-        where[merged] = np.arange(merged.size)
-        if block is None or merged.size != cols.size:
-            wider = np.zeros((w.rows, merged.size), w.data.dtype)
-            if block is not None:
-                wider[:, where[cols]] = block
-            block, cols = wider, merged
-            w.grad_block, w.grad_cols = block, cols
-        pos = where[idx]
-    width = block.shape[1]
-    _add_at_flat(block, (pos[:, None] + np.arange(w.rows) * width).ravel(), g)
+        _add_at_flat(block, _flat_index(idx, w.rows, w.cols), g)
+        return shared
+    if shared is None or shared.before is not cols or shared.flat.size != idx.size * w.rows:
+        shared = _column_map(idx, cols, w.cols, w.rows)
+    if block is None or shared.cols.size != cols.size:
+        wider = np.zeros((w.rows, shared.cols.size), w.data.dtype)
+        if block is not None:
+            wider[:, shared.moved] = block
+        block = w.grad_block = wider
+        w.grad_cols = shared.cols
+    _add_at_flat(block, shared.flat, g)
+    return shared
 
 
 def _add_at_flat(target: np.ndarray, flat_idx: np.ndarray, values: np.ndarray) -> None:
@@ -335,7 +395,8 @@ def masked_nll(hs: Tensor, w: Tensor, b: Tensor | None, targets, mask) -> Tensor
     added up, so padding a batch with extra rows or columns leaves the loss
     bit-identical. With a tape the shifted logits are kept, and the backward
     turns them into the logit gradient in place: w's gradient is one GEMM
-    over the decoded rows, and hs's lands in those rows of a zero buffer.
+    over the decoded rows, and hs's lands in those rows of a zero buffer;
+    the two GEMMs run side by side (see beside).
     """
     parents = (hs, w) if b is None else (hs, w, b)
     tgt = np.asarray(targets)
@@ -370,12 +431,18 @@ def masked_nll(hs: Tensor, w: Tensor, b: Tensor | None, targets, mask) -> Tensor
         d, kept = kept, None
         d -= lse
         np.exp(d, out=d)
-        d *= g[0, 0]
+        if g[0, 0] != 1:  # the root's gradient is 1, and d * 1 is d exactly
+            d *= g[0, 0]
         d[np.arange(n), idx] -= g[0, 0]
+        # the input and weight gradients read only d, w and h: the worker
+        # makes d w while this thread makes dᵀ h, each one whole GEMM
+        part = np.empty((n, w.cols), d.dtype)
         dh = np.zeros(hs.data.shape, hs.data.dtype)
-        dh[scored] += d @ w.data
+        with beside(np.matmul, d, w.data, out=part):
+            dw = d.T @ h
+        dh[scored] += part
         _accum(hs, dh)
-        _accum(w, d.T @ h)
+        _accum(w, dw)
         if b is not None:
             _accum(b, d.sum(axis=0, keepdims=True))
 

@@ -6,9 +6,13 @@ tautology. The rest keep the package's earlier code as references for the
 code that replaced them: the piecewise sigmoid, the cell steps built from
 one tape op per product and gate (with step, predict_next and
 sequence_nll_per_step around them), the decoder as tape ops
-(forward_sequence), and the per-candidate beam search. finite_diff_check
-holds the tape's gradients against central differences.
+(forward_sequence), the per-candidate beam search, and the one-thread
+forms of the work the package runs on two threads (beside_serial,
+build_model_serial). finite_diff_check holds the tape's gradients against
+central differences.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -17,6 +21,7 @@ import mmlm.evaluate as E
 import mmlm.tensor as T
 from mmlm.data import BOS_ID, EOS_ID
 from mmlm.errors import ConfigError, UsageError
+from mmlm.model import model_from_arrays, parameter_table
 from tape_ops import (add, embed_columns, hadamard, identity, log_softmax_rows, matmul, mul_row,
                       one_minus, relu, scale, sigmoid, softmax_rows, sum_all, take_per_row,
                       take_rows, tanh, transpose)
@@ -346,3 +351,23 @@ def finite_diff_check(f, params, eps: float = 1e-4) -> float:
             if err > worst:
                 worst = err
     return worst
+
+
+@contextlib.contextmanager
+def beside_serial(fn, *args, **kwargs):
+    """tensor.beside on one thread: fn runs to the end, then the block."""
+    fn(*args, **kwargs)
+    yield
+
+
+def build_model_serial(config, seed: int, dtype=np.float32):
+    """model.build_model as three seed streams drawn one after the other on
+    this thread, each array drawn as it is allocated, in parameter_table
+    order."""
+    streams, arrays = {}, {}
+    for name, (shape, init) in parameter_table(config).items():
+        block = name.split(".")[0]
+        if block not in streams:
+            streams[block] = T.seed_stream(seed, f"init/{block}")
+        arrays[name] = C.draw(init, streams[block], np.empty(shape, dtype))
+    return model_from_arrays(config, arrays)

@@ -19,13 +19,13 @@ from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, s
 
 def init_cell(arch, hidden, vocab, rng, dtype=np.float32, fusion=None, lstm_activation="tanh"):
     """A fresh cell drawn from rng in the spec table's order."""
-    params = {name: T.param(C.draw(init, rng, shape, dtype))
+    params = {name: T.param(C.draw(init, rng, np.empty(shape, dtype)))
               for name, (shape, init) in C.param_table(arch, hidden, vocab).items()}
     return C.Cell(arch, params, fusion=fusion, activation=lstm_activation)
 
 
 def init_fusion(rng, hidden, context_dim, mode, use_bias=True, dtype=np.float32):
-    return C.FusionParams(M=T.param(C.draw("uniform", rng, (hidden, context_dim), dtype)),
+    return C.FusionParams(M=T.param(C.draw("uniform", rng, np.empty((hidden, context_dim), dtype))),
                           b_M=T.param(np.ones((1, hidden), dtype=dtype)),
                           mode=mode, use_bias=use_bias)
 
@@ -249,15 +249,18 @@ def test_init_ranges_and_determinism():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_draw_equals_one_uniform_call_bit_for_bit(dtype):
     # sizes below, at and past the block, and not a multiple of it; the
-    # draws of one shape go on from where the previous shape's stopped
-    block = C._DRAW_BLOCK
+    # draws of one shape go on from where the previous shape's stopped; a
+    # given buffer of another size gives the same values
+    block = C.DRAW_BLOCK
     shapes = [(1, 1), (3, 5), (1, block - 1), (1, block), (1, block + 1), (7, 2 * block // 7 + 3)]
-    got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
-    for shape in shapes:
-        got = C.draw("uniform", got_rng, shape, dtype)
-        want = want_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
-        assert got.dtype == dtype and got.shape == shape
-        assert got.tobytes() == want.tobytes(), shape
+    for buf in (None, np.empty(1000)):
+        got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for shape in shapes:
+            out = np.empty(shape, dtype)
+            got = C.draw("uniform", got_rng, out, buf)
+            want = want_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+            assert got is out
+            assert got.tobytes() == want.tobytes(), shape
 
 
 def test_cell_validates_its_wiring():

@@ -239,6 +239,35 @@ def test_compact_column_gradient_equals_a_dense_scatter(dtype):
     assert w.grad.tobytes() == np.zeros((rows, vocab), dtype).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_column_map_equals_a_dense_scatter(dtype, monkeypatch):
+    # one id list scattered into several matrices, as a recurrence's
+    # backward does: matrices without a gradient share one map, and one
+    # compact over other columns or of another height builds its own
+    rng = np.random.default_rng(5)
+    vocab = 40
+    idx = rng.integers(0, vocab, 25)
+    ws = [T.param(np.zeros((rows, vocab), dtype)) for rows in (5, 5, 5, 3, 5)]
+    wants = [np.zeros(w.shape, dtype) for w in ws]
+    early, g0 = np.array([1, 39, 39]), rng.standard_normal((3, 5)).astype(dtype)
+    T._accum_columns(ws[2], early, g0)
+    np.add.at(wants[2].T, early, g0)
+    ws[4].grad = np.zeros(ws[4].shape, dtype)  # full-shape
+    built = []
+    make = T._column_map
+    monkeypatch.setattr(T, "_column_map", lambda *a: built.append(a) or make(*a))
+    shared = None
+    for w, want in zip(ws, wants):
+        g = rng.standard_normal((idx.size, w.rows)).astype(dtype)
+        shared = T._accum_columns(w, idx, g, shared)
+        np.add.at(want.T, idx, g)
+    assert len(built) == 3
+    assert ws[1].grad_cols is ws[0].grad_cols
+    npt.assert_array_equal(ws[2].grad_cols, np.unique(np.concatenate([early, idx])))
+    for w, want in zip(ws, wants):
+        assert w.grad.tobytes() == want.tobytes()
+
+
 def test_embed_columns_rejects_out_of_range():
     w = T.const(np.zeros((2, 3)))
     with pytest.raises(DataError):
