@@ -191,9 +191,9 @@ _WEIGHT_MAJOR_ROWS = 32  # most rows of x that dot_t multiplies weight-major
 _WEIGHT_MAJOR_MIN_SIZE = 1 << 15  # fewest entries of w that dot_t multiplies weight-major
 
 
-def dot_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def dot_t(x: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """x @ w.T for a weight w stored one output per row, as a C-contiguous
-    array equal to x @ w.T bit for bit.
+    array equal to x @ w.T bit for bit; written into out where given.
 
     A product of at most _WEIGHT_MAJOR_ROWS rows with a w of at least
     _WEIGHT_MAJOR_MIN_SIZE entries runs weight-major, as (w @ x.T).T copied
@@ -208,8 +208,10 @@ def dot_t(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     if (x.shape[0] > _WEIGHT_MAJOR_ROWS or w.size < _WEIGHT_MAJOR_MIN_SIZE
             or not _orders_agree(x.dtype)):
-        return x @ w.T
-    return np.ascontiguousarray((w @ x.T).T)
+        return np.matmul(x, w.T, out=out)
+    out = np.empty((x.shape[0], w.shape[0]), x.dtype) if out is None else out
+    out[...] = (w @ x.T).T
+    return out
 
 
 @functools.cache
@@ -352,29 +354,66 @@ def _add_at_flat(target: np.ndarray, flat_idx: np.ndarray, values: np.ndarray) -
 
 
 _EXP_BLOCK_BYTES = 2 << 20  # scratch for the exponentials, one row block at a time
+_SPLIT_ALIGN = 48  # a split softmax's cut is a multiple of this many rows
+_SPLIT_MIN_SIZE = 1 << 20  # fewest decoder entries whose softmax splits by rows
+
+
+def _row_cut(n: int, w: np.ndarray) -> int:
+    """Where n rows of softmax over decoder w split between two threads: the
+    largest multiple of _SPLIT_ALIGN at most n / 2, or 0 for no split."""
+    cut = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
+    ok = cut > _WEIGHT_MAJOR_ROWS and w.size >= _SPLIT_MIN_SIZE and _row_split_agrees(w.dtype)
+    return cut if ok else 0
+
+
+@functools.cache
+def _row_split_agrees(dtype: np.dtype) -> bool:
+    """Whether this BLAS gives h @ w.T the same bytes as its two row parts at
+    every cut _row_cut could make in a 250 x 32 h, against a 203 x 32 w
+    (see README: the kernels and the BLAS thread count decide it)."""
+    w = np.sin(np.arange(203 * 32)).reshape(203, 32).astype(dtype)
+    h = np.cos(0.7 * np.arange(250 * 32)).reshape(250, 32).astype(dtype)
+    whole = (h @ w.T).tobytes()
+    return all((h[:cut] @ w.T).tobytes() + (h[cut:] @ w.T).tobytes() == whole
+               for cut in range(_SPLIT_ALIGN, h.shape[0] - _WEIGHT_MAJOR_ROWS, _SPLIT_ALIGN))
+
+
+def _logit_rows(h, w, b, z, lse, buf) -> None:
+    """Rows of _shifted_logits into z and lse, exponentials through buf; it
+    allocates nothing but dot_t's weight-major rows, which never split."""
+    dot_t(h, w, out=z)
+    if b is not None:
+        z += b
+    np.max(z, axis=1, keepdims=True, out=lse)
+    z -= lse
+    step = buf.shape[0]
+    for start in range(0, z.shape[0], step):
+        part = lse[start:start + step]
+        e = np.exp(z[start:start + step], out=buf[:part.shape[0]])
+        np.log(np.sum(e, axis=1, keepdims=True, out=part), out=part)
 
 
 def _shifted_logits(h: np.ndarray, w: np.ndarray, b) -> tuple:
     """(z, lse) of a softmax decoder: z = h wᵀ + b with each row's max
-    subtracted, in place in one rows x |V| array, and lse = each row's
-    log-sum-exp of z, as a rows x 1 column; log softmax is z - lse.
-
-    The logits come from one GEMM, not one per row block, because every
-    BLAS call packs all of w again. Their exponentials go through a scratch
-    buffer of about 2 MiB, one row block at a time.
-    """
-    z = dot_t(h, w)
-    if b is not None:
-        z += b
-    z -= z.max(axis=1, keepdims=True)
-    n, classes = z.shape
-    lse = np.empty((n, 1), z.dtype)
-    step = max(1, _EXP_BLOCK_BYTES // (classes * z.itemsize))
-    buf = np.empty((min(step, n), classes), z.dtype)
-    for start in range(0, n, step):
-        e = np.exp(z[start:start + step], out=buf[:min(step, n - start)])
-        np.log(e.sum(axis=1, keepdims=True), out=lse[start:start + step])
+    subtracted, in one rows x |V| array, and lse = each row's log-sum-exp
+    of z, as a rows x 1 column; log softmax is z - lse. Rows from _row_cut
+    on run on beside's worker. Each part is one GEMM (every BLAS call packs
+    all of w again), with its exponentials in its half of one 2 MiB scratch:
+    a scratch per part made later evals and checkpoint loads fault more."""
+    n, classes = h.shape[0], w.shape[0]
+    z, lse = np.empty((n, classes), h.dtype), np.empty((n, 1), h.dtype)
+    cut = _row_cut(n, w)
+    buf = np.empty((max(2, min(n, _EXP_BLOCK_BYTES // (classes * z.itemsize))), classes), z.dtype)
+    half = buf.shape[0] // 2 if cut else buf.shape[0]
+    with beside(_logit_rows, h[cut:], w, b, z[cut:], lse[cut:], buf[half:]) if cut \
+            else contextlib.nullcontext():
+        _logit_rows(h[:cut or n], w, b, z[:cut or n], lse[:cut or n], buf[:half])
     return z, lse
+
+
+def _softmax_in_place(z: np.ndarray, lse: np.ndarray) -> None:
+    z -= lse
+    np.exp(z, out=z)
 
 
 def log_probs(h: Tensor, w: Tensor, b: Tensor | None) -> np.ndarray:
@@ -429,8 +468,9 @@ def masked_nll(hs: Tensor, w: Tensor, b: Tensor | None, targets, mask) -> Tensor
             raise StateError("masked_nll: its kept logits were already consumed")
         # d loss_i / d logits_i = softmax_i - onehot(targets[i]), scaled by g
         d, kept = kept, None
-        d -= lse
-        np.exp(d, out=d)
+        cut = _row_cut(n, w.data)
+        with beside(_softmax_in_place, d[cut:], lse[cut:]) if cut else contextlib.nullcontext():
+            _softmax_in_place(d[:cut or n], lse[:cut or n])
         if g[0, 0] != 1:  # the root's gradient is 1, and d * 1 is d exactly
             d *= g[0, 0]
         d[np.arange(n), idx] -= g[0, 0]

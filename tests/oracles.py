@@ -9,10 +9,13 @@ sequence_nll_per_step around them), the decoder as tape ops
 (forward_sequence), the per-candidate beam search, and the one-thread
 forms of the work the package runs on two threads (beside_serial,
 build_model_serial). finite_diff_check holds the tape's gradients against
-central differences.
+central differences, and blas_core_name names the BLAS kernels in use.
 """
 
 import contextlib
+import ctypes
+import glob
+import os
 
 import numpy as np
 
@@ -351,6 +354,21 @@ def finite_diff_check(f, params, eps: float = 1e-4) -> float:
             if err > worst:
                 worst = err
     return worst
+
+
+def blas_core_name() -> str:
+    """The kernel set of the OpenBLAS that numpy loaded, as
+    openblas_get_corename() reports it, or "unknown"."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
 
 
 @contextlib.contextmanager

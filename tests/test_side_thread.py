@@ -1,5 +1,6 @@
-"""The second thread: the decoder backward's two products and the init
-streams run side by side, and change no byte."""
+"""The second thread: the decoder softmax's two row parts, the decoder
+backward's two products and the init streams run side by side, and change
+no byte."""
 
 import os
 import pathlib
@@ -14,6 +15,7 @@ import mmlm.cells as C
 import mmlm.cli as cli
 import mmlm.data as D
 import mmlm.tensor as T
+from mmlm.evaluate import CONDITIONS, evaluate
 from mmlm.model import ModelConfig, build_model
 from mmlm.train import train_epoch
 from oracles import beside_serial, build_model_serial
@@ -21,8 +23,8 @@ from oracles import beside_serial, build_model_serial
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def fused_setup(arch, fusion):
-    """A fused config and four batches of 10 captions over 60 words."""
+def fused_setup(arch, fusion, captions_per_batch=10):
+    """A fused config and 40 captions over 60 words, in batches."""
     rng = np.random.default_rng(7)
     words = [f"w{i}" for i in range(60)]
     recs = [D.CaptionRecord(f"img{i % 6}", "en", "train",
@@ -35,7 +37,7 @@ def fused_setup(arch, fusion):
         store.add(f"img{i}", vec / np.linalg.norm(vec))
     cfg = ModelConfig(arch=arch, hidden=16, vocab=len(vocab), context_dim=12,
                       fusion=fusion, unroll=8)
-    return cfg, D.encode_batches(recs, vocab, 8, 10, contexts=store)
+    return cfg, D.encode_batches(recs, vocab, 8, captions_per_batch, contexts=store)
 
 
 def param_bytes(model) -> dict:
@@ -68,6 +70,56 @@ def test_training_on_two_threads_equals_the_serial_reference(arch, fusion, monke
     got, want = param_bytes(model), param_bytes(ref)
     assert got == want
     assert got != param_bytes(build_model(cfg, seed=3))  # training moved them
+
+
+def split_setup(monkeypatch):
+    """fused_setup's LSTM in two batches of 20 captions, with no size floor
+    on the decoder, so each batch's softmax splits by rows."""
+    monkeypatch.setattr(T, "_SPLIT_MIN_SIZE", 0)
+    cfg, batches = fused_setup("lstm", "outer", captions_per_batch=20)
+    assert len(batches) == 2 and all(b.mask.sum() >= 2 * T._SPLIT_ALIGN for b in batches)
+    return cfg, batches
+
+
+def eval_nlls(model, batches) -> list:
+    return [evaluate(model, batches, condition) for condition in CONDITIONS]
+
+
+def test_split_softmax_on_two_threads_equals_the_serial_reference(monkeypatch, fast_switching):
+    cfg, batches = split_setup(monkeypatch)
+    model, ref = build_model(cfg, seed=3), build_model(cfg, seed=3)
+    sides, beside = [], T.beside
+
+    def recording(fn, *args, **kwargs):
+        sides.append(fn.__name__)
+        return beside(fn, *args, **kwargs)
+
+    monkeypatch.setattr(T, "beside", recording)
+    got = eval_nlls(model, batches)
+    assert sides == ["_logit_rows"] * len(CONDITIONS) * len(batches)
+    train_epoch(model, batches, lr=1.0, clip=2.0)
+    assert sides.count("_softmax_in_place") == len(batches)
+    monkeypatch.setattr(T, "beside", beside_serial)
+    assert eval_nlls(ref, batches) == got
+    train_epoch(ref, batches, lr=1.0, clip=2.0)
+    assert param_bytes(model) == param_bytes(ref)
+
+
+@pytest.mark.parametrize("gate", ["probe", "size floor"])
+def test_a_whole_softmax_starts_no_thread_and_gives_the_same_bytes(gate, monkeypatch):
+    cfg, batches = split_setup(monkeypatch)
+    model = build_model(cfg, seed=3)
+    split = eval_nlls(model, batches)
+    if gate == "probe":
+        monkeypatch.setattr(T, "_row_split_agrees", lambda dtype: False)
+    else:
+        monkeypatch.setattr(T, "_SPLIT_MIN_SIZE", model.decoder.U.data.size + 1)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a second thread started")
+
+    monkeypatch.setattr(T, "beside", no_thread)
+    assert eval_nlls(model, batches) == split
 
 
 def raise_in(thread_is_main: bool, when=lambda *a, **k: True, then=None):

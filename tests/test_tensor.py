@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +12,8 @@ import mmlm.tensor as T
 from mmlm.errors import ConfigError, DataError, DimensionError, StateError
 import tape_ops as O
 from oracles import finite_diff_check, sigmoid_piecewise
+
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def test_tensor_wraps_2d_and_promotes():
@@ -575,6 +581,57 @@ def test_log_probs_equals_the_op_chain(monkeypatch, dtype):
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), (rows, classes)
             want = O.log_softmax_rows(logits).data
             assert T.log_probs(h, w, None).tobytes() == want.tobytes(), (rows, classes)
+
+
+def _decoder_bytes(hs, w, b, targets, mask) -> list:
+    """The bytes of _shifted_logits, log_probs, and masked_nll's loss and
+    every gradient, for hs's rows against w (and b)."""
+    out = [a.tobytes() for a in T._shifted_logits(hs.data, w.data, None if b is None else b.data)]
+    out.append(T.log_probs(hs, w, b).tobytes())
+    leaves = [hs, w] + ([] if b is None else [b])
+    T.zero_grad(leaves)
+    loss = T.masked_nll(hs, w, b, targets, mask)
+    T.backward(O.scale(loss, 3.0))
+    return out + [loss.data.tobytes()] + [p.grad.tobytes() for p in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [True, False])
+def test_split_decoder_equals_the_whole_one(monkeypatch, dtype, bias):
+    # the benchmark workloads' decoder, V = 8000 and H = 256, at their
+    # batches' decoded row counts; every row is a target
+    rng = np.random.default_rng(16)
+    w = T.param(rng.uniform(-0.1, 0.1, (8000, 256)).astype(dtype))
+    b = T.param(rng.uniform(-1, 1, (1, 8000)).astype(dtype)) if bias else None
+    split = T._row_split_agrees(np.dtype(dtype))
+    for rows in (216, 384, 416):
+        hs = T.param(rng.uniform(-1, 1, (rows, 256)).astype(dtype))
+        targets = rng.integers(0, 8000, (rows // 8, 8))
+        mask = np.ones(targets.shape, np.float32)
+        # this BLAS splits these rows in two, or the decoder stays whole
+        assert (T._row_cut(rows, w.data) > T._WEIGHT_MAJOR_ROWS) == split
+        got = _decoder_bytes(hs, w, b, targets, mask)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_row_split_agrees", lambda dtype: False)
+            assert T._row_cut(rows, w.data) == 0
+            want = _decoder_bytes(hs, w, b, targets, mask)
+        assert got == want, rows
+
+
+def test_split_decoder_equals_the_whole_one_under_avx2_kernels():
+    """The test above in a child process on OpenBLAS's AVX2 (Haswell)
+    kernels and one BLAS thread, where the kernels can load."""
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]))
+    core = subprocess.run([sys.executable, "-c", "import oracles; print(oracles.blas_core_name())"],
+                          env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if core != "Haswell":
+        pytest.skip(f"OpenBLAS's Haswell kernels do not load here (core {core})")
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            f"{__file__}::test_split_decoder_equals_the_whole_one"],
+                           env=env, capture_output=True, text=True, cwd=TESTS.parent)
+    assert child.returncode == 0, child.stdout[-3000:]
+    assert "4 passed" in child.stdout
 
 
 def _step_order_nll(logp, targets, mask):
