@@ -6,8 +6,8 @@ order, the input matrix that holds the word embedding, the fusion modes it
 defines, and its forward and backward. A Cell holds the parameters by name.
 Cells run on batches: hidden states are B x H matrices, one row per
 sequence, and each input matrix holds one column per vocabulary item.
-`recurrence` runs a whole T x B block of token ids as one tape op with a
-hand-written backward.
+`recurrence` runs a whole T x B block of token ids and, when asked to,
+keeps the activations that `recurrence_backward`, hand-written BPTT, reads.
 
 Fusion modes: "inner" adds the projected context inside the candidate
 tanh of the delta-RNN; "outer" multiplies the cell output by the projected
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, DataError, DimensionError, StateError, UsageError
+from .errors import ConfigError, DataError, DimensionError, UsageError
 from .tensor import Tensor
 
 
@@ -142,52 +142,45 @@ class StepState:
     """Per-step recurrent state, one row per sequence; cell is only used by
     the LSTM."""
 
-    h: Tensor
-    cell: Tensor | None = None
+    h: np.ndarray
+    cell: np.ndarray | None = None
 
     def take(self, rows) -> StepState:
         """The state of the given rows, in order; a row may repeat."""
-        return StepState(h=tz.const(self.h.data[rows]),
-                         cell=None if self.cell is None else tz.const(self.cell.data[rows]))
+        return StepState(h=self.h[rows], cell=None if self.cell is None else self.cell[rows])
 
 
 def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:
     """Zero state at the start of every sequence."""
-    h = tz.const(np.zeros((batch_size, hidden), dtype=dtype))
-    if arch == "lstm":
-        return StepState(h=h, cell=tz.const(np.zeros((batch_size, hidden), dtype=dtype)))
-    return StepState(h=h)
+    cell = np.zeros((batch_size, hidden), dtype=dtype) if arch == "lstm" else None
+    return StepState(h=np.zeros((batch_size, hidden), dtype=dtype), cell=cell)
 
 
-def project_context(fusion: FusionParams, ctx, batch_size: int | None = None) -> Tensor:
+def project_context(fusion: FusionParams, ctx, batch_size: int | None = None) -> np.ndarray:
     """Project context vectors to the hidden width: rows of ctx @ M.T (+ b_M).
 
-    ctx may be a Tensor, an array of shape B x D (or a single D-vector), or
-    None for the null context, which equals an explicit all-zeros vector.
+    ctx may be an array of shape B x D (or a single D-vector), or None for
+    the null context, which equals an explicit all-zeros vector. The
+    gradients of M and b_M are taken in model.SequenceModel.gradients.
     """
     h_dim, c_dim = fusion.M.shape
     if ctx is None:
-        if batch_size is None:
-            batch_size = 1
-        base = tz.const(np.zeros((batch_size, h_dim), dtype=fusion.M.dtype))
+        gain = np.zeros((batch_size or 1, h_dim), dtype=fusion.M.dtype)
     else:
-        if not isinstance(ctx, Tensor):
-            ctx = tz.const(np.asarray(ctx, dtype=fusion.M.dtype))
-        if ctx.cols != c_dim:
-            raise DimensionError(
-                f"context width {ctx.cols} does not match projection input {c_dim}"
-            )
-        if batch_size is not None and ctx.rows != batch_size:
-            raise DimensionError(
-                f"context rows {ctx.rows} do not match batch size {batch_size}"
-            )
-        base = tz.matmul_t(ctx, fusion.M)
+        ctx = np.atleast_2d(np.asarray(ctx, dtype=fusion.M.dtype))
+        if ctx.shape[1] != c_dim:
+            raise DimensionError(f"context width {ctx.shape[1]} does not match projection"
+                                 f" input {c_dim}")
+        if batch_size is not None and ctx.shape[0] != batch_size:
+            raise DimensionError(f"context rows {ctx.shape[0]} do not match batch size"
+                                 f" {batch_size}")
+        gain = tz.dot_t(ctx, fusion.M.data)
     if fusion.use_bias:
-        return tz.add_row(base, fusion.b_M)
-    return base
+        gain += fusion.b_M.data
+    return gain
 
 
-def _check_gain(fusion: FusionParams | None, ctx_gain: Tensor | None, arch: str) -> None:
+def _check_gain(fusion: FusionParams | None, ctx_gain, arch: str) -> None:
     if fusion is None and ctx_gain is not None:
         raise UsageError(f"text-only {arch} step was given a context gain")
     if fusion is not None and ctx_gain is None:
@@ -210,20 +203,17 @@ def lstm_activation(name: str) -> tuple:
     return _LSTM_ACTIVATIONS[name]
 
 
-def recurrence(p: Cell, tokens, gain: Tensor | None, state: StepState):
-    """Run the cell over a T x B matrix of token ids from `state`, as one
-    tape node. Returns (hs, final state).
+def recurrence(p: Cell, tokens, gain: np.ndarray | None, state: StepState,
+               keep: bool = False) -> tuple:
+    """Run the cell over a T x B matrix of token ids from `state`. Returns
+    (hs, final state, kept).
 
     Row t * B + b of hs is sequence b's output after consuming tokens[t, b].
-    The given state and the final one are constants: no gradient reaches
-    or leaves them. The forward gathers the T * B embedding columns of every
-    input matrix at once, then runs one step per row of tokens, in the same
-    arithmetic as the step-by-step tape chain. With a tape it keeps every
-    step's activations, and the backward is hand-written BPTT: one GEMM over
-    the T * B rows per recurrence matrix, one scatter into the looked-up
-    columns of each input matrix (a compact gradient, see
-    tensor._accum_columns), and one sum for every row vector and for the
-    gain. Under no_grad it keeps nothing.
+    No gradient reaches or leaves the given state and the final one. The
+    forward gathers the T * B embedding columns of every input matrix at
+    once, then runs one step per row of tokens, in the same arithmetic as
+    the step-by-step op chain. With keep, kept holds every step's
+    activations for recurrence_backward; else it is None and nothing is kept.
     """
     sp = spec(p.arch)
     _check_gain(p.fusion, gain, p.arch)
@@ -236,39 +226,35 @@ def recurrence(p: Cell, tokens, gain: Tensor | None, state: StepState):
     hidden, vocab = p.params[names[0]].shape
     if flat.size and (flat.min() < 0 or flat.max() >= vocab):
         raise DataError(f"recurrence: token id out of range 0..{vocab - 1}")
-    for t in (state.h, gain):
-        if t is not None and t.shape != (batch, hidden):
-            raise DimensionError(f"recurrence: state or gain {t.shape} for {batch} x {hidden}")
-    params = tuple(p.params.values())
-    parents = params if gain is None else params + (gain,)
+    for a in (state.h, gain):
+        if a is not None and a.shape != (batch, hidden):
+            raise DimensionError(f"recurrence: state or gain {a.shape} for {batch} x {hidden}")
     if gain is not None:
-        tz._need_same_dtype("recurrence", params[0], gain)
+        tz._need_same_dtype("recurrence", p.params[names[0]], gain)
     xs = [p.params[n].data.T[flat].reshape(steps, batch, hidden) for n in names]
-    g = None if gain is None else gain.data
-    h0, c0 = state.h.data, None if state.cell is None else state.cell.data
-    kept = [] if tz._taped(parents) else None
-    out, c_last = sp.forward(p, xs, g, h0, c0, kept)
-    if kept is not None:
-        kept = [np.stack(a) for a in zip(*kept)]
+    acts = [] if keep else None
+    out, c_last = sp.forward(p, xs, gain, state.h, state.cell, acts)
+    kept = [p, flat, xs, gain, state, out, [np.stack(a) for a in zip(*acts)]] if keep else None
+    return out.reshape(steps * batch, hidden), StepState(h=out[-1], cell=c_last), kept
 
-    def back(grad):
-        nonlocal kept
-        if kept is None:
-            raise StateError("recurrence: its kept activations were already consumed")
-        acts, kept = kept, None
-        hprev = np.concatenate([h0[None], out[:-1]])
-        dxs, grads, dgain = sp.backward(p, xs, g, hprev, c0, acts, grad.reshape(out.shape))
-        cmap = None  # one column map for all the input matrices
-        for name, dx in zip(names, dxs):
-            cmap = tz._accum_columns(p.params[name], flat, _rows(dx), cmap)
-        for name, d in grads.items():
-            tz._accum(p.params[name], d)
-        if gain is not None:
-            tz._accum(gain, dgain)
 
-    hs = tz._result(out.reshape(steps * batch, hidden), parents, back)
-    final = StepState(h=tz.const(out[-1]), cell=None if c_last is None else tz.const(c_last))
-    return hs, final
+def recurrence_backward(kept, dhs: np.ndarray) -> tuple:
+    """(grads, cols, dgain): hand-written BPTT through what recurrence kept,
+    which this consumes, from dhs, the gradient of its stacked outputs.
+
+    grads maps each of the cell's parameter names to its gradient: one GEMM
+    over the T * B rows per recurrence matrix, and one sum for every row
+    vector. Each input matrix's gradient is the block of the columns cols,
+    the sorted distinct token ids (see tensor.column_blocks). dgain is the
+    gain's gradient, B x H, or None for a text-only cell.
+    """
+    p, ids, xs, g, state, out, acts = kept
+    kept.clear()  # the activations go on return
+    sp = spec(p.arch)
+    hprev = np.concatenate([state.h[None], out[:-1]])
+    dxs, grads, dgain = sp.backward(p, xs, g, hprev, state.cell, acts, dhs.reshape(out.shape))
+    cols, blocks = tz.column_blocks(ids, [_rows(dx) for dx in dxs])
+    return {**dict(zip(sp.inputs, blocks)), **grads}, cols, dgain
 
 
 def _rows(a: np.ndarray) -> np.ndarray:

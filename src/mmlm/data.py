@@ -450,9 +450,9 @@ def init_embeddings_from_pretrained(w: Tensor, vocab: Vocabulary,
     project flag that mismatch is a ConfigError. Returns the fraction of
     words covered without the [UNK] fallback.
     """
-    hidden = w.rows
-    if w.cols != len(vocab):
-        raise DimensionError(f"matrix has {w.cols} columns, vocabulary has {len(vocab)}")
+    hidden, words = w.shape
+    if words != len(vocab):
+        raise DimensionError(f"matrix has {words} columns, vocabulary has {len(vocab)}")
     proj = None
     if pre.dim != hidden:
         if not project:

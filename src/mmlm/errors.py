@@ -13,10 +13,6 @@ class ConfigError(MmlmError, ValueError):
     """Invalid configuration value or combination."""
 
 
-class StateError(MmlmError, RuntimeError):
-    """Operation invoked in a state that does not allow it."""
-
-
 class UsageError(MmlmError, ValueError):
     """API misuse, e.g. feeding a context to a text-only model."""
 

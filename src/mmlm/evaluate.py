@@ -16,7 +16,6 @@ import numpy as np
 from .data import BOS_ID, EOS_ID, SequenceBatch, Vocabulary
 from .errors import ConfigError, DataError, UsageError
 from .model import DecoderParams, SequenceModel
-from .tensor import const, no_grad
 
 CONDITIONS = ("L-L", "LV-LV", "LV-L")
 
@@ -32,15 +31,14 @@ def _condition_batch(batch: SequenceBatch, condition: str, dim: int) -> Sequence
 
 
 def dataset_nll(model: SequenceModel, batches):
-    """(mean per-token NLL, PPL) over the batches as they are; no mutation
-    and no tape."""
+    """(mean per-token NLL, PPL) over the batches as they are; no mutation,
+    and nothing kept for a backward."""
     total = 0.0
     tokens = 0
-    with no_grad():
-        for batch in batches:
-            loss, count = model.sequence_nll(batch)
-            total += loss.item()
-            tokens += count
+    for batch in batches:
+        loss, count, _ = model.sequence_nll(batch)
+        total += loss.item()
+        tokens += count
     if tokens == 0:
         return 0.0, 1.0
     nll = total / tokens
@@ -51,8 +49,8 @@ def dataset_nll(model: SequenceModel, batches):
 def evaluate(model: SequenceModel, batches, condition: str):
     """(mean per-token NLL, PPL) on the batches under one condition.
 
-    Pure: parameters are read, never written, and no tape is built;
-    repeated calls are bit-identical. L-L strips any stored contexts (on a
+    Pure: parameters are read, never written, and nothing is kept for a
+    backward; repeated calls are bit-identical. L-L strips any stored contexts (on a
     fused model that coincides with LV-L, since a missing context is the
     zero vector); LV-L substitutes zero vectors; LV-LV requires stored
     contexts.
@@ -209,7 +207,7 @@ def beam_search(model: SequenceModel, context=None, width: int = 13,
         best = np.lexsort((word, id_rank[parent], neg[keep]))[:width]
         parents, words = parent[best], word[best] + 4
         # one advance feeds every kept hypothesis its word, from its parent's row
-        gains = None if gain is None else const(np.repeat(gain.data, parents.size, axis=0))
+        gains = None if gain is None else np.repeat(gain, parents.size, axis=0)
         state, lp = model.advance(state.take(parents), gains, words)
         live = [live[p] + (w,) for p, w in zip(parents.tolist(), words.tolist())]
         scores = cand[keep[best]]

@@ -6,9 +6,11 @@ and predicts the next one, starting from a zero hidden state, with the
 context vector projected once per sequence and reused at every step.
 
 There is one decoder. Training and scoring take the masked NLL through
-tensor.masked_nll, one tape op over the stacked hidden states; sampling
-takes full log-probability rows from tensor.log_probs, which shares its
-arithmetic and builds no tape.
+tensor.masked_nll, over the stacked hidden states; sampling takes full
+log-probability rows from tensor.log_probs, which shares its arithmetic.
+A training batch keeps what the backwards need, and
+SequenceModel.gradients runs them in their one fixed order: the decoder,
+the recurrence, then the context projection.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ class DecoderParams:
     U: Tensor  # |V| x H; rows double as output-side word embeddings
     b_U: Tensor | None = None
 
+    def arrays(self) -> tuple:
+        """(U, b_U) as arrays, b_U None without a bias."""
+        return self.U.data, None if self.b_U is None else self.b_U.data
+
 
 class SequenceModel:
     """A recurrent cell plus decoder operating on SequenceBatch inputs."""
@@ -78,12 +84,6 @@ class SequenceModel:
             out["decoder.b_U"] = self.decoder.b_U
         return out
 
-    def parameters(self) -> list:
-        return list(self.named_parameters().values())
-
-    def zero_grad(self) -> None:
-        tz.zero_grad(self.parameters())
-
     # -- forward machinery ---------------------------------------------------
 
     def _validate_ids(self, tokens: np.ndarray) -> None:
@@ -95,7 +95,7 @@ class SequenceModel:
                 f" at step {t}, sequence {b}"
             )
 
-    def _gain(self, contexts, batch_size: int) -> Tensor | None:
+    def _gain(self, contexts, batch_size: int) -> np.ndarray | None:
         """Per-sequence context gain, or None for a text-only model."""
         if self.config.fusion == "none":
             if contexts is not None:
@@ -119,40 +119,66 @@ class SequenceModel:
         of its row and returns the first: at one row BLAS takes a
         matrix-vector path whose last bits differ from the matrix-matrix
         path of a larger call, so a lone sequence decodes as it would in a
-        small batch. Builds no tape: the new state cannot be differentiated."""
+        small batch."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         n = ids.size
         if n == 1:
             pad = np.zeros(2, dtype=np.int64)
             state, ids = state.take(pad), ids[pad]
-            gain = None if gain is None else tz.const(gain.data[pad])
-        with tz.no_grad():
-            _, new_state = cells.recurrence(self.cell, ids.reshape(1, -1), gain, state)
-        logp = tz.log_probs(new_state.h, self.decoder.U, self.decoder.b_U)
+            gain = None if gain is None else gain[pad]
+        _, new_state, _ = cells.recurrence(self.cell, ids.reshape(1, -1), gain, state)
+        logp = tz.log_probs(new_state.h, *self.decoder.arrays())
         return new_state.take(slice(n)), logp[:n]
 
-    def sequence_nll(self, batch: SequenceBatch):
-        """(loss tensor, counted targets): sum of -log P over masked targets.
+    def sequence_nll(self, batch: SequenceBatch, keep: bool = False):
+        """(loss, counted targets, kept): the sum of -log P over the masked
+        targets, as a scalar of the model's dtype; and with keep what
+        gradients needs, else None.
 
-        The recurrence runs as one op over the steps up to the last target;
+        The recurrence runs over the steps up to the last target;
         tensor.masked_nll then scores the masked targets of all steps at
         once, on their rows of the stacked hidden states, so padding is
         never decoded and never changes the loss.
 
-        A batch with no masked targets returns (constant zero, 0); the zero
+        A batch with no masked targets returns (zero, 0, None); the zero
         count is the caller's flag that nothing was scored.
         """
         self._validate_ids(batch.tokens)
         masked_rows = np.flatnonzero(batch.mask.any(axis=1))
         if masked_rows.size == 0:
-            return tz.const(np.zeros((1, 1), dtype=self.dtype)), 0
+            return self.dtype.type(0), 0, None
         last = int(masked_rows[-1])
         state, gain = self.start_state(batch.batch_size, batch.contexts)
         # consuming row t predicts row t+1; row t * B + b of hs is sequence b after row t
-        hs, _ = cells.recurrence(self.cell, batch.tokens[:last], gain, state)
-        loss = tz.masked_nll(hs, self.decoder.U, self.decoder.b_U,
-                             batch.tokens[1:last + 1], batch.mask[1:last + 1])
-        return loss, int(batch.mask.sum())
+        hs, _, rec = cells.recurrence(self.cell, batch.tokens[:last], gain, state, keep)
+        loss, dec = tz.masked_nll(hs, *self.decoder.arrays(), batch.tokens[1:last + 1],
+                                  batch.mask[1:last + 1], keep)
+        return loss, int(batch.mask.sum()), (batch.contexts, rec, dec) if keep else None
+
+    def gradients(self, kept) -> tuple:
+        """(grads, cols): the gradients of the loss whose kept state
+        sequence_nll(batch, keep=True) returned, which this consumes.
+
+        The backwards run in one fixed order: the decoder, the recurrence,
+        then the context projection, whose gain = M ctx + b_M gives
+        dM = dgainᵀ ctx (for a given context) and db_M = the column sums of
+        dgain. Each parameter gets exactly one gradient. grads maps parameter
+        names to arrays in named_parameters() order, and cols maps each
+        input matrix's name to the sorted token ids whose columns its
+        gradient block holds; every other column's gradient is zero.
+        """
+        contexts, rec, dec = kept
+        dhs, dU, db_U = tz.masked_nll_backward(dec)
+        cell_grads, ids, dgain = cells.recurrence_backward(rec, dhs)
+        found = {f"cell.{name}": g for name, g in cell_grads.items()}
+        if dgain is not None:
+            if contexts is not None:
+                found["fusion.M"] = dgain.T @ np.asarray(contexts, dtype=self.dtype)
+            found["fusion.b_M"] = dgain.sum(axis=0, keepdims=True)
+        found["decoder.U"], found["decoder.b_U"] = dU, db_U
+        grads = {name: found[name] for name in self.named_parameters()
+                 if found.get(name) is not None}
+        return grads, {f"cell.{name}": ids for name in cells.spec(self.config.arch).inputs}
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceModel:
@@ -208,13 +234,13 @@ def model_from_arrays(config: ModelConfig, arrays: dict) -> SequenceModel:
     """Model whose parameters are the given arrays themselves, keyed as in
     parameter_shapes(config): no random draw and no copy. The arrays'
     dtype sets the model's precision."""
-    p = {name: tz.param(arrays[name]) for name in parameter_shapes(config)}
+    p = {name: Tensor(arrays[name]) for name in parameter_shapes(config)}
     dtype = p["decoder.U"].dtype
     fusion = None
     if config.fusion != "none":
         # a bias-free projection never reads b_M; it keeps its init value
         b_M = (p["fusion.b_M"] if config.fusion_bias
-               else tz.param(np.ones((1, config.hidden), dtype=dtype)))
+               else Tensor(np.ones((1, config.hidden), dtype=dtype)))
         fusion = cells.FusionParams(M=p["fusion.M"], b_M=b_M, mode=config.fusion,
                                     use_bias=config.fusion_bias)
     cell = cells.Cell(config.arch, {name[len("cell."):]: t for name, t in p.items()

@@ -1,78 +1,39 @@
-"""Dense 2-D tensors with reverse-mode automatic differentiation.
+"""Parameters as dense 2-D arrays, and the numeric layers of the model.
 
 Every value is a rows x cols matrix in either float32 (training precision)
-or float64 (verification precision); the two must never meet on one tape.
-Operations return fresh Tensor nodes that remember their parents and a
-backward closure, so ``backward(loss)`` can walk the graph once in reverse
-topological order and accumulate gradients into the leaves. Inside a
-``no_grad()`` block they remember neither, so scoring builds no tape.
+or float64 (verification precision); the two must never meet in one model.
+A layer's forward returns its output and, when asked to keep, what its
+backward needs; the backward is a module-level function of what was kept.
+model.SequenceModel.gradients runs the backwards in their one fixed order.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import functools
 import hashlib
 import struct
 import threading
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, StateError
+from .errors import ConfigError, DataError, DimensionError
 
 
 class Tensor:
-    """One node of the tape: a 2-D array plus optional gradient state.
+    """A parameter: one 2-D float32 or float64 array, in .data."""
 
-    A gradient exists once a backward writes one. grad_block holds it
-    full-shape, or, while grad_cols is set, as the block of those sorted
-    distinct columns; every other column's gradient is then zero.
-    """
+    __slots__ = ("data",)
 
-    __slots__ = ("data", "requires_grad", "grad_block", "grad_cols", "_parents", "_backward",
-                 "_back_done")
-
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         arr = np.atleast_2d(arr)
         if arr.ndim != 2:
             raise DimensionError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad_block = self.grad_cols = None
-        self._parents: tuple = ()
-        self._backward = None
-        self._back_done = False
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        """The full-shape gradient, zeros before any write; None outside
-        the gradient flow. The read stores what it returns, so in-place
-        edits of it are edits of the gradient."""
-        if not self.requires_grad and self.grad_block is None:
-            return None
-        if self.grad_block is None or self.grad_cols is not None:
-            full = np.zeros(self.data.shape, self.data.dtype)
-            if self.grad_block is not None:
-                full[:, self.grad_cols] = self.grad_block
-            self.grad = full
-        return self.grad_block
-
-    @grad.setter
-    def grad(self, value) -> None:
-        self.grad_block, self.grad_cols = value, None
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
 
     @property
     def shape(self) -> tuple:
@@ -81,70 +42,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.shape != (1, 1):
-            raise DimensionError(f"item() needs a 1x1 tensor, got {self.data.shape}")
-        return float(self.data[0, 0])
-
-    def __repr__(self) -> str:
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor({self.data.shape[0]}x{self.data.shape[1]}, {self.data.dtype}{flag})"
-
-
-def param(data, dtype=None) -> Tensor:
-    """Leaf tensor that collects gradients."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
-
-
-def const(data, dtype=None) -> Tensor:
-    """Leaf tensor outside the gradient flow."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-_GRAD_ENABLED = contextvars.ContextVar("mmlm_grad_enabled", default=True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Build no tape inside the block.
-
-    Results of ops keep no parents and no backward closure, so nothing
-    computed here can be differentiated and parameter gradients are never
-    touched. Blocks nest; the previous mode comes back on exit, also when
-    the block raises.
-    """
-    token = _GRAD_ENABLED.set(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.reset(token)
-
-
-def _taped(parents: tuple) -> bool:
-    """Whether an op on these parents records a tape node."""
-    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
-
-
-def _result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = _taped(parents)
-    out.grad_block = out.grad_cols = None
-    # constants need no history; dropping it keeps eval-only graphs flat
-    out._parents = parents if out.requires_grad else ()
-    out._backward = backward if out.requires_grad else None
-    out._back_done = False
-    return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad_block is None:
-        t.grad_block = np.array(g, copy=True)
-    else:
-        t.grad += g  # a compact gradient is expanded first
 
 
 @contextlib.contextmanager
@@ -156,10 +53,10 @@ def beside(fn: Callable, *args, **kwargs):
     fn must be plain numpy that allocates nothing (its outputs are buffers
     the caller made): an array a worker allocates lands in a second malloc
     arena, whose freed memory the caller's later arrays cannot reuse. It
-    must build no tape node and call nothing a tracer wraps. numpy's BLAS
-    calls, ufuncs and Generator fills release the GIL, so the two threads
-    overlap on two cores. Each side's arithmetic is unchanged, so every
-    result is the same bytes as when the two run one after the other.
+    must call nothing a tracer wraps. numpy's BLAS calls, ufuncs and
+    Generator fills release the GIL, so the two threads overlap on two
+    cores. Each side's arithmetic is unchanged, so every result is the same
+    bytes as when the two run one after the other.
     """
     failed = []
 
@@ -179,12 +76,11 @@ def beside(fn: Callable, *args, **kwargs):
         raise failed[0]
 
 
-def _need_same_dtype(op: str, a: Tensor, b: Tensor) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise ConfigError(
-            f"{op}: {a.data.dtype} and {b.data.dtype} mixed on one tape; keep a"
-            " single precision per graph"
-        )
+def _need_same_dtype(op: str, a, b) -> None:
+    """ConfigError unless the arrays or parameters a and b share a dtype."""
+    if a.dtype != b.dtype:
+        raise ConfigError(f"{op}: {a.dtype} and {b.dtype} mixed; keep a single precision"
+                          " per model")
 
 
 _WEIGHT_MAJOR_ROWS = 32  # most rows of x that dot_t multiplies weight-major
@@ -236,23 +132,6 @@ def _orders_agree(dtype: np.dtype) -> bool:
     return True
 
 
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for a weight b stored one output per row.
-
-    The backward accumulates b's gradient as one contiguous g.T @ a, where
-    matmul(a, transpose(b)) would add a transposed copy through an extra node.
-    """
-    if a.cols != b.cols:
-        raise DimensionError(f"matmul_t: {a.data.shape} x {b.data.shape}^T")
-    _need_same_dtype("matmul_t", a, b)
-
-    def back(g):
-        _accum(a, g @ b.data)
-        _accum(b, g.T @ a.data)
-
-    return _result(dot_t(a.data, b.data), (a, b), back)
-
-
 def logistic(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) on a plain array, without exp overflow.
 
@@ -270,79 +149,24 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def add_row(x: Tensor, v: Tensor) -> Tensor:
-    """Add a 1 x cols row vector to every row of x."""
-    if v.data.shape != (1, x.cols):
-        raise DimensionError(f"add_row: vector {v.data.shape} does not match {x.data.shape}")
-    _need_same_dtype("add_row", x, v)
+def column_blocks(ids: np.ndarray, grads) -> tuple:
+    """(cols, blocks) for gradients whose only nonzero columns are looked-up
+    ids: row k of each g in grads, all of one width, belongs to column
+    ids[k]. cols are the sorted distinct ids, and each block holds g's
+    gradient in those columns, as g.shape[1] x cols.size.
 
-    def back(g):
-        _accum(x, g)
-        _accum(v, g.sum(axis=0, keepdims=True))
-
-    return _result(x.data + v.data, (x, v), back)
-
-
-class _ColumnMap(NamedTuple):
-    """Where _accum_columns puts one id list's rows in a compact gradient."""
-
-    before: np.ndarray | None  # the gradient's columns before (None: no gradient yet)
-    cols: np.ndarray  # its columns after: before and the ids, sorted and distinct
-    moved: np.ndarray | None  # the place in cols of each column of before
-    flat: np.ndarray  # the flat place in the block of each entry of the rows
-
-
-def _column_map(idx: np.ndarray, before, vocab: int, rows: int) -> _ColumnMap:
-    seen = np.zeros(vocab, bool)
-    seen[idx] = True
-    if before is not None:
-        seen[before] = True
-    cols = np.flatnonzero(seen)
-    where = np.empty(vocab, np.intp)  # column id -> its place in cols
-    where[cols] = np.arange(cols.size)
-    return _ColumnMap(before, cols, None if before is None else where[before],
-                      _flat_index(where[idx], rows, cols.size))
-
-
-def _flat_index(pos: np.ndarray, rows: int, width: int) -> np.ndarray:
-    """The flat index of entry (r, pos[k]) of a rows x width block, for row k
-    of g and each r: the order _add_at_flat reads g in."""
-    return (pos[:, None] + np.arange(rows) * width).ravel()
-
-
-def _accum_columns(w: Tensor, idx: np.ndarray, g: np.ndarray, shared=None):
-    """Add row k of g into column idx[k] of w's gradient; duplicate ids
-    accumulate in order. Returns the column map it used, or shared.
-
-    A missing or compact gradient stays compact: its block widens to the
-    union of the columns seen so far, and each entry gets the same additions
-    in the same order as a full-shape scatter, so it is equal bit for bit.
-    A full-shape gradient takes the columns in place.
-
-    shared is the map an earlier call with the same idx returned. It is
-    used again where it fits, that is where w has as many rows and its
-    gradient is missing or compact over the same columns array as before
-    that call, so a backward that scatters one id list into several
-    matrices builds the map once.
+    The rows of one id add up in order, so each block is equal bit for bit
+    to the same rows added into a zero full-shape gradient. One map from
+    ids to places serves every g.
     """
-    if not w.requires_grad:
-        return shared
-    block, cols = w.grad_block, w.grad_cols
-    if block is not None and cols is None:
-        if not block.flags.c_contiguous:
-            block = w.grad_block = np.ascontiguousarray(block)
-        _add_at_flat(block, _flat_index(idx, w.rows, w.cols), g)
-        return shared
-    if shared is None or shared.before is not cols or shared.flat.size != idx.size * w.rows:
-        shared = _column_map(idx, cols, w.cols, w.rows)
-    if block is None or shared.cols.size != cols.size:
-        wider = np.zeros((w.rows, shared.cols.size), w.data.dtype)
-        if block is not None:
-            wider[:, shared.moved] = block
-        block = w.grad_block = wider
-        w.grad_cols = shared.cols
-    _add_at_flat(block, shared.flat, g)
-    return shared
+    cols, places = np.unique(ids, return_inverse=True)
+    # the flat place of entry (r, places[k]) of a block, for row k of g and
+    # each r: the order _add_at_flat reads g in
+    flat = (places[:, None] + np.arange(grads[0].shape[1]) * cols.size).ravel()
+    blocks = [np.zeros((g.shape[1], cols.size), g.dtype) for g in grads]
+    for block, g in zip(blocks, grads):
+        _add_at_flat(block, flat, g)
+    return cols, blocks
 
 
 def _add_at_flat(target: np.ndarray, flat_idx: np.ndarray, values: np.ndarray) -> None:
@@ -416,123 +240,77 @@ def _softmax_in_place(z: np.ndarray, lse: np.ndarray) -> None:
     np.exp(z, out=z)
 
 
-def log_probs(h: Tensor, w: Tensor, b: Tensor | None) -> np.ndarray:
-    """log softmax(h wᵀ + b) for every row of h, as a plain array; builds no
-    tape node."""
-    z, lse = _shifted_logits(h.data, w.data, None if b is None else b.data)
+def log_probs(h: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """log softmax(h wᵀ + b) for every row of h."""
+    z, lse = _shifted_logits(h, w, b)
     z -= lse
     return z
 
 
-def masked_nll(hs: Tensor, w: Tensor, b: Tensor | None, targets, mask) -> Tensor:
-    """The decoder's loss: -sum of log softmax(h wᵀ + b)[target] over the
-    masked targets, as a 1 x 1 tensor.
+def masked_nll(hs: np.ndarray, w: np.ndarray, b: np.ndarray | None, targets, mask,
+               keep: bool = False) -> tuple:
+    """(loss, kept): the decoder's loss, -sum of log softmax(h wᵀ + b)[target]
+    over the masked targets, as a scalar of hs's dtype; and with keep what
+    masked_nll_backward needs, else None.
 
     targets and mask are T x B, and row t * B + j of hs is what predicts
     targets[t, j]. Only the rows of masked targets are decoded. Each
     sequence's terms are added in step order and the per-sequence sums then
     added up, so padding a batch with extra rows or columns leaves the loss
-    bit-identical. With a tape the shifted logits are kept, and the backward
-    turns them into the logit gradient in place: w's gradient is one GEMM
-    over the decoded rows, and hs's lands in those rows of a zero buffer;
-    the two GEMMs run side by side (see beside).
+    bit-identical. What it keeps holds the shifted logits, which the
+    backward turns into the logit gradient.
     """
-    parents = (hs, w) if b is None else (hs, w, b)
     tgt = np.asarray(targets)
-    if tgt.ndim != 2 or np.shape(mask) != tgt.shape or tgt.size != hs.rows:
-        raise DimensionError(f"masked_nll: {hs.rows} rows need T x B targets and mask,"
+    if tgt.ndim != 2 or np.shape(mask) != tgt.shape or tgt.size != hs.shape[0]:
+        raise DimensionError(f"masked_nll: {hs.shape[0]} rows need T x B targets and mask,"
                              f" got {tgt.shape} and {np.shape(mask)}")
-    if hs.cols != w.cols:
-        raise DimensionError(f"masked_nll: {hs.data.shape} x {w.data.shape}^T")
-    if b is not None and b.data.shape != (1, w.rows):
-        raise DimensionError(f"masked_nll: bias {b.data.shape} for {w.rows} classes")
-    for p in parents[1:]:
-        _need_same_dtype("masked_nll", hs, p)
+    if hs.shape[1] != w.shape[1]:
+        raise DimensionError(f"masked_nll: {hs.shape} x {w.shape}^T")
+    if b is not None and b.shape != (1, w.shape[0]):
+        raise DimensionError(f"masked_nll: bias {b.shape} for {w.shape[0]} classes")
+    for p in (w, b):
+        if p is not None:
+            _need_same_dtype("masked_nll", hs, p)
     scored = np.flatnonzero(np.asarray(mask).reshape(-1))
     idx = tgt.reshape(-1)[scored]
-    if idx.size and (idx.min() < 0 or idx.max() >= w.rows):
-        raise DataError(f"masked_nll: target out of range 0..{w.rows - 1}")
+    if idx.size and (idx.min() < 0 or idx.max() >= w.shape[0]):
+        raise DataError(f"masked_nll: target out of range 0..{w.shape[0] - 1}")
     n = scored.size
-    h = hs.data[scored]
-    z, lse = _shifted_logits(h, w.data, None if b is None else b.data)
+    h = hs[scored]
+    z, lse = _shifted_logits(h, w, b)
     picked = np.zeros(tgt.shape, z.dtype)
     picked.reshape(-1)[scored] = z[np.arange(n), idx] - lse[:, 0]
     per_seq = picked[0].copy()
     for row in picked[1:]:
         per_seq += row
-    kept = z if _taped(parents) else None
-
-    def back(g):
-        nonlocal kept
-        if kept is None:
-            raise StateError("masked_nll: its kept logits were already consumed")
-        # d loss_i / d logits_i = softmax_i - onehot(targets[i]), scaled by g
-        d, kept = kept, None
-        cut = _row_cut(n, w.data)
-        with beside(_softmax_in_place, d[cut:], lse[cut:]) if cut else contextlib.nullcontext():
-            _softmax_in_place(d[:cut or n], lse[:cut or n])
-        if g[0, 0] != 1:  # the root's gradient is 1, and d * 1 is d exactly
-            d *= g[0, 0]
-        d[np.arange(n), idx] -= g[0, 0]
-        # the input and weight gradients read only d, w and h: the worker
-        # makes d w while this thread makes dᵀ h, each one whole GEMM
-        part = np.empty((n, w.cols), d.dtype)
-        dh = np.zeros(hs.data.shape, hs.data.dtype)
-        with beside(np.matmul, d, w.data, out=part):
-            dw = d.T @ h
-        dh[scored] += part
-        _accum(hs, dh)
-        _accum(w, dw)
-        if b is not None:
-            _accum(b, d.sum(axis=0, keepdims=True))
-
-    return _result(np.full((1, 1), -per_seq.sum(), z.dtype), parents, back)
+    kept = [z, lse, h, w, scored, idx, hs.shape, b is not None] if keep else None
+    return -per_seq.sum(), kept
 
 
-def _toposort(root: Tensor) -> list:
-    order = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        node, emitted = stack.pop()
-        if emitted:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
-    return order
+def masked_nll_backward(kept) -> tuple:
+    """(dhs, dw, db): the gradients of masked_nll's loss with respect to hs,
+    w and b (None without a bias), from what it kept, which this consumes.
 
-
-def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss; every node is visited once.
-
-    Gradients accumulate into the .grad of every reachable leaf with
-    requires_grad set. Calling twice on the same node is a StateError since
-    the intermediate gradients it would reread are already consumed.
+    The kept logits become the logit gradient in place. w's gradient is one
+    GEMM over the decoded rows, and hs's lands in those rows of a zero
+    buffer; the two GEMMs run side by side (see beside).
     """
-    if loss.data.shape != (1, 1):
-        raise DimensionError(f"backward needs a 1x1 scalar, got {loss.data.shape}")
-    if loss._back_done:
-        raise StateError("backward already ran on this tape; build a fresh graph")
-    loss._back_done = True
-    if not loss.requires_grad:
-        return  # constant loss: every gradient stays zero
-    order = _toposort(loss)
-    loss.grad_block = np.ones((1, 1), dtype=loss.data.dtype)
-    for node in reversed(order):
-        if node._backward is not None and node.grad_block is not None:
-            node._backward(node.grad_block)
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    """Drop the gradients; the next write starts each one afresh."""
-    for p in params:
-        p.grad = None
+    d, lse, h, w, scored, idx, shape, bias = kept
+    kept.clear()  # the logits go on return, before the next backward allocates
+    n = d.shape[0]
+    # d loss_i / d logits_i = softmax_i - onehot(targets[i])
+    cut = _row_cut(n, w)
+    with beside(_softmax_in_place, d[cut:], lse[cut:]) if cut else contextlib.nullcontext():
+        _softmax_in_place(d[:cut or n], lse[:cut or n])
+    d[np.arange(n), idx] -= 1
+    # the input and weight gradients read only d, w and h: the worker makes
+    # d w while this thread makes dᵀ h, each one whole GEMM
+    part = np.empty((n, w.shape[1]), d.dtype)
+    dhs = np.zeros(shape, d.dtype)
+    with beside(np.matmul, d, w, out=part):
+        dw = d.T @ h
+    dhs[scored] += part
+    return dhs, dw, d.sum(axis=0, keepdims=True) if bias else None
 
 
 def clip_gradients(grads: dict, bound: float) -> dict:

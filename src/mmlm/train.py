@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .data import encode_batches
 from .errors import ConfigError, DimensionError, TrainingAbort
 from .evaluate import dataset_nll
-from .tensor import backward, clip_gradients, seed_stream
+from .tensor import clip_gradients, seed_stream
 
 SCHEDULES = ("cumulative", "consecutive")
 
@@ -88,24 +88,25 @@ def update_schedule(state: TrainState, new_valid_ppl: float, patience: int = 3,
     return state
 
 
-def sgd_step(named_params: dict, grads: dict, lr: float) -> None:
+def sgd_step(named_params: dict, grads: dict, lr: float, cols: dict | None = None) -> None:
     """theta <- theta - lr * grad, in place; grads are already clipped.
 
-    A compact gradient (the block of the parameter's grad_cols) steps only
-    those columns; a parameter without a gradient is left alone. Consumes
-    grads: each is scaled by lr in place, so the step makes no
-    parameter-sized temporary.
+    A gradient named in cols is the block of those sorted columns of its
+    parameter, and steps only them; a parameter without a gradient is left
+    alone. Consumes grads: each is scaled by lr in place, so the step makes
+    no parameter-sized temporary.
     """
+    cols = cols or {}
     for name, g in grads.items():
         p = named_params[name]
-        compact = g.shape != p.data.shape
-        if compact and (p.grad_cols is None or g.shape != (p.rows, p.grad_cols.size)):
+        ids = cols.get(name)
+        if g.shape != (p.data.shape if ids is None else (p.data.shape[0], ids.size)):
             raise DimensionError(f"gradient for {name} is {g.shape}, parameter is {p.data.shape}")
         g *= p.data.dtype.type(lr)
-        if compact:
-            p.data.T[p.grad_cols] -= g.T
-        else:
+        if ids is None:
             p.data -= g
+        else:
+            p.data.T[ids] -= g.T
 
 
 def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
@@ -118,7 +119,7 @@ def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
     total = 0.0
     tokens = 0
     for index, batch in enumerate(batches):
-        loss, count = model.sequence_nll(batch)
+        loss, count, kept = model.sequence_nll(batch, keep=True)
         if count == 0:
             continue
         value = loss.item()
@@ -127,11 +128,8 @@ def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):
                 f"non-finite loss {value} at epoch {epoch}, batch {index} (lr={lr})",
                 batch_index=index, lr=lr,
             )
-        model.zero_grad()
-        backward(loss)
-        grads = clip_gradients({k: p.grad_block for k, p in named.items()
-                                if p.grad_block is not None}, clip)
-        sgd_step(named, grads, lr)
+        grads, cols = model.gradients(kept)
+        sgd_step(named, clip_gradients(grads, clip), lr, cols)
         total += value
         tokens += count
     return total, tokens

@@ -25,9 +25,10 @@ import mmlm.tensor as T
 from mmlm.data import BOS_ID, EOS_ID
 from mmlm.errors import ConfigError, UsageError
 from mmlm.model import model_from_arrays, parameter_table
-from tape_ops import (add, embed_columns, hadamard, identity, log_softmax_rows, matmul, mul_row,
-                      one_minus, relu, scale, sigmoid, softmax_rows, sum_all, take_per_row,
-                      take_rows, tanh, transpose)
+from tape_ops import (add, add_row, backward, const, embed_columns, hadamard, identity,
+                      log_softmax_rows, matmul, matmul_t, mul_row, one_minus, relu, scale, sigmoid,
+                      softmax_rows, start_state, sum_all, take_per_row, take_rows, tanh, transpose,
+                      zero_grad)
 
 
 def np_sigmoid(x):
@@ -96,7 +97,7 @@ def delta_rnn_step(p, emb, h_prev, ctx_gain=None):
     the result passes through a linear rectifier.
     """
     C._check_gain(p.fusion, ctx_gain, "delta-rnn")
-    d_rec = T.matmul_t(h_prev, p.V)
+    d_rec = matmul_t(h_prev, p.V)
     d_dat = emb
     d1 = mul_row(hadamard(d_rec, d_dat), p.alpha)
     d2 = add(mul_row(d_rec, p.beta1), mul_row(d_dat, p.beta2))
@@ -104,7 +105,7 @@ def delta_rnn_step(p, emb, h_prev, ctx_gain=None):
     if p.fusion is not None and p.fusion.mode == "inner":
         pre = add(pre, ctx_gain)
     z = tanh(pre)
-    r = sigmoid(T.add_row(d_dat, p.b_r))
+    r = sigmoid(add_row(d_dat, p.b_r))
     mixed = add(hadamard(one_minus(r), z), hadamard(r, h_prev))
     if p.fusion is not None and p.fusion.mode == "outer":
         mixed = hadamard(mixed, ctx_gain)
@@ -119,9 +120,9 @@ def gru_step(p, embs, h_prev, ctx_gain=None):
     """
     C._check_gain(p.fusion, ctx_gain, "gru")
     e_z, e_r, e_h = embs
-    z = sigmoid(add(e_z, T.matmul_t(h_prev, p.V_z)))
-    r = sigmoid(add(e_r, T.matmul_t(h_prev, p.V_r)))
-    cand = tanh(add(e_h, T.matmul_t(hadamard(r, h_prev), p.V_h)))
+    z = sigmoid(add(e_z, matmul_t(h_prev, p.V_z)))
+    r = sigmoid(add(e_r, matmul_t(h_prev, p.V_r)))
+    cand = tanh(add(e_h, matmul_t(hadamard(r, h_prev), p.V_h)))
     h = add(hadamard(z, h_prev), hadamard(one_minus(z), cand))
     if p.fusion is not None:
         h = hadamard(h, ctx_gain)
@@ -142,11 +143,11 @@ def lstm_step(p, embs, state, ctx_gain=None):
     phi = act[p.activation]
     e_z, e_i, e_f, e_r = embs
     h_prev, c_prev = state.h, state.cell
-    z = phi(add(e_z, T.matmul_t(h_prev, p.V_z)))
-    i = sigmoid(add(add(e_i, T.matmul_t(h_prev, p.V_i)), mul_row(c_prev, p.U_i)))
-    f = sigmoid(add(add(e_f, T.matmul_t(h_prev, p.V_f)), mul_row(c_prev, p.U_f)))
+    z = phi(add(e_z, matmul_t(h_prev, p.V_z)))
+    i = sigmoid(add(add(e_i, matmul_t(h_prev, p.V_i)), mul_row(c_prev, p.U_i)))
+    f = sigmoid(add(add(e_f, matmul_t(h_prev, p.V_f)), mul_row(c_prev, p.U_f)))
     c = add(hadamard(f, c_prev), hadamard(i, z))
-    r = sigmoid(add(add(e_r, T.matmul_t(h_prev, p.V_r)), mul_row(c, p.U_r)))
+    r = sigmoid(add(add(e_r, matmul_t(h_prev, p.V_r)), mul_row(c, p.U_r)))
     h = hadamard(r, phi(c))
     if p.fusion is not None:
         h = hadamard(h, ctx_gain)
@@ -166,9 +167,9 @@ def step(model, ids, state, gain):
 
 def logits(model, h):
     """The decoder's logits h Uᵀ + b_U, as tape ops."""
-    out = T.matmul_t(h, model.decoder.U)
+    out = matmul_t(h, model.decoder.U)
     if model.decoder.b_U is not None:
-        out = T.add_row(out, model.decoder.b_U)
+        out = add_row(out, model.decoder.b_U)
     return out
 
 
@@ -177,8 +178,8 @@ def forward_sequence(model, batch):
     batch.tokens; entry t conditions on rows 0..t."""
     model._validate_ids(batch.tokens)
     state, gain = model.start_state(batch.batch_size, batch.contexts)
-    hs, _ = C.recurrence(model.cell, batch.tokens, gain, state)
-    dists = softmax_rows(logits(model, hs))
+    hs, _, _ = C.recurrence(model.cell, batch.tokens, gain, state)
+    dists = softmax_rows(logits(model, const(hs)))
     b = batch.batch_size
     return [take_rows(dists, np.arange(t * b, (t + 1) * b))
             for t in range(batch.tokens.shape[0])]
@@ -194,7 +195,7 @@ def predict_next(model, prefix, context=None):
         raise UsageError(f"prefix must start with BOS (id {BOS_ID}), got {ids[0]}")
     model._validate_ids(ids.reshape(-1, 1))
     ctx = None if context is None else np.atleast_2d(np.asarray(context, dtype=model.dtype))
-    state, gain = model.start_state(1, ctx)
+    state, gain = start_state(model, 1, ctx)
     dist = None
     for t in range(ids.size):
         state = step(model, ids[t: t + 1], state, gain)
@@ -265,15 +266,15 @@ def sequence_nll_per_step(model, batch):
     gradients are the reference for sequence_nll's.
     """
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
-    state, gain = model.start_state(batch.batch_size, batch.contexts)
+    state, gain = start_state(model, batch.batch_size, batch.contexts)
     total = None
     for t in range(last):
         state = step(model, batch.tokens[t], state, gain)
         logits = matmul(state.h, transpose(model.decoder.U))
         if model.decoder.b_U is not None:
-            logits = T.add_row(logits, model.decoder.b_U)
+            logits = add_row(logits, model.decoder.b_U)
         picked = take_per_row(log_softmax_rows(logits), batch.tokens[t + 1])
-        m = T.const(batch.mask[t + 1].reshape(-1, 1).astype(model.dtype))
+        m = const(batch.mask[t + 1].reshape(-1, 1).astype(model.dtype))
         contrib = hadamard(picked, m)
         total = contrib if total is None else add(total, contrib)
     return scale(sum_all(total), -1.0), int(batch.mask.sum())
@@ -335,8 +336,8 @@ def finite_diff_check(f, params, eps: float = 1e-4) -> float:
     for p in params:
         if p.data.dtype != np.float64:
             raise ConfigError("finite_diff_check runs in 64-bit mode; cast parameters first")
-    T.zero_grad(params)
-    T.backward(f())
+    zero_grad(params)
+    backward(f())
     analytic = [p.grad.copy() for p in params]
     worst = 0.0
     for p, ga in zip(params, analytic):

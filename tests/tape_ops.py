@@ -1,16 +1,116 @@
-"""Tape ops that only the tests run: the per-op reference paths in
-oracles.py (cell steps, the per-step decoder, forward_sequence), the loss
-reductions the tests differentiate, and the tests of the tape itself.
-
-Each op is one tape node with a hand-written backward, built from the same
-helpers as the ops in mmlm.tensor.
+"""The generic reverse-mode tape, which only the tests run: a node
+remembers its parents and a backward closure, and backward(loss) sweeps the
+graph once, accumulating full-shape gradients into the param() leaves. A
+package parameter that is no node is a constant; taped(model) makes them
+leaves. Its ops are the per-op reference paths of oracles.py and the loss
+reductions the tests differentiate. project_context, recurrence and
+masked_nll are one node per layer of the model, and layer_nll composes them
+into a batch's graph, the reference for SequenceModel.gradients;
+sequence_nll is one node whose backward is SequenceModel.gradients itself.
 """
 
 import numpy as np
 
+import mmlm.cells as C
+import mmlm.tensor as tz
 from mmlm.errors import DataError, DimensionError
-from mmlm.tensor import (Tensor, _accum, _accum_columns, _add_at_flat, _need_same_dtype,
-                         _result, logistic)
+from mmlm.model import DecoderParams, SequenceModel
+from mmlm.tensor import _add_at_flat, _need_same_dtype, dot_t, logistic
+
+
+class Tensor(tz.Tensor):
+    """One node of the tape: a 2-D array plus, in the gradient flow, its
+    parents, its backward closure and its gradient."""
+
+    __slots__ = ("requires_grad", "_grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad: bool = False):
+        super().__init__(data)
+        self.requires_grad = requires_grad
+        self._grad, self._parents, self._backward = None, (), None
+
+    @property
+    def grad(self):
+        """The full-shape gradient, zeros before any write; None outside the flow."""
+        if self._grad is None and self.requires_grad:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    def item(self) -> float:
+        return self.data.item()  # a ValueError unless 1 x 1
+
+
+const = Tensor  # a leaf outside the gradient flow
+
+
+def param(data) -> Tensor:
+    """Leaf tensor that collects gradients."""
+    return Tensor(data, requires_grad=True)
+
+
+def _in_flow(t) -> bool:
+    return getattr(t, "requires_grad", False)
+
+
+def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    out = Tensor(data, requires_grad=any(_in_flow(p) for p in parents))
+    if out.requires_grad:  # constants need no history
+        out._parents, out._backward = parents, backward
+    return out
+
+
+def _accum(t, g: np.ndarray) -> None:
+    if _in_flow(t):
+        if t._grad is None:
+            t._grad = np.array(g, copy=True)
+        else:
+            t._grad += g
+
+
+def backward(loss: Tensor) -> None:
+    """Reverse sweep from a scalar loss; every node is visited once, in
+    reverse topological order. A node's backward may consume what it kept,
+    so sweep a graph once."""
+    if loss.data.shape != (1, 1):
+        raise DimensionError(f"backward needs a 1x1 scalar, got {loss.data.shape}")
+    order, seen, stack = [], set(), [(loss, False)] if loss.requires_grad else []
+    while stack:
+        node, emitted = stack.pop()
+        if emitted:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(p, False) for p in node._parents if _in_flow(p)]
+    loss._grad = np.ones((1, 1), dtype=loss.data.dtype) if order else None
+    for node in reversed(order):
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)
+
+
+def zero_grad(params) -> None:
+    """Drop the gradients; the next write starts each one afresh."""
+    for p in params:
+        p._grad = None
+
+
+def taped(model) -> SequenceModel:
+    """The model with each parameter a tape leaf over the same array."""
+    def leaf(t):
+        return None if t is None else param(t.data)
+
+    c, f, d = model.cell, model.cell.fusion, model.decoder
+    fusion = None if f is None else C.FusionParams(leaf(f.M), leaf(f.b_M), f.mode, f.use_bias)
+    cell = C.Cell(c.arch, {k: leaf(t) for k, t in c.params.items()}, fusion, c.activation)
+    return SequenceModel(model.config, cell, DecoderParams(leaf(d.U), leaf(d.b_U)), model.dtype)
 
 
 def _need_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -71,16 +171,12 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(out, (x,), back)
 
 
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def back(g):
-        _accum(x, g)
-
-    return _result(x.data + x.data.dtype.type(c), (x,), back)
-
-
 def one_minus(x: Tensor) -> Tensor:
     """1 - x, the complement used by every gating cell."""
-    return add_scalar(scale(x, -1.0), 1.0)
+    def back(g):
+        _accum(x, -g)
+
+    return _result(1.0 - x.data, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -146,14 +242,16 @@ def embed_columns(w: Tensor, ids) -> Tensor:
     idx = np.asarray(ids)
     if idx.ndim != 1:
         raise DimensionError(f"embed_columns: ids must be 1-D, got ndim={idx.ndim}")
-    if idx.size and (idx.min() < 0 or idx.max() >= w.cols):
+    vocab = w.shape[1]
+    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise DataError(
-            f"embed_columns: id out of range 0..{w.cols - 1}: {idx[(idx < 0) | (idx >= w.cols)][0]}"
+            f"embed_columns: id out of range 0..{vocab - 1}: {idx[(idx < 0) | (idx >= vocab)][0]}"
         )
     out = w.data[:, idx].T.copy()
 
     def back(g):
-        _accum_columns(w, idx, g)
+        if _in_flow(w):  # repeated ids add up in order
+            np.add.at(w.grad.T, idx, g)
 
     return _result(out, (w,), back)
 
@@ -256,3 +354,121 @@ def put_rows(x: Tensor, rows, n: int) -> Tensor:
         _accum(x, g[idx])
 
     return _result(out, (x,), back)
+
+
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.T for a weight b stored one output per row, through
+    tensor.dot_t; b's gradient is one contiguous g.T @ a."""
+    if a.cols != b.shape[1]:
+        raise DimensionError(f"matmul_t: {a.data.shape} x {b.data.shape}^T")
+    _need_same_dtype("matmul_t", a, b)
+
+    def back(g):
+        _accum(a, g @ b.data)
+        _accum(b, g.T @ a.data)
+
+    return _result(dot_t(a.data, b.data), (a, b), back)
+
+
+def add_row(x: Tensor, v: Tensor) -> Tensor:
+    """Add a 1 x cols row vector to every row of x."""
+    if v.data.shape != (1, x.cols):
+        raise DimensionError(f"add_row: vector {v.data.shape} does not match {x.data.shape}")
+    _need_same_dtype("add_row", x, v)
+
+    def back(g):
+        _accum(x, g)
+        _accum(v, g.sum(axis=0, keepdims=True))
+
+    return _result(x.data + v.data, (x, v), back)
+
+
+def project_context(fusion, ctx, batch_size=None) -> Tensor:
+    """cells.project_context as matmul_t and add_row nodes."""
+    if ctx is None:
+        base = const(np.zeros((batch_size or 1, fusion.M.shape[0]), fusion.M.dtype))
+    else:
+        base = matmul_t(const(np.asarray(ctx, dtype=fusion.M.dtype)), fusion.M)
+    return add_row(base, fusion.b_M) if fusion.use_bias else base
+
+
+def const_state(state) -> C.StepState:
+    """A StepState of arrays as one of constant nodes."""
+    return C.StepState(const(state.h), None if state.cell is None else const(state.cell))
+
+
+def array_state(state) -> C.StepState:
+    """A StepState of nodes as one of their arrays."""
+    return C.StepState(state.h.data, None if state.cell is None else state.cell.data)
+
+
+def start_state(model, batch_size: int = 1, contexts=None):
+    """model.start_state as nodes: the zero state as constants, and the gain
+    as projection nodes (None for a text-only model)."""
+    state, gain = model.start_state(batch_size, contexts)
+    if gain is not None:
+        gain = project_context(model.cell.fusion, contexts, batch_size)
+    return const_state(state), gain
+
+
+def _dense(block: np.ndarray, cols, shape: tuple) -> np.ndarray:
+    """A gradient block of the columns cols (None: all of them), at full shape."""
+    full = np.zeros(shape, block.dtype)
+    full[:, slice(None) if cols is None else cols] = block
+    return full
+
+
+def recurrence(p, tokens, gain, state):
+    """cells.recurrence as one node over the cell's parameters and the gain,
+    from a state of nodes; returns (hs, final state of constants)."""
+    hs, final, kept = C.recurrence(p, tokens, None if gain is None else gain.data,
+                                   array_state(state), keep=True)
+    def back(g):
+        grads, cols, dgain = C.recurrence_backward(kept, g)
+        for name, d in grads.items():
+            w = p.params[name]
+            _accum(w, _dense(d, cols if name in C.spec(p.arch).inputs else None, w.shape))
+        _accum(gain, dgain)
+
+    parents = tuple(p.params.values()) + (() if gain is None else (gain,))
+    return _result(hs, parents, back), const_state(final)
+
+
+def masked_nll(hs: Tensor, w: Tensor, b, targets, mask) -> Tensor:
+    """tensor.masked_nll and its backward as one node."""
+    loss, kept = tz.masked_nll(hs.data, w.data, None if b is None else b.data, targets, mask,
+                               keep=True)
+    parents = (hs, w) if b is None else (hs, w, b)
+
+    def back(g):
+        for t, d in zip(parents, tz.masked_nll_backward(kept)):
+            _accum(t, d * g[0, 0])  # d * 1 is d exactly
+
+    return _result(np.full((1, 1), loss), parents, back)
+
+
+def layer_nll(model, batch):
+    """(loss node, counted targets): model.sequence_nll as a graph of one
+    node per layer: the context projection (matmul_t and add_row), one
+    recurrence node, then one masked_nll node."""
+    last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
+    state, gain = start_state(model, batch.batch_size, batch.contexts)
+    hs, _ = recurrence(model.cell, batch.tokens[:last], gain, state)
+    loss = masked_nll(hs, model.decoder.U, model.decoder.b_U, batch.tokens[1:last + 1],
+                      batch.mask[1:last + 1])
+    return loss, int(batch.mask.sum())
+
+
+def sequence_nll(model, batch):
+    """(loss node, counted targets): model.sequence_nll as one node over the
+    model's parameters, whose backward is model.gradients."""
+    loss, count, kept = model.sequence_nll(batch, keep=True)
+    named = model.named_parameters()
+
+    def back(g):
+        grads, cols = model.gradients(kept)
+        for name, d in grads.items():
+            _accum(named[name], _dense(d, cols.get(name), named[name].shape) * g[0, 0])
+
+    parents = tuple(named.values()) if kept else ()  # nothing kept: nothing scored
+    return _result(np.full((1, 1), loss), parents, back), count

@@ -27,6 +27,7 @@ from mmlm.errors import ConfigError
 from mmlm.model import ModelConfig, build_model
 from mmlm.tensor import seed_stream
 from oracles import finite_diff_check, forward_sequence
+from tape_ops import sequence_nll, taped
 
 
 # -- 1. gradient correctness -------------------------------------------------
@@ -55,17 +56,17 @@ def test_criterion_1_gradients_match_finite_differences():
     for i, (arch, fusion, bias, param_seed) in enumerate(GRAD_CONFIGS):
         cfg = ModelConfig(arch=arch, hidden=8, vocab=20, context_dim=6,
                           fusion=fusion, fusion_bias=bias, unroll=5)
-        model = build_model(cfg, seed=100 + i, dtype=np.float64)
+        model = taped(build_model(cfg, seed=100 + i, dtype=np.float64))
         prng = np.random.default_rng(param_seed)
-        for p in model.parameters():
+        for p in model.named_parameters().values():
             p.data[:] = prng.uniform(-0.6, 0.6, p.data.shape)
         ctx = rng.uniform(-1.0, 1.0, (2, 6)) if fusion != "none" else None
         batch = D.encode_sequences([[4, 7, 9, 12], [5, 6, 8]], 5, contexts=ctx)
 
         def loss():
-            return model.sequence_nll(batch)[0]
+            return sequence_nll(model, batch)[0]
 
-        err = finite_diff_check(loss, model.parameters(), eps=1e-4)
+        err = finite_diff_check(loss, model.named_parameters().values(), eps=1e-4)
         print(f"{arch}/{fusion}/bias={bias}: max rel err {err:.3e}", flush=True)
         assert err <= 1e-4, (arch, fusion, bias, err)
         worst_overall = max(worst_overall, err)
@@ -113,8 +114,8 @@ def test_criterion_3_identity_gating_reproduces_text_only():
         batch_ctx = D.encode_sequences(ids, 6, contexts=ctx)
         batch_plain = D.encode_sequences(ids, 6)
 
-        loss_f, count_f = fused.sequence_nll(batch_ctx)
-        loss_p, count_p = plain.sequence_nll(batch_plain)
+        loss_f, count_f, _ = fused.sequence_nll(batch_ctx)
+        loss_p, count_p, _ = plain.sequence_nll(batch_plain)
         assert loss_f.item() == loss_p.item() and count_f == count_p
         dists_f = forward_sequence(fused, batch_ctx)
         dists_p = forward_sequence(plain, batch_plain)
@@ -311,9 +312,9 @@ def test_criterion_7_schedule_and_padding_invariance():
         model = build_model(cfg, seed=13, dtype=np.float64)
         ctx = rng.uniform(-1.0, 1.0, (2, 3)) if fusion != "none" else None
         batch = D.encode_sequences([[4, 6, 9, 11], [5, 7]], 6, contexts=ctx)
-        loss, count = model.sequence_nll(batch)
+        loss, count, _ = model.sequence_nll(batch)
         for padded in (pad_rows(batch, 3), pad_column(batch)):
-            loss_p, count_p = model.sequence_nll(padded)
+            loss_p, count_p, _ = model.sequence_nll(padded)
             assert loss_p.item() == loss.item()
             assert count_p == count
 
@@ -367,7 +368,7 @@ def test_criterion_9_pretrained_initialization(tmp_path):
     pre = D.PretrainedEmbeddings.load(path)
     vocab = D.Vocabulary(["cat", "dog", "runs", "qx"])
 
-    w = T.param(np.zeros((3, len(vocab)), dtype=np.float64))
+    w = T.Tensor(np.zeros((3, len(vocab)), dtype=np.float64))
     coverage = D.init_embeddings_from_pretrained(w, vocab, pre)
     # hand-computed piece means: cat = (ca + ##t)/2, runs = (ru + ##ns)/2;
     # "ca" beats the shorter match "c"; "qx" falls back to [UNK]
@@ -380,9 +381,9 @@ def test_criterion_9_pretrained_initialization(tmp_path):
 
     with pytest.raises(ConfigError):
         D.init_embeddings_from_pretrained(
-            T.param(np.zeros((5, len(vocab)))), vocab, pre)
-    a = T.param(np.zeros((5, len(vocab))))
-    b = T.param(np.zeros((5, len(vocab))))
+            T.Tensor(np.zeros((5, len(vocab)))), vocab, pre)
+    a = T.Tensor(np.zeros((5, len(vocab))))
+    b = T.Tensor(np.zeros((5, len(vocab))))
     cov_a = D.init_embeddings_from_pretrained(a, vocab, pre, project=True, seed=7)
     cov_b = D.init_embeddings_from_pretrained(b, vocab, pre, project=True, seed=7)
     assert np.array_equal(a.data, b.data)

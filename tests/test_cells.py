@@ -1,4 +1,3 @@
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -7,74 +6,75 @@ import pytest
 
 import mmlm.cells as C
 import mmlm.data as D
-import mmlm.tensor as T
-from mmlm.errors import ConfigError, DataError, DimensionError, StateError, UsageError
+import tape_ops as O
+from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
 from mmlm.model import ModelConfig, build_model
+from mmlm.tensor import seed_stream
 
 
 from oracles import np_sigmoid, delta_step_np as delta_oracle, gru_step_np as gru_oracle, lstm_step_np as lstm_oracle
 from oracles import delta_rnn_step, finite_diff_check, gru_step, logits, lstm_step, step as oracle_step
-from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, scale, sum_all
+from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, sum_all
 
 
 def init_cell(arch, hidden, vocab, rng, dtype=np.float32, fusion=None, lstm_activation="tanh"):
     """A fresh cell drawn from rng in the spec table's order."""
-    params = {name: T.param(C.draw(init, rng, np.empty(shape, dtype)))
+    params = {name: O.param(C.draw(init, rng, np.empty(shape, dtype)))
               for name, (shape, init) in C.param_table(arch, hidden, vocab).items()}
     return C.Cell(arch, params, fusion=fusion, activation=lstm_activation)
 
 
 def init_fusion(rng, hidden, context_dim, mode, use_bias=True, dtype=np.float32):
-    return C.FusionParams(M=T.param(C.draw("uniform", rng, np.empty((hidden, context_dim), dtype))),
-                          b_M=T.param(np.ones((1, hidden), dtype=dtype)),
+    return C.FusionParams(M=O.param(C.draw("uniform", rng, np.empty((hidden, context_dim), dtype))),
+                          b_M=O.param(np.ones((1, hidden), dtype=dtype)),
                           mode=mode, use_bias=use_bias)
 
 
 def test_delta_rnn_zero_weights_halves_state():
-    rng = T.seed_stream(0, "t")
+    rng = seed_stream(0, "t")
     p = init_cell("delta-rnn", 4, 6, rng, dtype=np.float64)
     for name in ("W", "V", "b_r"):
         getattr(p, name).data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5, 0.0]])
-    st = delta_rnn_step(p, T.const(np.zeros((1, 4))), T.const(v))
+    st = delta_rnn_step(p, O.const(np.zeros((1, 4))), O.const(v))
     # z = tanh(0) = 0, r = 1/2, so h = relu(v / 2)
     npt.assert_array_equal(st.h.data, [[0.5, 0.0, 0.25, 0.0]])
 
 
 def test_gru_zero_weights_halves_state():
-    rng = T.seed_stream(0, "t")
+    rng = seed_stream(0, "t")
     p = init_cell("gru", 3, 6, rng, dtype=np.float64)
     for t in p.params.values():
         t.data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5]])
-    e = tuple(T.const(np.zeros((1, 3))) for _ in range(3))
-    st = gru_step(p, e, T.const(v))
+    e = tuple(O.const(np.zeros((1, 3))) for _ in range(3))
+    st = gru_step(p, e, O.const(v))
     # z = 1/2 keeps half the old state; candidate is tanh(0) = 0
     npt.assert_array_equal(st.h.data, v / 2.0)
 
 
 def test_lstm_zero_weights_closed_form():
-    rng = T.seed_stream(0, "t")
+    rng = seed_stream(0, "t")
     p = init_cell("lstm", 3, 6, rng, dtype=np.float64)
     for t in p.params.values():
         t.data[:] = 0.0
     v = np.array([[1.0, -2.0, 0.5]])
-    e = tuple(T.const(np.zeros((1, 3))) for _ in range(4))
-    st = lstm_step(p, e, C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(v)))
+    e = tuple(O.const(np.zeros((1, 3))) for _ in range(4))
+    st = lstm_step(p, e, C.StepState(h=O.const(np.zeros((1, 3))), cell=O.const(v)))
     # i = f = r = 1/2, z = 0: c = v/2, h = tanh(v/2) / 2
     npt.assert_allclose(st.cell.data, v / 2.0, rtol=1e-15)
     npt.assert_allclose(st.h.data, 0.5 * np.tanh(v / 2.0), rtol=1e-15)
 
 
 def test_delta_rnn_hand_computed_step():
-    rng = T.seed_stream(0, "t")
+    rng = seed_stream(0, "t")
     p = init_cell("delta-rnn", 2, 2, rng, dtype=np.float64)
     p.V.data[:] = [[0.5, 0.0], [0.0, 0.5]]
     p.W.data[:] = [[0.2, 0.0], [0.4, 0.0]]  # token 0 embeds to (0.2, 0.4)
     p.b_r.data[:] = 0.0
     h_prev = np.array([[1.0, -1.0]])
     emb = embed_columns(p.W, np.array([0]))
-    st = delta_rnn_step(p, emb, T.const(h_prev))
+    st = delta_rnn_step(p, emb, O.const(h_prev))
     # d_rec=(0.5,-0.5), d_dat=(0.2,0.4), pre=d_rec*d_dat+d_rec+d_dat=(0.8,-0.3)
     z = np.tanh([0.8, -0.3])
     r = np_sigmoid(np.array([0.2, 0.4]))
@@ -90,7 +90,7 @@ def test_steps_match_numpy_oracle(arch, mode):
         pytest.skip("inner fusion is delta-rnn only")
     hidden, vocab, cdim, batch = 5, 9, 3, 4
     for seed in range(5):
-        rng = T.seed_stream(seed, "oracle")
+        rng = seed_stream(seed, "oracle")
         fusion = None
         if mode is not None:
             fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
@@ -98,22 +98,22 @@ def test_steps_match_numpy_oracle(arch, mode):
         ids = rng.integers(0, vocab, size=batch)
         h_prev = rng.uniform(-1, 1, (batch, hidden))
         ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
-        gain = C.project_context(fusion, ctx) if fusion else None
+        gain = O.project_context(fusion, ctx) if fusion else None
         gain_np = None if gain is None else gain.data
         if arch == "delta-rnn":
             emb = embed_columns(p.W, ids)
-            got = delta_rnn_step(p, emb, T.const(h_prev), gain).h.data
+            got = delta_rnn_step(p, emb, O.const(h_prev), gain).h.data
             want = delta_oracle(p, p.W.data[:, ids].T, h_prev, gain_np)
         elif arch == "gru":
             embs = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
-            got = gru_step(p, embs, T.const(h_prev), gain).h.data
+            got = gru_step(p, embs, O.const(h_prev), gain).h.data
             embs_np = tuple(getattr(p, n).data[:, ids].T for n in ("W_z", "W_r", "W_h"))
             want = gru_oracle(p, embs_np, h_prev, gain_np)
         else:
             c_prev = rng.uniform(-1, 1, (batch, hidden))
             names = ("W_z", "W_i", "W_f", "W_r")
             embs = tuple(embed_columns(getattr(p, n), ids) for n in names)
-            st = lstm_step(p, embs, C.StepState(h=T.const(h_prev), cell=T.const(c_prev)), gain)
+            st = lstm_step(p, embs, C.StepState(h=O.const(h_prev), cell=O.const(c_prev)), gain)
             embs_np = tuple(getattr(p, n).data[:, ids].T for n in names)
             want, want_c = lstm_oracle(p, embs_np, h_prev, c_prev, gain_np)
             npt.assert_allclose(st.cell.data, want_c, atol=1e-14)
@@ -123,24 +123,24 @@ def test_steps_match_numpy_oracle(arch, mode):
 
 def test_project_context_hand_value_and_null():
     f = C.FusionParams(
-        M=T.param([[1.0, 2.0], [3.0, 4.0]]),
-        b_M=T.param([[1.0, 1.0]]),
+        M=O.param([[1.0, 2.0], [3.0, 4.0]]),
+        b_M=O.param([[1.0, 1.0]]),
         mode="outer",
     )
     out = C.project_context(f, np.array([1.0, 1.0]))
-    npt.assert_array_equal(out.data, [[4.0, 8.0]])
+    npt.assert_array_equal(out, [[4.0, 8.0]])
     # null context behaves exactly like an explicit zero vector
     null = C.project_context(f, None, batch_size=3)
     explicit = C.project_context(f, np.zeros((3, 2)))
-    npt.assert_array_equal(null.data, explicit.data)
-    npt.assert_array_equal(null.data, np.ones((3, 2)))
+    npt.assert_array_equal(null, explicit)
+    npt.assert_array_equal(null, np.ones((3, 2)))
     # without the bias the null gain is all zeros and annihilates outer cells
     f.use_bias = False
-    npt.assert_array_equal(C.project_context(f, None, batch_size=2).data, np.zeros((2, 2)))
+    npt.assert_array_equal(C.project_context(f, None, batch_size=2), np.zeros((2, 2)))
 
 
 def test_project_context_rejects_wrong_width():
-    f = C.FusionParams(M=T.param(np.zeros((4, 3))), b_M=T.param(np.ones((1, 4))), mode="outer")
+    f = C.FusionParams(M=O.param(np.zeros((4, 3))), b_M=O.param(np.ones((1, 4))), mode="outer")
     with pytest.raises(DimensionError):
         C.project_context(f, np.zeros((2, 5)))
     with pytest.raises(DimensionError):
@@ -151,66 +151,66 @@ def test_project_context_rejects_wrong_width():
 def test_outer_ones_gain_reproduces_text_only(arch):
     """Gain forced to all ones must leave the fused step bit-identical."""
     hidden, vocab, batch = 6, 8, 3
-    rng = T.seed_stream(3, "gate")
+    rng = seed_stream(3, "gate")
     fusion = init_fusion(rng, hidden, 4, "outer", dtype=np.float64)
     fused = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
-    plain = init_cell(arch, hidden, vocab, T.seed_stream(99, "x"), dtype=np.float64)
+    plain = init_cell(arch, hidden, vocab, seed_stream(99, "x"), dtype=np.float64)
     for name, t in plain.params.items():
         t.data[:] = fused.params[name].data
     ids = np.arange(batch)
-    h_prev = T.seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
-    ones = T.const(np.ones((batch, hidden)))
+    h_prev = seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
+    ones = O.const(np.ones((batch, hidden)))
     if arch == "delta-rnn":
-        a = delta_rnn_step(fused, embed_columns(fused.W, ids), T.const(h_prev), ones).h.data
-        b = delta_rnn_step(plain, embed_columns(plain.W, ids), T.const(h_prev)).h.data
+        a = delta_rnn_step(fused, embed_columns(fused.W, ids), O.const(h_prev), ones).h.data
+        b = delta_rnn_step(plain, embed_columns(plain.W, ids), O.const(h_prev)).h.data
     elif arch == "gru":
         e = tuple(embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_r", "W_h"))
-        a = gru_step(fused, e, T.const(h_prev), ones).h.data
-        b = gru_step(plain, e, T.const(h_prev)).h.data
+        a = gru_step(fused, e, O.const(h_prev), ones).h.data
+        b = gru_step(plain, e, O.const(h_prev)).h.data
     else:
-        c_prev = T.seed_stream(5, "c").uniform(-1, 1, (batch, hidden))
+        c_prev = seed_stream(5, "c").uniform(-1, 1, (batch, hidden))
         e = tuple(embed_columns(getattr(fused, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
-        a = lstm_step(fused, e, C.StepState(T.const(h_prev), T.const(c_prev)), ones).h.data
-        b = lstm_step(plain, e, C.StepState(T.const(h_prev), T.const(c_prev))).h.data
+        a = lstm_step(fused, e, C.StepState(O.const(h_prev), O.const(c_prev)), ones).h.data
+        b = lstm_step(plain, e, C.StepState(O.const(h_prev), O.const(c_prev))).h.data
     npt.assert_array_equal(a, b)
 
 
 def test_inner_zero_gain_reproduces_text_only():
     hidden, vocab, batch = 6, 8, 3
-    rng = T.seed_stream(3, "gate")
+    rng = seed_stream(3, "gate")
     fusion = init_fusion(rng, hidden, 4, "inner", dtype=np.float64)
     fused = init_cell("delta-rnn", hidden, vocab, rng, dtype=np.float64, fusion=fusion)
-    plain = init_cell("delta-rnn", hidden, vocab, T.seed_stream(99, "x"), dtype=np.float64)
+    plain = init_cell("delta-rnn", hidden, vocab, seed_stream(99, "x"), dtype=np.float64)
     for name, t in plain.params.items():
         t.data[:] = fused.params[name].data
     ids = np.arange(batch)
-    h_prev = T.seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
-    zeros = T.const(np.zeros((batch, hidden)))
-    a = delta_rnn_step(fused, embed_columns(fused.W, ids), T.const(h_prev), zeros).h.data
-    b = delta_rnn_step(plain, embed_columns(plain.W, ids), T.const(h_prev)).h.data
+    h_prev = seed_stream(4, "h").uniform(-1, 1, (batch, hidden))
+    zeros = O.const(np.zeros((batch, hidden)))
+    a = delta_rnn_step(fused, embed_columns(fused.W, ids), O.const(h_prev), zeros).h.data
+    b = delta_rnn_step(plain, embed_columns(plain.W, ids), O.const(h_prev)).h.data
     npt.assert_array_equal(a, b)
 
 
 def test_outer_zero_gain_annihilates_state():
     # this is why b_M starts at one: a zero projection would erase the state
-    rng = T.seed_stream(1, "z")
+    rng = seed_stream(1, "z")
     fusion = init_fusion(rng, 4, 3, "outer", dtype=np.float64)
     p = init_cell("gru", 4, 5, rng, dtype=np.float64, fusion=fusion)
     e = tuple(embed_columns(getattr(p, n), np.array([1, 2])) for n in ("W_z", "W_r", "W_h"))
-    st = gru_step(p, e, T.const(np.ones((2, 4))), T.const(np.zeros((2, 4))))
+    st = gru_step(p, e, O.const(np.ones((2, 4))), O.const(np.zeros((2, 4))))
     npt.assert_array_equal(st.h.data, np.zeros((2, 4)))
 
 
 def test_fusion_usage_errors():
-    rng = T.seed_stream(0, "u")
+    rng = seed_stream(0, "u")
     plain = init_cell("delta-rnn", 3, 4, rng, dtype=np.float64)
     fused = init_cell(
         "delta-rnn", 3, 4, rng, dtype=np.float64,
         fusion=init_fusion(rng, 3, 2, "outer", dtype=np.float64),
     )
     emb = embed_columns(plain.W, np.array([0]))
-    h = T.const(np.zeros((1, 3)))
-    gain = T.const(np.ones((1, 3)))
+    h = O.const(np.zeros((1, 3)))
+    gain = O.const(np.ones((1, 3)))
     with pytest.raises(UsageError):
         delta_rnn_step(plain, emb, h, gain)
     with pytest.raises(UsageError):
@@ -218,7 +218,7 @@ def test_fusion_usage_errors():
 
 
 def test_inner_fusion_rejected_for_gated_cells():
-    rng = T.seed_stream(0, "u")
+    rng = seed_stream(0, "u")
     fusion = init_fusion(rng, 3, 2, "inner", dtype=np.float64)
     for arch in ("gru", "lstm"):
         with pytest.raises(ConfigError):
@@ -226,10 +226,10 @@ def test_inner_fusion_rejected_for_gated_cells():
 
 
 def test_init_ranges_and_determinism():
-    p1 = init_cell("lstm", 8, 12, T.seed_stream(11, "init"), dtype=np.float32,
-                     fusion=init_fusion(T.seed_stream(11, "f"), 8, 5, "outer"))
-    p2 = init_cell("lstm", 8, 12, T.seed_stream(11, "init"), dtype=np.float32,
-                     fusion=init_fusion(T.seed_stream(11, "f"), 8, 5, "outer"))
+    p1 = init_cell("lstm", 8, 12, seed_stream(11, "init"), dtype=np.float32,
+                     fusion=init_fusion(seed_stream(11, "f"), 8, 5, "outer"))
+    p2 = init_cell("lstm", 8, 12, seed_stream(11, "init"), dtype=np.float32,
+                     fusion=init_fusion(seed_stream(11, "f"), 8, 5, "outer"))
     for name, t in p1.named_parameters().items():
         other = p2.named_parameters()[name]
         npt.assert_array_equal(t.data, other.data)
@@ -237,12 +237,12 @@ def test_init_ranges_and_determinism():
         if name != "fusion.b_M":  # ones by design, everything else is uniform
             assert np.abs(t.data).max() <= 0.1
     assert not np.array_equal(p1.W_z.data, p1.W_i.data)  # separate draws
-    d = init_cell("delta-rnn", 4, 4, T.seed_stream(0, "i"), dtype=np.float64)
+    d = init_cell("delta-rnn", 4, 4, seed_stream(0, "i"), dtype=np.float64)
     npt.assert_array_equal(d.b_r.data, np.zeros((1, 4)))
     npt.assert_array_equal(d.alpha.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta1.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta2.data, np.ones((1, 4)))
-    f = init_fusion(T.seed_stream(0, "i"), 4, 3, "outer", dtype=np.float64)
+    f = init_fusion(seed_stream(0, "i"), 4, 3, "outer", dtype=np.float64)
     npt.assert_array_equal(f.b_M.data, np.ones((1, 4)))
 
 
@@ -264,7 +264,7 @@ def test_draw_equals_one_uniform_call_bit_for_bit(dtype):
 
 
 def test_cell_validates_its_wiring():
-    rng = T.seed_stream(0, "v")
+    rng = seed_stream(0, "v")
     with pytest.raises(ConfigError):
         C.spec("elman")
     with pytest.raises(ConfigError):
@@ -279,19 +279,19 @@ def test_cell_validates_its_wiring():
 
 
 def test_lstm_unknown_activation_rejected():
-    rng = T.seed_stream(0, "a")
+    rng = seed_stream(0, "a")
     p = init_cell("lstm", 3, 4, rng, dtype=np.float64, lstm_activation="softsign")
     e = tuple(embed_columns(getattr(p, n), np.array([0])) for n in ("W_z", "W_i", "W_f", "W_r"))
-    st = C.StepState(h=T.const(np.zeros((1, 3))), cell=T.const(np.zeros((1, 3))))
+    st = C.StepState(h=O.const(np.zeros((1, 3))), cell=O.const(np.zeros((1, 3))))
     with pytest.raises(ConfigError):
         lstm_step(p, e, st)
 
 
 def test_lstm_peepholes_are_wired():
-    rng = T.seed_stream(2, "p")
+    rng = seed_stream(2, "p")
     p = init_cell("lstm", 3, 4, rng, dtype=np.float64)
-    c_prev = T.const(np.array([[1.0, -1.0, 2.0]]))
-    h_prev = T.const(np.zeros((1, 3)))
+    c_prev = O.const(np.array([[1.0, -1.0, 2.0]]))
+    h_prev = O.const(np.zeros((1, 3)))
     e = tuple(embed_columns(getattr(p, n), np.array([1])) for n in ("W_z", "W_i", "W_f", "W_r"))
     base = lstm_step(p, e, C.StepState(h_prev, c_prev)).h.data.copy()
     p.U_r.data[:] += 3.0
@@ -306,7 +306,7 @@ def test_lstm_peepholes_are_wired():
 ])
 def test_single_step_gradients(arch, mode):
     hidden, vocab, cdim, batch = 4, 6, 3, 2
-    rng = T.seed_stream(17, "fd")
+    rng = seed_stream(17, "fd")
     fusion = None
     if mode is not None:
         fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
@@ -315,18 +315,18 @@ def test_single_step_gradients(arch, mode):
     h0 = rng.uniform(-1, 1, (batch, hidden))
     c0 = rng.uniform(-1, 1, (batch, hidden))
     ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
-    probe = T.const(rng.uniform(-1, 1, (batch, hidden)))
+    probe = O.const(rng.uniform(-1, 1, (batch, hidden)))
 
     def loss():
-        gain = C.project_context(fusion, ctx) if fusion else None
+        gain = O.project_context(fusion, ctx) if fusion else None
         if arch == "delta-rnn":
-            st = delta_rnn_step(p, embed_columns(p.W, ids), T.const(h0), gain)
+            st = delta_rnn_step(p, embed_columns(p.W, ids), O.const(h0), gain)
         elif arch == "gru":
             e = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
-            st = gru_step(p, e, T.const(h0), gain)
+            st = gru_step(p, e, O.const(h0), gain)
         else:
             e = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_i", "W_f", "W_r"))
-            st = lstm_step(p, e, C.StepState(T.const(h0), T.const(c0)), gain)
+            st = lstm_step(p, e, C.StepState(O.const(h0), O.const(c0)), gain)
         return sum_all(hadamard(st.h, probe))
 
     err = finite_diff_check(loss, list(p.named_parameters().values()), eps=1e-5)
@@ -344,7 +344,7 @@ OP_WIRINGS += [("lstm", mode, act) for mode in (None, "outer")
 def op_setup(arch, mode, act, seed=0, hidden=5, vocab=9, cdim=3):
     """Float64 cell, a ragged batch plus an all-padding column, and a
     nonzero start state."""
-    rng = T.seed_stream(seed, "op")
+    rng = seed_stream(seed, "op")
     fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64) if mode else None
     p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion,
                     lstm_activation=act)
@@ -354,8 +354,8 @@ def op_setup(arch, mode, act, seed=0, hidden=5, vocab=9, cdim=3):
     tokens = np.hstack([tokens, np.zeros((tokens.shape[0], 1), np.int64)])[:-1]
     batch = tokens.shape[1]
     ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
-    state = C.StepState(h=T.const(rng.uniform(-1, 1, (batch, hidden))),
-                        cell=T.const(rng.uniform(-1, 1, (batch, hidden))) if arch == "lstm" else None)
+    state = C.StepState(h=O.const(rng.uniform(-1, 1, (batch, hidden))),
+                        cell=O.const(rng.uniform(-1, 1, (batch, hidden))) if arch == "lstm" else None)
     return p, tokens, ctx, state
 
 
@@ -381,18 +381,18 @@ def per_op_outputs(p, tokens, gain, state):
 def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
     p, tokens, ctx, state = op_setup(arch, mode, act)
     params = p.named_parameters()
-    probe = T.const(T.seed_stream(1, "probe").uniform(-1, 1, (tokens.size, state.h.cols)))
+    probe = O.const(seed_stream(1, "probe").uniform(-1, 1, (tokens.size, state.h.cols)))
 
     def run(recur):
-        T.zero_grad(params.values())
-        gain = C.project_context(p.fusion, ctx) if mode else None
+        O.zero_grad(params.values())
+        gain = O.project_context(p.fusion, ctx) if mode else None
         hs, final = recur(p, tokens, gain, state)
         loss = sum_all(hadamard(hs, probe))
-        T.backward(loss)
+        O.backward(loss)
         grads = {k: t.grad.copy() for k, t in params.items()}
         return loss.item(), hs.data, final, grads, None if gain is None else gain.grad.copy()
 
-    got, got_hs, got_final, got_g, got_dgain = run(C.recurrence)
+    got, got_hs, got_final, got_g, got_dgain = run(O.recurrence)
     want, want_hs, want_final, want_g, want_dgain = run(per_op_outputs)
     npt.assert_allclose(got, want, rtol=1e-10, atol=0)
     npt.assert_array_equal(got_hs, want_hs)  # the forward keeps the per-op arithmetic
@@ -415,53 +415,44 @@ def test_advance_matches_one_per_op_step(arch, mode, act):
     _, _, ctx, state = op_setup(arch, mode, act, seed=4)
     gain = m._gain(ctx, state.h.rows)
     ids = np.array([1, 4, 8, 4])
-    got, logp = m.advance(state, gain, ids)
-    want = oracle_step(m, ids, state, gain)
+    got, logp = m.advance(O.array_state(state), gain, ids)
+    want = oracle_step(m, ids, state, None if gain is None else O.const(gain))
     want_logp = log_softmax_rows(logits(m, want.h)).data
-    npt.assert_allclose(got.h.data, want.h.data, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(got.h, want.h.data, rtol=1e-12, atol=1e-12)
     if arch == "lstm":
-        npt.assert_allclose(got.cell.data, want.cell.data, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(got.cell, want.cell.data, rtol=1e-12, atol=1e-12)
     npt.assert_allclose(logp, want_logp, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("arch,mode", [("delta-rnn", "inner"), ("gru", "outer"), ("lstm", "outer")])
 def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
+    # a recurrence run for no gradient, without keep, keeps no activations
     p, _, ctx, _ = op_setup(arch, mode, "tanh", hidden=16)
-    tokens = T.seed_stream(2, "ids").integers(0, 9, (40, 8))
+    tokens = seed_stream(2, "ids").integers(0, 9, (40, 8))
     state = C.init_state(arch, 8, 16, np.float64)
     gain = C.project_context(p.fusion, ctx[:1].repeat(8, axis=0))
 
-    def retained(grad):
+    def retained(keep):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            with contextlib.ExitStack() as stack:
-                if not grad:
-                    stack.enter_context(T.no_grad())
-                hs, final = C.recurrence(p, tokens, gain, state)
-            return tracemalloc.get_traced_memory()[0] - before, hs
+            out = C.recurrence(p, tokens, gain, state, keep)
+            return tracemalloc.get_traced_memory()[0] - before, out
         finally:
             tracemalloc.stop()
 
-    kept, hs = retained(grad=False)
-    assert not hs.requires_grad and hs._parents == () and hs._backward is None
+    held, (hs, _, kept) = retained(keep=False)
+    assert kept is None
     # the output and an LSTM's final cell, plus object headers: no activations
-    assert kept < 2 * hs.data.nbytes, (kept, hs.data.nbytes)
-    taped, hs = retained(grad=True)
-    assert hs.requires_grad and hs._backward is not None
-    assert taped > 3 * hs.data.nbytes, (taped, hs.data.nbytes)
-
-
-def test_second_sweep_through_a_consumed_recurrence_raises():
-    p, tokens, ctx, state = op_setup("gru", "outer", "tanh")
-    hs, _ = C.recurrence(p, tokens, C.project_context(p.fusion, ctx), state)
-    T.backward(sum_all(hs))
-    with pytest.raises(StateError):
-        T.backward(sum_all(scale(hs, 2.0)))
+    assert held < 2 * hs.nbytes, (held, hs.nbytes)
+    held, (hs, _, kept) = retained(keep=True)
+    assert kept is not None
+    assert held > 3 * hs.nbytes, (held, hs.nbytes)
 
 
 def test_recurrence_validates_its_inputs():
     p, tokens, ctx, state = op_setup("lstm", "outer", "tanh")
+    state = O.array_state(state)
     gain = C.project_context(p.fusion, ctx)
     with pytest.raises(UsageError):
         C.recurrence(p, tokens, None, state)

@@ -71,8 +71,8 @@ def test_round_trip_is_bit_exact(tmp_path):
         npt.assert_array_equal(ckpt.tensors[name], tensor.data)
     loaded = C.model_from_checkpoint(ckpt)
     batch = fixed_batch(len(vocab))
-    a, na = model.sequence_nll(batch)
-    b, nb = loaded.sequence_nll(batch)
+    a, na, _ = model.sequence_nll(batch)
+    b, nb, _ = loaded.sequence_nll(batch)
     assert na == nb
     assert a.item() == b.item()  # bit-exact
 

@@ -50,7 +50,7 @@ def test_condition_compatibility():
 def test_uniform_model_ppl_equals_vocab_size():
     for v in (10, 100):
         m = build(v)
-        for t in m.parameters():
+        for t in m.named_parameters().values():
             t.data[:] = 0.0
         nll, ppl = E.evaluate(m, batches_for(v), "L-L")
         npt.assert_allclose(ppl, v, atol=1e-6)
@@ -98,9 +98,9 @@ def test_evaluate_equals_the_taped_loss_and_builds_no_tape(monkeypatch):
     scored = []
 
     def spy(batch):
-        loss, count = nll(batch)
-        scored.append(loss)
-        return loss, count
+        out = nll(batch)
+        scored.append(out[2])
+        return out
 
     monkeypatch.setattr(m, "sequence_nll", spy)
     for condition, contexts in (("LV-LV", lambda b: b.contexts),
@@ -108,14 +108,15 @@ def test_evaluate_equals_the_taped_loss_and_builds_no_tape(monkeypatch):
                                 ("L-L", lambda b: None)):
         total = tokens = 0
         for b in batches:
-            loss, count = nll(D.SequenceBatch(b.tokens, b.mask, contexts(b), b.image_ids))
-            assert loss.requires_grad
+            loss, count, kept = nll(D.SequenceBatch(b.tokens, b.mask, contexts(b), b.image_ids),
+                                    keep=True)
+            assert kept is not None
             total += loss.item()
             tokens += count
         scored.clear()
         assert E.evaluate(m, batches, condition) == (total / tokens, math.exp(total / tokens))
         assert len(scored) == 3
-        assert all(not t.requires_grad and t._parents == () for t in scored)
+        assert scored == [None] * 3  # nothing kept for a backward
 
 
 def test_eval_report_renders_table_one_shape():
@@ -140,7 +141,7 @@ def crafted_decoder():
     rows[4] = [1.0, 0.0]
     rows[5] = [0.9, 0.1]
     rows[6] = [0.0, 1.0]
-    return DecoderParams(U=T.param(rows))
+    return DecoderParams(U=T.Tensor(rows))
 
 
 def test_nearest_neighbors_hand_cosines():
@@ -169,7 +170,7 @@ def test_nearest_neighbors_ties_break_by_id():
     rows[4] = [2.0, 0.0]
     rows[5] = [1.0, 0.0]  # same direction as w2, different norm
     rows[6] = [3.0, 0.0]
-    dec = DecoderParams(U=T.param(rows))
+    dec = DecoderParams(U=T.Tensor(rows))
     vocab = D.Vocabulary(["a", "b", "c"])
     rep = E.nearest_neighbors(dec, "a", vocab, k=2)
     assert [w for w, _ in rep.neighbors] == ["b", "c"]  # cosine 1.0 both; id order
@@ -198,7 +199,7 @@ def test_neighbor_renderings():
 def constant_dist_model(probs, unroll=6):
     """Zero-weight model whose every step emits softmax(log probs) = probs."""
     m = build(len(probs), unroll=unroll)
-    for t in m.parameters():
+    for t in m.named_parameters().values():
         t.data[:] = 0.0
     m.decoder.b_U.data[:] = np.log(probs)
     return m
@@ -314,7 +315,7 @@ def test_beam_equals_per_candidate_loop_on_ties(dtype):
     # the tie (4, 5) = (5, 4) must keep (4, 5).
     probs = [0.01, 0.01, 0.01, 0.12, 0.1, 0.15, 0.15, 0.15, 0.1, 0.0, 0.1, 0.1]
     m = build_model(ModelConfig(hidden=6, vocab=len(probs), unroll=6), seed=0, dtype=dtype)
-    for t in m.parameters():
+    for t in m.named_parameters().values():
         t.data[:] = 0.0
     with np.errstate(divide="ignore"):
         m.decoder.b_U.data[:] = np.log(probs)
@@ -386,9 +387,9 @@ def test_beam_advances_once_per_step_over_every_kept_hypothesis():
     def counted(state, gain, ids):
         ids = np.atleast_1d(ids)
         calls.append(ids.size)
-        assert state.h.rows == ids.size
+        assert state.h.shape[0] == ids.size
         new_state, lp = advance(state, gain, ids)
-        assert new_state.h.rows == lp.shape[0] == ids.size
+        assert new_state.h.shape[0] == lp.shape[0] == ids.size
         return new_state, lp
 
     m.advance = counted

@@ -7,11 +7,11 @@ import pytest
 import mmlm.cells as C
 import mmlm.data as D
 import mmlm.tensor as T
+import tape_ops as O
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
 from mmlm.model import DecoderParams, ModelConfig, SequenceModel, build_model
 from oracles import (finite_diff_check, forward_np, forward_sequence, predict_next,
                      sequence_nll_np, sequence_nll_per_step)
-from tape_ops import sum_all
 
 
 def tiny_config(**kw):
@@ -95,7 +95,7 @@ def test_uniform_model_distributions():
     batch = make_batch([[4, 5, 6], [7, 8, 9]])
     for dist in forward_sequence(m, batch):
         npt.assert_allclose(dist.data, np.full((2, 11), 1.0 / 11.0), rtol=1e-12)
-    loss, count = m.sequence_nll(batch)
+    loss, count, _ = m.sequence_nll(batch)
     assert count == 8  # two sentences, 3 words + EOS each
     npt.assert_allclose(loss.item(), 8 * math.log(11.0), rtol=1e-12)
 
@@ -123,7 +123,7 @@ def test_forward_matches_naive_oracle(arch, fusion):
     assert len(got) == len(want) == batch.tokens.shape[0]
     for g, w in zip(got, want):
         npt.assert_allclose(g.data, w, atol=1e-12)
-    loss, count = m.sequence_nll(batch)
+    loss, count, _ = m.sequence_nll(batch)
     w_loss, w_count = sequence_nll_np(m, batch)
     assert count == w_count == 3 + 4 + 2 + 3  # words + EOS each
     npt.assert_allclose(loss.item(), w_loss, atol=1e-10)
@@ -135,7 +135,7 @@ WIRINGS = [(arch, fusion) for arch in ("delta-rnn", "gru", "lstm")
 
 @pytest.mark.parametrize("arch,fusion", WIRINGS)
 def test_batched_decoder_matches_per_step_loop(arch, fusion):
-    m = build_model(tiny_config(arch=arch, fusion=fusion), seed=16, dtype=np.float64)
+    m = O.taped(build_model(tiny_config(arch=arch, fusion=fusion), seed=16, dtype=np.float64))
     rng = np.random.default_rng(1)
     ctx = None if fusion == "none" else rng.uniform(-1, 1, (3, 3))
     batch = make_batch([[4, 5, 6, 7, 8], [9, 10], [6, 4, 5]], contexts=ctx)
@@ -147,12 +147,12 @@ def test_batched_decoder_matches_per_step_loop(arch, fusion):
         batch.contexts = np.vstack([batch.contexts, rng.uniform(-1, 1, (1, 3))])
 
     def loss_and_grads(nll):
-        m.zero_grad()
+        O.zero_grad(m.named_parameters().values())
         loss, count = nll(batch)
-        T.backward(loss)
+        O.backward(loss)
         return loss.item(), count, {k: p.grad.copy() for k, p in m.named_parameters().items()}
 
-    got, got_n, got_g = loss_and_grads(m.sequence_nll)
+    got, got_n, got_g = loss_and_grads(lambda b: O.sequence_nll(m, b))
     want, want_n, want_g = loss_and_grads(lambda b: sequence_nll_per_step(m, b))
     assert got_n == want_n == 5 + 1 + 2 + 1 + 3 + 1
     npt.assert_allclose(got, want, rtol=1e-10, atol=0)
@@ -171,9 +171,9 @@ def test_only_masked_targets_reach_the_decoder(monkeypatch):
     seen = []
     nll, decode = T.masked_nll, T._shifted_logits
 
-    def spy_nll(hs, w, b, targets, mask):
+    def spy_nll(hs, w, b, targets, mask, keep=False):
         seen.append(list(np.asarray(targets)[np.asarray(mask) > 0]))
-        return nll(hs, w, b, targets, mask)
+        return nll(hs, w, b, targets, mask, keep)
 
     def spy_decode(h, w, b):
         seen.append(h.shape[0])
@@ -181,12 +181,11 @@ def test_only_masked_targets_reach_the_decoder(monkeypatch):
 
     monkeypatch.setattr(T, "masked_nll", spy_nll)
     monkeypatch.setattr(T, "_shifted_logits", spy_decode)
-    loss, count = m.sequence_nll(batch)
+    loss, count, _ = m.sequence_nll(batch)
     # 6 steps x 4 columns are stacked; 6 + 2 + 4 of them are targets
     assert seen == [[4, 9, 6, 5, 3, 4, 6, 5, 7, 3, 8, 3], int(batch.mask.sum())]
     assert count == 12
-    with T.no_grad():
-        assert m.sequence_nll(batch)[0].item() == loss.item()
+    assert m.sequence_nll(batch, keep=True)[0] == loss
 
 
 def test_hand_computed_two_token_nll():
@@ -196,7 +195,7 @@ def test_hand_computed_two_token_nll():
         t.data[:] = 0.0
     m.decoder.b_U.data[:] = np.log([1.0, 1.0, 1.0, 2.0, 4.0, 8.0])
     batch = make_batch([[4, 5]])  # targets: 4, 5, EOS(3)
-    loss, count = m.sequence_nll(batch)
+    loss, count, _ = m.sequence_nll(batch)
     assert count == 3
     z = 1.0 + 1.0 + 1.0 + 2.0 + 4.0 + 8.0
     want = -(math.log(4.0 / z) + math.log(8.0 / z) + math.log(2.0 / z))
@@ -207,24 +206,24 @@ def test_batch_invariance():
     cfg = tiny_config(arch="gru")
     m = build_model(cfg, seed=5, dtype=np.float64)
     seqs = [[4, 5, 6], [7], [8, 9, 10, 4, 5]]
-    joint, jn = m.sequence_nll(make_batch(seqs))
+    joint, jn, _ = m.sequence_nll(make_batch(seqs))
     singles = [m.sequence_nll(make_batch([s])) for s in seqs]
-    total = sum(loss.item() for loss, _ in singles)
-    assert jn == sum(n for _, n in singles)
+    total = sum(loss.item() for loss, _, _ in singles)
+    assert jn == sum(n for _, n, _ in singles)
     npt.assert_allclose(joint.item(), total, atol=1e-9)
 
 
 def test_padding_rows_and_columns_leave_loss_unchanged():
     m = build_model(tiny_config(), seed=6, dtype=np.float64)
     batch = make_batch([[4, 5], [6]])
-    base_loss, base_count = m.sequence_nll(batch)
+    base_loss, base_count, _ = m.sequence_nll(batch)
     # extra all-pad rows below the framed content
     padded = D.SequenceBatch(
         tokens=np.vstack([batch.tokens, np.zeros((3, 2), dtype=np.int64)]),
         mask=np.vstack([batch.mask, np.zeros((3, 2), dtype=np.float32)]),
         contexts=None, image_ids=batch.image_ids,
     )
-    loss2, count2 = m.sequence_nll(padded)
+    loss2, count2, _ = m.sequence_nll(padded)
     assert (loss2.item(), count2) == (base_loss.item(), base_count)
     # extra all-pad column (a sequence with no targets at all)
     widened = D.SequenceBatch(
@@ -232,7 +231,7 @@ def test_padding_rows_and_columns_leave_loss_unchanged():
         mask=np.hstack([batch.mask, np.zeros((batch.mask.shape[0], 1), dtype=np.float32)]),
         contexts=None, image_ids=batch.image_ids + ["pad"],
     )
-    loss3, count3 = m.sequence_nll(widened)
+    loss3, count3, _ = m.sequence_nll(widened)
     assert (loss3.item(), count3) == (base_loss.item(), base_count)
 
 
@@ -240,7 +239,7 @@ def test_all_masked_batch_flagged_as_empty():
     m = build_model(tiny_config(), seed=7, dtype=np.float64)
     batch = make_batch([[4, 5]])
     batch.mask[:] = 0.0
-    loss, count = m.sequence_nll(batch)
+    loss, count, _ = m.sequence_nll(batch)
     assert count == 0
     assert loss.item() == 0.0
 
@@ -251,8 +250,8 @@ def test_null_context_equals_explicit_zeros():
     seqs = [[4, 5, 6], [7, 8]]
     with_zeros = make_batch(seqs, contexts=np.zeros((2, 3)))
     with_null = make_batch(seqs)
-    loss_a, _ = m.sequence_nll(with_zeros)
-    loss_b, _ = m.sequence_nll(with_null)
+    loss_a, _, _ = m.sequence_nll(with_zeros)
+    loss_b, _, _ = m.sequence_nll(with_null)
     assert loss_a.item() == loss_b.item()  # bit-exact
     for da, db in zip(forward_sequence(m, with_zeros), forward_sequence(m, with_null)):
         npt.assert_array_equal(da.data, db.data)
@@ -318,17 +317,23 @@ def test_advance_is_consistent_with_forward():
         npt.assert_allclose(np.exp(lp), dist.data[0], atol=1e-12)
 
 
-def test_advance_builds_no_tape():
+def test_advance_builds_no_tape(monkeypatch):
+    # advance keeps nothing for a backward, and its state is plain arrays
     m = build_model(tiny_config(arch="lstm", fusion="outer"), seed=13, dtype=np.float64)
-    m.zero_grad()
+    kept = []
+    recurrence = C.recurrence
+
+    def spy(*args, **kwargs):
+        out = recurrence(*args, **kwargs)
+        kept.append(out[2])
+        return out
+
+    monkeypatch.setattr(C, "recurrence", spy)
     state, gain = m.start_state(1, np.array([[0.4, -0.1, 0.2]]))
     for tok in (D.BOS_ID, 4):
         state, logp = m.advance(state, gain, tok)
-        for t in (state.h, state.cell):
-            assert not t.requires_grad and t._parents == ()
-    T.backward(sum_all(state.h))
-    for name, p in m.named_parameters().items():
-        assert not p.grad.any(), name
+        assert type(state.h) is np.ndarray and type(state.cell) is np.ndarray
+    assert kept == [None, None]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -350,15 +355,15 @@ def test_advance_rows_are_independent(arch, fusion, dtype):
     m = build_model(tiny_config(arch=arch, fusion=fusion), seed=17, dtype=dtype)
     rng = np.random.default_rng(3)
     k = 13  # the default beam width
-    rows = lambda: T.const(rng.uniform(-1, 1, (k, 6)).astype(dtype))  # noqa: E731
+    rows = lambda: rng.uniform(-1, 1, (k, 6)).astype(dtype)  # noqa: E731
     state = C.StepState(h=rows(), cell=rows() if arch == "lstm" else None)
     gain = None if fusion == "none" else m._gain(rng.uniform(-1, 1, (k, 3)), k)
     ids = rng.integers(0, 11, k)
 
     def run(index):
-        g = None if gain is None else T.const(gain.data[index])
+        g = None if gain is None else gain[index]
         st, logp = m.advance(state.take(index), g, ids[index])
-        return [st.h.data, logp] + ([st.cell.data] if arch == "lstm" else [])
+        return [st.h, logp] + ([st.cell] if arch == "lstm" else [])
 
     for n in (2, 5, k):
         batched = run(np.arange(n))
@@ -381,15 +386,15 @@ def test_single_row_batch_runs():
 
 def test_end_to_end_gradcheck_smoke():
     cfg = tiny_config(arch="delta-rnn", fusion="outer", hidden=4, vocab=8)
-    m = build_model(cfg, seed=15, dtype=np.float64)
+    m = O.taped(build_model(cfg, seed=15, dtype=np.float64))
     rng = np.random.default_rng(3)
     ctx = rng.uniform(-1, 1, (2, 3))
     batch = make_batch([[4, 5, 6], [7, 5]], contexts=ctx)
 
     def loss():
-        return m.sequence_nll(batch)[0]
+        return O.sequence_nll(m, batch)[0]
 
-    err = finite_diff_check(loss, m.parameters(), eps=1e-5)
+    err = finite_diff_check(loss, m.named_parameters().values(), eps=1e-5)
     assert err < 1e-4, err
 
 
@@ -397,4 +402,62 @@ def test_decoder_shape_mismatch_rejected():
     cfg = tiny_config()
     m = build_model(cfg, seed=0)
     with pytest.raises(DimensionError):
-        SequenceModel(cfg, m.cell, DecoderParams(U=T.param(np.zeros((3, 3)))))
+        SequenceModel(cfg, m.cell, DecoderParams(U=T.Tensor(np.zeros((3, 3)))))
+
+
+# criterion 1's nine wirings: (arch, fusion, fusion bias)
+NINE = [("delta-rnn", "none", True), ("delta-rnn", "inner", True), ("delta-rnn", "outer", True),
+        ("gru", "none", True), ("gru", "outer", False), ("gru", "outer", True),
+        ("lstm", "none", True), ("lstm", "outer", False), ("lstm", "outer", True)]
+
+
+def dense_column_blocks(ids, grads, vocab):
+    """tensor.column_blocks as a dense scatter: all vocab columns, with the
+    rows of each id added in order by np.add.at."""
+    blocks = [np.zeros((g.shape[1], vocab), g.dtype) for g in grads]
+    for block, g in zip(blocks, grads):
+        np.add.at(block.T, ids, g)
+    return np.arange(vocab), blocks
+
+
+@pytest.mark.parametrize("hidden,vocab", [(6, 11), (256, 4104)])
+@pytest.mark.parametrize("arch,fusion,bias", NINE)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gradients_equal_the_layer_graph_bit_for_bit(monkeypatch, hidden, vocab, arch, fusion,
+                                                     bias, dtype):
+    # SequenceModel.gradients against the graph a batch was before it: the
+    # projection as matmul_t and add_row nodes, one recurrence node and one
+    # masked_nll node, with every input matrix's gradient a dense scatter.
+    # A 4104 x 256 decoder is above the size where its softmax splits by rows.
+    cfg = ModelConfig(arch=arch, hidden=hidden, vocab=vocab, context_dim=3, fusion=fusion,
+                      fusion_bias=bias, unroll=30)
+    m = O.taped(build_model(cfg, seed=18, dtype=dtype))
+    named = m.named_parameters()
+    rng = np.random.default_rng(2)
+    seqs = [list(rng.integers(4, vocab, n)) for n in (29, 3, 17, 24, 11, 20)]
+    batches = [make_batch(seqs, unroll=30)]
+    if fusion != "none":  # a given context and the null one
+        batches.insert(0, make_batch(seqs, unroll=30, contexts=rng.uniform(-1, 1, (6, 3))))
+    for batch in batches:
+        if vocab * hidden > T._SPLIT_MIN_SIZE:  # split wherever the probe lets it
+            cut = T._row_cut(int(batch.mask.sum()), m.decoder.U.data)
+            assert (cut > 0) == T._row_split_agrees(np.dtype(dtype))
+        loss, count, kept = m.sequence_nll(batch, keep=True)
+        grads, cols = m.gradients(kept)
+        O.zero_grad(named.values())
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "column_blocks",
+                          lambda ids, grads: dense_column_blocks(ids, grads, vocab))
+            want_loss, want_count = O.layer_nll(m, batch)
+            O.backward(want_loss)
+        assert np.asarray(loss).tobytes() == want_loss.data.tobytes() and count == want_count
+        assert list(grads) == [name for name, p in named.items() if p._grad is not None]
+        last = np.flatnonzero(batch.mask.any(axis=1))[-1]
+        assert sorted(cols) == [f"cell.{n}" for n in sorted(C.spec(arch).inputs)]
+        for name, g in grads.items():
+            want = named[name].grad
+            if name in cols:
+                npt.assert_array_equal(cols[name], np.unique(batch.tokens[:last]))
+                assert not np.delete(want, cols[name], axis=1).any(), name
+                want = want[:, cols[name]]
+            assert g.dtype == dtype and g.tobytes() == np.ascontiguousarray(want).tobytes(), name

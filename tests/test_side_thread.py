@@ -136,11 +136,11 @@ def raise_in(thread_is_main: bool, when=lambda *a, **k: True, then=None):
 def test_a_failed_side_product_surfaces_from_backward(monkeypatch):
     cfg, batches = fused_setup("lstm", "outer")
     model = build_model(cfg, seed=3)
-    loss, _ = model.sequence_nll(batches[0])
+    _, _, kept = model.sequence_nll(batches[0], keep=True)
     before = threading.active_count()
     monkeypatch.setattr(np, "matmul", raise_in(False, then=np.matmul))
     with pytest.raises(MemoryError, match="side thread"):
-        T.backward(loss)
+        model.gradients(kept)
     assert threading.active_count() == before
 
 

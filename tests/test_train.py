@@ -9,6 +9,7 @@ import mmlm.checkpoint as CK
 import mmlm.data as D
 import mmlm.tensor as T
 import mmlm.train as TR
+import tape_ops as O
 from mmlm.errors import ConfigError, DimensionError, TrainingAbort
 from mmlm.model import ModelConfig, build_model
 from snapshots import restore_params, snapshot_params
@@ -80,12 +81,18 @@ def test_schedule_halving_is_exact_power_of_two():
 
 
 def test_sgd_step_known_values():
-    p = {"w": T.param([[1.0]]), "b": T.param([[5.0]])}
+    p = {"w": T.Tensor([[1.0]]), "b": T.Tensor([[5.0]])}
     TR.sgd_step(p, {"w": np.array([[0.25]]), "b": np.array([[0.0]])}, 1.0)
     assert p["w"].data[0, 0] == 0.75
     assert p["b"].data[0, 0] == 5.0  # zero gradient leaves it alone
     with pytest.raises(DimensionError):
         TR.sgd_step(p, {"w": np.zeros((2, 2)), "b": np.zeros((1, 1))}, 1.0)
+    # a gradient block of the given columns steps only those columns
+    m = {"m": T.Tensor(np.ones((2, 4)))}
+    TR.sgd_step(m, {"m": np.array([[1.0, 2.0], [3.0, 4.0]])}, 0.5, {"m": np.array([1, 3])})
+    npt.assert_array_equal(m["m"].data, [[1.0, 0.5, 1.0, 0.0], [1.0, -0.5, 1.0, -1.0]])
+    with pytest.raises(DimensionError):
+        TR.sgd_step(m, {"m": np.zeros((2, 4))}, 0.5, {"m": np.array([1, 3])})
 
 
 def test_sgd_step_bits_and_consumed_grads():
@@ -94,7 +101,7 @@ def test_sgd_step_bits_and_consumed_grads():
         w = rng.uniform(-1, 1, (40, 30)).astype(dtype)
         g = rng.uniform(-2, 2, (40, 30)).astype(dtype)
         want = w - dtype(0.37) * g
-        p = {"w": T.param(w.copy())}
+        p = {"w": T.Tensor(w.copy())}
         grads = {"w": g.copy()}
         TR.sgd_step(p, grads, 0.37)
         npt.assert_array_equal(p["w"].data, want)
@@ -108,7 +115,7 @@ def test_clip_then_update_rule():
     shapes = {"W": (300, 500), "V": (40, 40), "b": (1, 500)}
     for lr in (1.0, 0.37):
         for trial in range(5):
-            p = {k: T.param(rng.uniform(-0.5, 0.5, s).astype(np.float32))
+            p = {k: T.Tensor(rng.uniform(-0.5, 0.5, s).astype(np.float32))
                  for k, s in shapes.items()}
             grads = {k: (rng.standard_normal(s) * 10.0 ** trial).astype(np.float32)
                      for k, s in shapes.items()}
@@ -119,11 +126,11 @@ def test_clip_then_update_rule():
 
 
 def _dense_reference_step(model, batch, lr, clip):
-    """p - lr * g from the full-shape gradients, clipped to the global norm;
-    returns (parameters after the step, gradient norm)."""
-    loss, _ = model.sequence_nll(batch)
-    model.zero_grad()
-    T.backward(loss)
+    """p - lr * g from the full-shape gradients of the batch's graph of
+    nodes, clipped to the global norm; returns (parameters after the step,
+    gradient norm)."""
+    model = O.taped(model)
+    O.backward(O.layer_nll(model, batch)[0])
     grads = {k: p.grad for k, p in model.named_parameters().items()}
     norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
     factor = clip / norm * (1.0 - 1e-5) if norm > clip else None
@@ -141,13 +148,20 @@ def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
     fresh = build_model(cfg, seed=5)
     path = str(tmp_path / "m.mmlm")
     CK.save_checkpoint(path, fresh, vocab, TR.TrainConfig(), TR.TrainState())
+    # a parameter holds its array and nothing else: no gradient buffer
+    assert T.Tensor.__slots__ == ("data",)
     for model in (fresh, CK.model_from_checkpoint(CK.load_checkpoint(path))):
-        assert all(p.grad_block is None for p in model.parameters())
+        assert all(type(p) is T.Tensor for p in model.named_parameters().values())
 
     batch = D.encode_batches(recs, vocab, 8, 2)[0]
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
     looked_up = np.unique(batch.tokens[:last])
     assert looked_up.size < len(vocab)
+    grads, cols = fresh.gradients(fresh.sequence_nll(batch, keep=True)[2])
+    assert sorted(cols) == sorted(f"cell.{name}" for name in CL.spec("lstm").inputs)
+    for name, ids in cols.items():
+        npt.assert_array_equal(ids, looked_up)
+        assert grads[name].shape == (cfg.hidden, looked_up.size)
     lr = 0.5
     _, norm = _dense_reference_step(build_model(cfg, seed=5), batch, lr, math.inf)
     # below the bound, at it (up to the float64 summation order of the
@@ -156,11 +170,7 @@ def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
         want, _ = _dense_reference_step(build_model(cfg, seed=5), batch, lr, clip)
         model = build_model(cfg, seed=5)
         TR.train_epoch(model, [batch], lr, clip)
-        named = model.named_parameters()
-        for name in CL.spec("lstm").inputs:
-            npt.assert_array_equal(named[f"cell.{name}"].grad_cols, looked_up)
-            assert named[f"cell.{name}"].grad_block.shape == (cfg.hidden, looked_up.size)
-        for k, p in named.items():
+        for k, p in model.named_parameters().items():
             if clip >= norm:
                 npt.assert_array_equal(p.data, want[k], err_msg=k)
             else:
@@ -180,7 +190,7 @@ def test_single_batch_epoch_loss_is_pre_update_nll():
     recs, vocab, model = small_setup(seed=3)
     batches = D.encode_batches(recs, vocab, 8, len(recs))
     assert len(batches) == 1
-    want_loss, want_count = model.sequence_nll(batches[0])
+    want_loss, want_count, _ = model.sequence_nll(batches[0])
     total, tokens = TR.train_epoch(model, batches, lr=1.0, clip=2.0)
     assert tokens == want_count
     assert total == want_loss.item()
@@ -212,21 +222,21 @@ def test_non_finite_loss_aborts_with_diagnostics():
 def test_dataset_nll_equals_the_taped_loss_and_builds_no_tape(monkeypatch):
     recs, vocab, model = small_setup(seed=4)
     batches = D.encode_batches(recs, vocab, 8, 2)
-    losses = [model.sequence_nll(b) for b in batches]
-    assert all(loss.requires_grad for loss, _ in losses)
-    total = sum(loss.item() for loss, _ in losses)
-    tokens = sum(count for _, count in losses)
+    losses = [model.sequence_nll(b, keep=True) for b in batches]
+    assert all(kept is not None for _, _, kept in losses)
+    total = sum(loss.item() for loss, _, _ in losses)
+    tokens = sum(count for _, count, _ in losses)
     nll = model.sequence_nll
     scored = []
     monkeypatch.setattr(model, "sequence_nll", lambda b: scored.append(nll(b)) or scored[-1])
     assert TR.dataset_nll(model, batches) == (total / tokens, math.exp(total / tokens))
     assert len(scored) == len(batches)
-    assert all(not loss.requires_grad and loss._parents == () for loss, _ in scored)
+    assert all(kept is None for _, _, kept in scored)
 
 
 def test_dataset_nll_uniform_model():
     recs, vocab, model = small_setup()
-    for t in model.parameters():
+    for t in model.named_parameters().values():
         t.data[:] = 0.0
     batches = D.encode_batches(recs, vocab, 8, 2)
     nll, ppl = TR.dataset_nll(model, batches)
