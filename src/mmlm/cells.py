@@ -26,7 +26,6 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError, DataError, DimensionError, UsageError
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -100,12 +99,12 @@ DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
 
 @dataclass
 class FusionParams:
-    """Context projection: gain = M c + b_M (bias optional)."""
+    """Context projection: gain = M c + b_M, with b_M None for a
+    projection without a bias."""
 
-    M: Tensor  # H x D
-    b_M: Tensor  # 1 x H, initialized to ones
+    M: np.ndarray  # H x D
+    b_M: np.ndarray | None  # 1 x H, initialized to ones
     mode: str = "outer"
-    use_bias: bool = True
 
 
 @dataclass
@@ -127,14 +126,16 @@ class Cell:
         self.params = {name: self.params[name] for name in names}
         self.__dict__.update(self.params)  # cell.W is cell.params["W"]
 
-    def named_parameters(self) -> dict:
-        """Ordered name -> Tensor map for the cell and its fusion block."""
-        out = {f"cell.{name}": t for name, t in self.params.items()}
-        if self.fusion is not None:
-            out["fusion.M"] = self.fusion.M
-            if self.fusion.use_bias:
-                out["fusion.b_M"] = self.fusion.b_M
-        return out
+
+def from_named(arch: str, named: dict, mode: str | None = None,
+               activation: str = "tanh") -> Cell:
+    """The Cell over the values of named, keyed as in model.parameter_table:
+    "cell.<name>" for its own parameters and, with a fusion mode, "fusion.M"
+    and "fusion.b_M" (absent without a bias). Other names are ignored."""
+    fusion = None if mode is None else FusionParams(named["fusion.M"], named.get("fusion.b_M"),
+                                                    mode)
+    return Cell(arch, {name[len("cell."):]: v for name, v in named.items()
+                       if name.startswith("cell.")}, fusion, activation)
 
 
 @dataclass
@@ -174,9 +175,9 @@ def project_context(fusion: FusionParams, ctx, batch_size: int | None = None) ->
         if batch_size is not None and ctx.shape[0] != batch_size:
             raise DimensionError(f"context rows {ctx.shape[0]} do not match batch size"
                                  f" {batch_size}")
-        gain = tz.dot_t(ctx, fusion.M.data)
-    if fusion.use_bias:
-        gain += fusion.b_M.data
+        gain = tz.dot_t(ctx, fusion.M)
+    if fusion.b_M is not None:
+        gain += fusion.b_M
     return gain
 
 
@@ -231,7 +232,7 @@ def recurrence(p: Cell, tokens, gain: np.ndarray | None, state: StepState,
             raise DimensionError(f"recurrence: state or gain {a.shape} for {batch} x {hidden}")
     if gain is not None:
         tz._need_same_dtype("recurrence", p.params[names[0]], gain)
-    xs = [p.params[n].data.T[flat].reshape(steps, batch, hidden) for n in names]
+    xs = [p.params[n].T[flat].reshape(steps, batch, hidden) for n in names]
     acts = [] if keep else None
     out, c_last = sp.forward(p, xs, gain, state.h, state.cell, acts)
     kept = [p, flat, xs, gain, state, out, [np.stack(a) for a in zip(*acts)]] if keep else None
@@ -273,14 +274,13 @@ def _delta_forward(p, xs, g, h, c, kept):
     previous state and the result passes through a linear rectifier."""
     (x,) = xs
     inner = p.fusion is not None and p.fusion.mode == "inner"
-    r = tz.logistic(x + p.b_r.data)
+    r = tz.logistic(x + p.b_r)
     one_minus_r = 1.0 - r
-    dat = x * p.beta2.data
-    V, alpha, beta1 = p.V.data, p.alpha.data, p.beta1.data
+    dat = x * p.beta2
     out = np.empty_like(x)
     for t in range(len(x)):
-        d_rec = tz.dot_t(h, V)
-        pre = d_rec * x[t] * alpha + (d_rec * beta1 + dat[t])
+        d_rec = tz.dot_t(h, p.V)
+        pre = d_rec * x[t] * p.alpha + (d_rec * p.beta1 + dat[t])
         if inner:
             pre = pre + g
         z = np.tanh(pre)
@@ -297,11 +297,10 @@ def _delta_backward(p, xs, g, hprev, c0, acts, G):
     (x,) = xs
     d_rec, z, mixed = acts
     outer = p.fusion is not None and p.fusion.mode == "outer"
-    r = tz.logistic(x + p.b_r.data)
+    r = tz.logistic(x + p.b_r)
     live = ((mixed * g if outer else mixed) > 0).astype(x.dtype)
     dz_dm = (1.0 - r) * (1.0 - z * z)
-    dpre_da = p.alpha.data * x + p.beta1.data
-    V = p.V.data
+    dpre_da = p.alpha * x + p.beta1
     d_live, d_rec_grad = np.empty_like(G), np.empty_like(G)
     dh = np.zeros_like(G[0])
     for t in reversed(range(len(G))):
@@ -309,11 +308,11 @@ def _delta_backward(p, xs, g, hprev, c0, acts, G):
         if outer:
             dm = dm * g
         da = np.multiply(dm * dz_dm[t], dpre_da[t], out=d_rec_grad[t])
-        dh = dm * r[t] + da @ V
+        dh = dm * r[t] + da @ p.V
     dmixed = d_live * g if outer else d_live
     dpre = dmixed * dz_dm
     dr = dmixed * (hprev - z) * r * (1.0 - r)
-    dx = dpre * (p.alpha.data * d_rec + p.beta2.data) + dr
+    dx = dpre * (p.alpha * d_rec + p.beta2) + dr
     grads = {"V": _rows(d_rec_grad).T @ _rows(hprev), "b_r": _rowsum(dr),
              "alpha": _rowsum(dpre * d_rec * x), "beta1": _rowsum(dpre * d_rec),
              "beta2": _rowsum(dpre * x)}
@@ -328,13 +327,12 @@ def _gru_forward(p, xs, g, h, c, kept):
     the candidate's recurrence reads r * h_prev. Outer fusion multiplies
     the new state by the context gain."""
     x_z, x_r, x_h = xs
-    V_z, V_r, V_h = p.V_z.data, p.V_r.data, p.V_h.data
     out = np.empty_like(x_z)
     for t in range(len(x_z)):
-        z = tz.logistic(x_z[t] + tz.dot_t(h, V_z))
-        r = tz.logistic(x_r[t] + tz.dot_t(h, V_r))
+        z = tz.logistic(x_z[t] + tz.dot_t(h, p.V_z))
+        r = tz.logistic(x_r[t] + tz.dot_t(h, p.V_r))
         rh = r * h
-        cand = np.tanh(x_h[t] + tz.dot_t(rh, V_h))
+        cand = np.tanh(x_h[t] + tz.dot_t(rh, p.V_h))
         new = z * h + (1.0 - z) * cand
         if kept is not None:
             kept.append((z, r, rh, cand, new))
@@ -348,8 +346,7 @@ def _gru_backward(p, xs, g, hprev, c0, acts, G):
     dz_dpre = (hprev - cand) * z * (1.0 - z)
     dcand_dpre = (1.0 - z) * (1.0 - cand * cand)
     dr_dpre = hprev * r * (1.0 - r)
-    V_zr = np.concatenate([p.V_z.data, p.V_r.data])
-    V_h = p.V_h.data
+    V_zr = np.concatenate([p.V_z, p.V_r])
     d_out = np.empty_like(G)
     d_zr = np.empty(G.shape[:2] + (2 * hidden,), G.dtype)
     d_cand = np.empty_like(G)
@@ -359,7 +356,7 @@ def _gru_backward(p, xs, g, hprev, c0, acts, G):
         if g is not None:
             dnew = dnew * g
         np.multiply(dnew, dz_dpre[t], out=d_zr[t, :, :hidden])
-        drh = np.multiply(dnew, dcand_dpre[t], out=d_cand[t]) @ V_h
+        drh = np.multiply(dnew, dcand_dpre[t], out=d_cand[t]) @ p.V_h
         np.multiply(drh, dr_dpre[t], out=d_zr[t, :, hidden:])
         dh = dnew * z[t] + drh * r[t] + d_zr[t] @ V_zr
     dV_zr = _rows(d_zr).T @ _rows(hprev)
@@ -374,16 +371,14 @@ def _lstm_forward(p, xs, g, h, c, kept):
     sees c_t. The block input and cell output use p.activation. Outer
     fusion multiplies the emitted hidden state by the context gain."""
     x_z, x_i, x_f, x_r = xs
-    V_z, V_i, V_f, V_r = p.V_z.data, p.V_i.data, p.V_f.data, p.V_r.data
-    U_i, U_f, U_r = p.U_i.data, p.U_f.data, p.U_r.data
     phi = lstm_activation(p.activation)[0]
     out = np.empty_like(x_z)
     for t in range(len(x_z)):
-        z = phi(x_z[t] + tz.dot_t(h, V_z))
-        i = tz.logistic(x_i[t] + tz.dot_t(h, V_i) + c * U_i)
-        f = tz.logistic(x_f[t] + tz.dot_t(h, V_f) + c * U_f)
+        z = phi(x_z[t] + tz.dot_t(h, p.V_z))
+        i = tz.logistic(x_i[t] + tz.dot_t(h, p.V_i) + c * p.U_i)
+        f = tz.logistic(x_f[t] + tz.dot_t(h, p.V_f) + c * p.U_f)
         c = f * c + i * z
-        o = tz.logistic(x_r[t] + tz.dot_t(h, V_r) + c * U_r)
+        o = tz.logistic(x_r[t] + tz.dot_t(h, p.V_r) + c * p.U_r)
         phi_c = phi(c)
         y = o * phi_c
         if kept is not None:
@@ -402,8 +397,7 @@ def _lstm_backward(p, xs, g, hprev, c0, acts, G):
     di_dpre = z * i * (1.0 - i)
     df_dpre = cprev * f * (1.0 - f)
     dz_dpre = i * dphi(z)
-    U_i, U_f, U_r = p.U_i.data, p.U_f.data, p.U_r.data
-    V_all = np.concatenate([p.V_z.data, p.V_i.data, p.V_f.data, p.V_r.data])
+    V_all = np.concatenate([p.V_z, p.V_i, p.V_f, p.V_r])
     d_out = np.empty_like(G)
     d_pre = np.empty(G.shape[:2] + (4 * hidden,), G.dtype)  # gates z, i, f, r
     dz, di, df, do = (d_pre[..., k * hidden:(k + 1) * hidden] for k in range(4))
@@ -414,11 +408,11 @@ def _lstm_backward(p, xs, g, hprev, c0, acts, G):
         if g is not None:
             dy = dy * g
         dpo = np.multiply(dy, do_dpre[t], out=do[t])
-        dc = dc_next + dy * dc_dy[t] + dpo * U_r
+        dc = dc_next + dy * dc_dy[t] + dpo * p.U_r
         dpi = np.multiply(dc, di_dpre[t], out=di[t])
         dpf = np.multiply(dc, df_dpre[t], out=df[t])
         np.multiply(dc, dz_dpre[t], out=dz[t])
-        dc_next = dc * f[t] + dpi * U_i + dpf * U_f
+        dc_next = dc * f[t] + dpi * p.U_i + dpf * p.U_f
         dh = d_pre[t] @ V_all
     dV = _rows(d_pre).T @ _rows(hprev)
     grads = {name: dV[k * hidden:(k + 1) * hidden]

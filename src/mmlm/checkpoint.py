@@ -20,8 +20,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .data import Vocabulary
-from .errors import DataError, FormatError
-from .model import ModelConfig, SequenceModel, model_from_arrays, parameter_shapes
+from .errors import DataError, DimensionError, FormatError
+from .model import ModelConfig, SequenceModel
 from .train import TrainConfig, TrainState, format_curve_row
 
 CHECKPOINT_MAGIC = b"MMLM"
@@ -187,12 +187,12 @@ def save_checkpoint(path, model: SequenceModel, vocab: Vocabulary,
     def write(tmp):
         with open(tmp, "xb") as fh:
             fh.write(head)
-            for name, tensor in named.items():
+            for name, arr in named.items():
                 raw = name.encode("utf-8")
-                rows, cols = tensor.shape
+                rows, cols = arr.shape
                 fh.write(struct.pack("<H", len(raw)) + raw + struct.pack("<II", rows, cols))
-                # the tensor's own buffer; a copy only for a 64-bit model
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
+                # the parameter's own buffer; a copy only for a 64-bit model
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
     replace_file(path, write)
 
@@ -300,18 +300,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SequenceModel:
     The model's parameters are the arrays in ckpt.tensors themselves, so
     training the model updates them too.
     """
-    shapes = parameter_shapes(ckpt.model_config)
-    missing = sorted(set(shapes) - set(ckpt.tensors))
-    extra = sorted(set(ckpt.tensors) - set(shapes))
-    if missing or extra:
-        raise FormatError(
-            f"checkpoint tensors do not match config: missing {missing}, extra {extra}")
-    for name, shape in shapes.items():
-        saved = ckpt.tensors[name]
-        if saved.shape != shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape "
-                              f"{saved.shape}, expected {shape}")
-    return model_from_arrays(ckpt.model_config, ckpt.tensors)
+    try:
+        return SequenceModel(ckpt.model_config, ckpt.tensors)
+    except DimensionError as exc:
+        raise FormatError(f"checkpoint tensors do not match config: {exc}") from None
 
 
 def render_manifest(ckpt: Checkpoint) -> str:

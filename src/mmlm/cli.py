@@ -101,9 +101,8 @@ def cmd_prepare(args) -> int:
         rec.tokens = [tok.lower() for tok in rec.tokens]
     store = D.load_contexts(args.features) if args.features else None
     if store is not None:
-        known = set(store.ids())
-        kept = [r for r in records if r.image_id in known]
-        excluded = [r for r in records if r.image_id not in known]
+        kept = [r for r in records if r.image_id in store]
+        excluded = [r for r in records if r.image_id not in store]
     else:
         kept, excluded = records, []
     vocab = D.build_vocab([r for r in kept if r.split == "train"],
@@ -263,7 +262,7 @@ def cmd_eval(args) -> int:
 def cmd_neighbors(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    reports = [E.nearest_neighbors(model.decoder, q, ckpt.vocab, k=args.k)
+    reports = [E.nearest_neighbors(model.params["decoder.U"], q, ckpt.vocab, k=args.k)
                for q in args.queries]
     text = E.render_neighbors_text(reports)
     os.makedirs(args.out, exist_ok=True)

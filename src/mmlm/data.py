@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, FormatError
-from .tensor import Tensor, seed_stream
+from .tensor import seed_stream
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
@@ -439,11 +439,11 @@ class PretrainedEmbeddings:
         return np.mean([self.vectors[p] for p in pieces], axis=0), True
 
 
-def init_embeddings_from_pretrained(w: Tensor, vocab: Vocabulary,
+def init_embeddings_from_pretrained(w: np.ndarray, vocab: Vocabulary,
                                     pre: PretrainedEmbeddings,
                                     project: bool = False, seed: int = 0) -> float:
-    """Overwrite the non-special columns of an input matrix with composed
-    subword vectors; specials keep their random init.
+    """Overwrite the non-special columns of the input matrix w, in place,
+    with composed subword vectors; specials keep their random init.
 
     When the table dimension E differs from the hidden width, a fixed seeded
     Gaussian projection (scaled by 1/sqrt(E)) maps E to H; without the
@@ -467,7 +467,7 @@ def init_embeddings_from_pretrained(w: Tensor, vocab: Vocabulary,
         vec, ok = pre.compose(vocab.word(wid))
         if proj is not None:
             vec = proj @ vec
-        w.data[:, wid] = vec.astype(w.data.dtype)
+        w[:, wid] = vec.astype(w.dtype)
         covered += int(ok)
         total += 1
     return covered / total if total else 1.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, SequenceBatch, Vocabulary
 from .errors import ConfigError, DataError, UsageError
-from .model import DecoderParams, SequenceModel
+from .model import SequenceModel
 
 CONDITIONS = ("L-L", "LV-LV", "LV-L")
 
@@ -101,9 +101,9 @@ class NeighborReport:
     neighbors: list  # (word, cosine), cosine non-increasing
 
 
-def nearest_neighbors(decoder: DecoderParams, query: str, vocab: Vocabulary,
+def nearest_neighbors(U: np.ndarray, query: str, vocab: Vocabulary,
                       k: int = 10) -> NeighborReport:
-    """Top-k non-special words by cosine between decoder rows.
+    """Top-k non-special words by cosine between rows of the decoder U.
 
     Ties break toward the lower vocabulary id; the query row itself is
     excluded; asking for more neighbors than exist returns them all.
@@ -113,7 +113,7 @@ def nearest_neighbors(decoder: DecoderParams, query: str, vocab: Vocabulary,
     qid = vocab.token_to_id.get(query)
     if qid is None or Vocabulary.is_special(qid):
         raise DataError(f"query {query!r} is not a vocabulary word")
-    rows = decoder.U.data.astype(np.float64)
+    rows = U.astype(np.float64)
     q = rows[qid]
     norms = np.sqrt((rows * rows).sum(axis=1))
     qn = max(float(np.sqrt(q @ q)), 1e-12)

@@ -5,6 +5,9 @@ Sentences are framed [BOS, w_1, ..., w_L, EOS]; the model consumes a token
 and predicts the next one, starting from a zero hidden state, with the
 context vector projected once per sequence and reused at every step.
 
+A model's parameters are plain arrays in one dict, SequenceModel.params,
+keyed as in parameter_table; the cell reads its own by their short names.
+
 There is one decoder. Training and scoring take the masked NLL through
 tensor.masked_nll, over the stacked hidden states; sampling takes full
 log-probability rows from tensor.log_probs, which shares its arithmetic.
@@ -22,7 +25,6 @@ import numpy as np
 from . import cells, tensor as tz
 from .data import SPECIAL_TOKENS, SequenceBatch
 from .errors import ConfigError, DataError, DimensionError, UsageError
-from .tensor import Tensor
 
 
 @dataclass
@@ -51,38 +53,32 @@ class ModelConfig:
             raise ConfigError(f"context dim must be >= 1, got {self.context_dim}")
 
 
-@dataclass
-class DecoderParams:
-    U: Tensor  # |V| x H; rows double as output-side word embeddings
-    b_U: Tensor | None = None
-
-    def arrays(self) -> tuple:
-        """(U, b_U) as arrays, b_U None without a bias."""
-        return self.U.data, None if self.b_U is None else self.b_U.data
-
-
 class SequenceModel:
-    """A recurrent cell plus decoder operating on SequenceBatch inputs."""
+    """A recurrent cell plus decoder operating on SequenceBatch inputs.
 
-    def __init__(self, config: ModelConfig, cell, decoder: DecoderParams, dtype=np.float32):
-        config.validate()
+    Its parameters are the arrays of params, keyed as in
+    parameter_shapes(config): checked for names and shapes, then held
+    without a copy in parameter_table order. Their dtype is the model's
+    precision."""
+
+    def __init__(self, config: ModelConfig, params: dict):
+        shapes = parameter_shapes(config)
+        missing, extra = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
+        if missing or extra:
+            raise DimensionError(f"parameters missing {missing}, extra {extra}")
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise DimensionError(f"parameter {name!r} has shape {params[name].shape},"
+                                     f" expected {shape}")
         self.config = config
-        self.cell = cell
-        self.decoder = decoder
-        self.dtype = np.dtype(dtype)
-        if decoder.U.shape != (config.vocab, config.hidden):
-            raise DimensionError(
-                f"decoder is {decoder.U.shape}, config wants ({config.vocab}, {config.hidden})"
-            )
-
-    # -- parameter plumbing ------------------------------------------------
+        self.params = {name: params[name] for name in shapes}
+        self.dtype = self.params["decoder.U"].dtype
+        self.cell = cells.from_named(config.arch, self.params, None if config.fusion == "none"
+                                     else config.fusion, config.lstm_activation)
 
     def named_parameters(self) -> dict:
-        out = self.cell.named_parameters()
-        out["decoder.U"] = self.decoder.U
-        if self.decoder.b_U is not None:
-            out["decoder.b_U"] = self.decoder.b_U
-        return out
+        """Name -> array of every parameter, in parameter_table order."""
+        return self.params
 
     # -- forward machinery ---------------------------------------------------
 
@@ -127,7 +123,7 @@ class SequenceModel:
             state, ids = state.take(pad), ids[pad]
             gain = None if gain is None else gain[pad]
         _, new_state, _ = cells.recurrence(self.cell, ids.reshape(1, -1), gain, state)
-        logp = tz.log_probs(new_state.h, *self.decoder.arrays())
+        logp = tz.log_probs(new_state.h, self.params["decoder.U"], self.params.get("decoder.b_U"))
         return new_state.take(slice(n)), logp[:n]
 
     def sequence_nll(self, batch: SequenceBatch, keep: bool = False):
@@ -151,9 +147,9 @@ class SequenceModel:
         state, gain = self.start_state(batch.batch_size, batch.contexts)
         # consuming row t predicts row t+1; row t * B + b of hs is sequence b after row t
         hs, _, rec = cells.recurrence(self.cell, batch.tokens[:last], gain, state, keep)
-        loss, dec = tz.masked_nll(hs, *self.decoder.arrays(), batch.tokens[1:last + 1],
-                                  batch.mask[1:last + 1], keep)
-        return loss, int(batch.mask.sum()), (batch.contexts, rec, dec) if keep else None
+        loss, dec = tz.masked_nll(hs, self.params["decoder.U"], self.params.get("decoder.b_U"),
+                                  batch.tokens[1:last + 1], batch.mask[1:last + 1], keep)
+        return loss, batch.target_count(), (batch.contexts, rec, dec) if keep else None
 
     def gradients(self, kept) -> tuple:
         """(grads, cols): the gradients of the loss whose kept state
@@ -176,8 +172,7 @@ class SequenceModel:
                 found["fusion.M"] = dgain.T @ np.asarray(contexts, dtype=self.dtype)
             found["fusion.b_M"] = dgain.sum(axis=0, keepdims=True)
         found["decoder.U"], found["decoder.b_U"] = dU, db_U
-        grads = {name: found[name] for name in self.named_parameters()
-                 if found.get(name) is not None}
+        grads = {name: found[name] for name in self.params if found.get(name) is not None}
         return grads, {f"cell.{name}": ids for name in cells.spec(self.config.arch).inputs}
 
 
@@ -205,7 +200,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SequenceMod
 
     with tz.beside(fill, ("fusion", "decoder"), np.empty(cells.DRAW_BLOCK)):
         fill(("cell",))
-    return model_from_arrays(config, arrays)
+    return SequenceModel(config, arrays)
 
 
 def parameter_table(config: ModelConfig) -> dict:
@@ -228,23 +223,3 @@ def parameter_shapes(config: ModelConfig) -> dict:
     """Name -> shape of every parameter, in named_parameters() order: the
     tensors a checkpoint of this config holds."""
     return {name: shape for name, (shape, _) in parameter_table(config).items()}
-
-
-def model_from_arrays(config: ModelConfig, arrays: dict) -> SequenceModel:
-    """Model whose parameters are the given arrays themselves, keyed as in
-    parameter_shapes(config): no random draw and no copy. The arrays'
-    dtype sets the model's precision."""
-    p = {name: Tensor(arrays[name]) for name in parameter_shapes(config)}
-    dtype = p["decoder.U"].dtype
-    fusion = None
-    if config.fusion != "none":
-        # a bias-free projection never reads b_M; it keeps its init value
-        b_M = (p["fusion.b_M"] if config.fusion_bias
-               else Tensor(np.ones((1, config.hidden), dtype=dtype)))
-        fusion = cells.FusionParams(M=p["fusion.M"], b_M=b_M, mode=config.fusion,
-                                    use_bias=config.fusion_bias)
-    cell = cells.Cell(config.arch, {name[len("cell."):]: t for name, t in p.items()
-                                    if name.startswith("cell.")},
-                      fusion=fusion, activation=config.lstm_activation)
-    decoder = DecoderParams(U=p["decoder.U"], b_U=p.get("decoder.b_U"))
-    return SequenceModel(config, cell, decoder, dtype=dtype)

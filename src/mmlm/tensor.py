@@ -1,7 +1,8 @@
-"""Parameters as dense 2-D arrays, and the numeric layers of the model.
+"""The numeric layers of the model, on plain numpy arrays.
 
-Every value is a rows x cols matrix in either float32 (training precision)
-or float64 (verification precision); the two must never meet in one model.
+Every parameter is a 2-D numpy array in either float32 (training
+precision) or float64 (verification precision); the two must never meet
+in one model.
 A layer's forward returns its output and, when asked to keep, what its
 backward needs; the backward is a module-level function of what was kept.
 model.SequenceModel.gradients runs the backwards in their one fixed order.
@@ -19,29 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
-
-
-class Tensor:
-    """A parameter: one 2-D float32 or float64 array, in .data."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        arr = np.atleast_2d(arr)
-        if arr.ndim != 2:
-            raise DimensionError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
 
 @contextlib.contextmanager
@@ -77,7 +55,7 @@ def beside(fn: Callable, *args, **kwargs):
 
 
 def _need_same_dtype(op: str, a, b) -> None:
-    """ConfigError unless the arrays or parameters a and b share a dtype."""
+    """ConfigError unless the arrays a and b share a dtype."""
     if a.dtype != b.dtype:
         raise ConfigError(f"{op}: {a.dtype} and {b.dtype} mixed; keep a single precision"
                           " per model")

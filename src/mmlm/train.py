@@ -100,13 +100,13 @@ def sgd_step(named_params: dict, grads: dict, lr: float, cols: dict | None = Non
     for name, g in grads.items():
         p = named_params[name]
         ids = cols.get(name)
-        if g.shape != (p.data.shape if ids is None else (p.data.shape[0], ids.size)):
-            raise DimensionError(f"gradient for {name} is {g.shape}, parameter is {p.data.shape}")
-        g *= p.data.dtype.type(lr)
+        if g.shape != (p.shape if ids is None else (p.shape[0], ids.size)):
+            raise DimensionError(f"gradient for {name} is {g.shape}, parameter is {p.shape}")
+        g *= p.dtype.type(lr)
         if ids is None:
-            p.data -= g
+            p -= g
         else:
-            p.data.T[ids] -= g.T
+            p.T[ids] -= g.T
 
 
 def train_epoch(model, batches, lr: float, clip: float, epoch: int = 0):

@@ -24,11 +24,11 @@ import mmlm.evaluate as E
 import mmlm.tensor as T
 from mmlm.data import BOS_ID, EOS_ID
 from mmlm.errors import ConfigError, UsageError
-from mmlm.model import model_from_arrays, parameter_table
-from tape_ops import (add, add_row, backward, const, embed_columns, hadamard, identity,
-                      log_softmax_rows, matmul, matmul_t, mul_row, one_minus, relu, scale, sigmoid,
-                      softmax_rows, start_state, sum_all, take_per_row, take_rows, tanh, transpose,
-                      zero_grad)
+from mmlm.model import SequenceModel, parameter_table
+from tape_ops import (add, add_row, backward, cell_nodes, const, embed_columns, hadamard,
+                      identity, log_softmax_rows, matmul, matmul_t, mul_row, one_minus, relu, scale,
+                      sigmoid, softmax_rows, start_state, sum_all, take_per_row, take_rows, taped,
+                      tanh, transpose, zero_grad)
 
 
 def np_sigmoid(x):
@@ -41,13 +41,13 @@ def np_softmax(x):
 
 
 def delta_step_np(p, emb, h_prev, gain=None):
-    d_rec = h_prev @ p.V.data.T
+    d_rec = h_prev @ p.V.T
     d_dat = emb
-    pre = p.alpha.data * d_rec * d_dat + p.beta1.data * d_rec + p.beta2.data * d_dat
+    pre = p.alpha * d_rec * d_dat + p.beta1 * d_rec + p.beta2 * d_dat
     if p.fusion is not None and p.fusion.mode == "inner":
         pre = pre + gain
     z = np.tanh(pre)
-    r = np_sigmoid(d_dat + p.b_r.data)
+    r = np_sigmoid(d_dat + p.b_r)
     mixed = (1.0 - r) * z + r * h_prev
     if p.fusion is not None and p.fusion.mode == "outer":
         mixed = mixed * gain
@@ -56,9 +56,9 @@ def delta_step_np(p, emb, h_prev, gain=None):
 
 def gru_step_np(p, embs, h_prev, gain=None):
     e_z, e_r, e_h = embs
-    z = np_sigmoid(e_z + h_prev @ p.V_z.data.T)
-    r = np_sigmoid(e_r + h_prev @ p.V_r.data.T)
-    cand = np.tanh(e_h + (r * h_prev) @ p.V_h.data.T)
+    z = np_sigmoid(e_z + h_prev @ p.V_z.T)
+    r = np_sigmoid(e_r + h_prev @ p.V_r.T)
+    cand = np.tanh(e_h + (r * h_prev) @ p.V_h.T)
     h = z * h_prev + (1.0 - z) * cand
     if p.fusion is not None:
         h = h * gain
@@ -67,11 +67,11 @@ def gru_step_np(p, embs, h_prev, gain=None):
 
 def lstm_step_np(p, embs, h_prev, c_prev, gain=None):
     e_z, e_i, e_f, e_r = embs
-    z = np.tanh(e_z + h_prev @ p.V_z.data.T)
-    i = np_sigmoid(e_i + h_prev @ p.V_i.data.T + c_prev * p.U_i.data)
-    f = np_sigmoid(e_f + h_prev @ p.V_f.data.T + c_prev * p.U_f.data)
+    z = np.tanh(e_z + h_prev @ p.V_z.T)
+    i = np_sigmoid(e_i + h_prev @ p.V_i.T + c_prev * p.U_i)
+    f = np_sigmoid(e_f + h_prev @ p.V_f.T + c_prev * p.U_f)
     c = f * c_prev + i * z
-    r = np_sigmoid(e_r + h_prev @ p.V_r.data.T + c * p.U_r.data)
+    r = np_sigmoid(e_r + h_prev @ p.V_r.T + c * p.U_r)
     h = r * np.tanh(c)
     if p.fusion is not None:
         h = h * gain
@@ -154,22 +154,21 @@ def lstm_step(p, embs, state, ctx_gain=None):
     return C.StepState(h=h, cell=c)
 
 
-def step(model, ids, state, gain):
-    """One step of the model's cell through the per-op step functions."""
-    p = model.cell
+def step(p, ids, state, gain):
+    """One step of the cell of nodes p through the per-op step functions."""
     embs = tuple(embed_columns(p.params[n], ids) for n in C.spec(p.arch).inputs)
-    if model.config.arch == "delta-rnn":
+    if p.arch == "delta-rnn":
         return delta_rnn_step(p, embs[0], state.h, gain)
-    if model.config.arch == "gru":
+    if p.arch == "gru":
         return gru_step(p, embs, state.h, gain)
     return lstm_step(p, embs, state, gain)
 
 
-def logits(model, h):
-    """The decoder's logits h Uᵀ + b_U, as tape ops."""
-    out = matmul_t(h, model.decoder.U)
-    if model.decoder.b_U is not None:
-        out = add_row(out, model.decoder.b_U)
+def logits(leaves, h):
+    """The decoder's logits h Uᵀ + b_U, as tape ops over leaves (from taped)."""
+    out = matmul_t(h, leaves["decoder.U"])
+    if "decoder.b_U" in leaves:
+        out = add_row(out, leaves["decoder.b_U"])
     return out
 
 
@@ -179,7 +178,7 @@ def forward_sequence(model, batch):
     model._validate_ids(batch.tokens)
     state, gain = model.start_state(batch.batch_size, batch.contexts)
     hs, _, _ = C.recurrence(model.cell, batch.tokens, gain, state)
-    dists = softmax_rows(logits(model, const(hs)))
+    dists = softmax_rows(logits(taped(model), const(hs)))
     b = batch.batch_size
     return [take_rows(dists, np.arange(t * b, (t + 1) * b))
             for t in range(batch.tokens.shape[0])]
@@ -195,11 +194,13 @@ def predict_next(model, prefix, context=None):
         raise UsageError(f"prefix must start with BOS (id {BOS_ID}), got {ids[0]}")
     model._validate_ids(ids.reshape(-1, 1))
     ctx = None if context is None else np.atleast_2d(np.asarray(context, dtype=model.dtype))
-    state, gain = start_state(model, 1, ctx)
+    leaves = taped(model)
+    p = cell_nodes(model, leaves)
+    state, gain = start_state(model, p, 1, ctx)
     dist = None
     for t in range(ids.size):
-        state = step(model, ids[t: t + 1], state, gain)
-        dist = softmax_rows(logits(model, state.h))
+        state = step(p, ids[t: t + 1], state, gain)
+        dist = softmax_rows(logits(leaves, state.h))
     return dist.data[0].copy()
 
 
@@ -209,11 +210,11 @@ def gain_np(model, contexts, batch):
         return None
     f = model.cell.fusion
     if contexts is None:
-        base = np.zeros((batch, f.M.data.shape[0]))
+        base = np.zeros((batch, f.M.shape[0]))
     else:
-        base = np.asarray(contexts, dtype=np.float64) @ f.M.data.T
-    if f.use_bias:
-        base = base + f.b_M.data
+        base = np.asarray(contexts, dtype=np.float64) @ f.M.T
+    if f.b_M is not None:
+        base = base + f.b_M
     return base
 
 
@@ -230,17 +231,17 @@ def forward_np(model, tokens, contexts=None):
     for t in range(steps):
         ids = tokens[t]
         if arch == "delta-rnn":
-            h = delta_step_np(p, p.W.data[:, ids].T.astype(np.float64), h, gain)
+            h = delta_step_np(p, p.W[:, ids].T.astype(np.float64), h, gain)
         elif arch == "gru":
-            embs = tuple(getattr(p, n).data[:, ids].T.astype(np.float64) for n in ("W_z", "W_r", "W_h"))
+            embs = tuple(getattr(p, n)[:, ids].T.astype(np.float64) for n in ("W_z", "W_r", "W_h"))
             h = gru_step_np(p, embs, h, gain)
         else:
-            embs = tuple(getattr(p, n).data[:, ids].T.astype(np.float64)
+            embs = tuple(getattr(p, n)[:, ids].T.astype(np.float64)
                          for n in ("W_z", "W_i", "W_f", "W_r"))
             h, c = lstm_step_np(p, embs, h, c, gain)
-        logits = h @ model.decoder.U.data.T
-        if model.decoder.b_U is not None:
-            logits = logits + model.decoder.b_U.data
+        logits = h @ model.params["decoder.U"].T
+        if "decoder.b_U" in model.params:
+            logits = logits + model.params["decoder.b_U"]
         dists.append(np_softmax(logits))
     return dists
 
@@ -257,8 +258,9 @@ def sequence_nll_np(model, batch):
     return total, int(batch.mask.sum())
 
 
-def sequence_nll_per_step(model, batch):
-    """(loss tensor, target count) with one tape op per product and gate.
+def sequence_nll_per_step(model, leaves, batch):
+    """(loss tensor, target count) with one tape op per product and gate,
+    over leaves (from taped).
 
     This is the tape loop that the recurrence op and the time-batched
     decoder replaced: the per-op cell step, then a decoder matmul,
@@ -266,18 +268,19 @@ def sequence_nll_per_step(model, batch):
     gradients are the reference for sequence_nll's.
     """
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
-    state, gain = start_state(model, batch.batch_size, batch.contexts)
+    p = cell_nodes(model, leaves)
+    state, gain = start_state(model, p, batch.batch_size, batch.contexts)
     total = None
     for t in range(last):
-        state = step(model, batch.tokens[t], state, gain)
-        logits = matmul(state.h, transpose(model.decoder.U))
-        if model.decoder.b_U is not None:
-            logits = add_row(logits, model.decoder.b_U)
+        state = step(p, batch.tokens[t], state, gain)
+        logits = matmul(state.h, transpose(leaves["decoder.U"]))
+        if "decoder.b_U" in leaves:
+            logits = add_row(logits, leaves["decoder.b_U"])
         picked = take_per_row(log_softmax_rows(logits), batch.tokens[t + 1])
         m = const(batch.mask[t + 1].reshape(-1, 1).astype(model.dtype))
         contrib = hadamard(picked, m)
         total = contrib if total is None else add(total, contrib)
-    return scale(sum_all(total), -1.0), int(batch.mask.sum())
+    return scale(sum_all(total), -1.0), batch.target_count()
 
 
 def beam_search_per_candidate(model, context=None, width=13, max_len=None,
@@ -389,4 +392,4 @@ def build_model_serial(config, seed: int, dtype=np.float32):
         if block not in streams:
             streams[block] = T.seed_stream(seed, f"init/{block}")
         arrays[name] = C.draw(init, streams[block], np.empty(shape, dtype))
-    return model_from_arrays(config, arrays)
+    return SequenceModel(config, arrays)

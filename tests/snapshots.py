@@ -3,9 +3,9 @@ restore them."""
 
 
 def snapshot_params(model) -> dict:
-    return {k: p.data.copy() for k, p in model.named_parameters().items()}
+    return {k: p.copy() for k, p in model.named_parameters().items()}
 
 
 def restore_params(model, snapshot: dict) -> None:
     for k, p in model.named_parameters().items():
-        p.data[:] = snapshot[k]
+        p[:] = snapshot[k]

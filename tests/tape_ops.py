@@ -1,12 +1,13 @@
 """The generic reverse-mode tape, which only the tests run: a node
 remembers its parents and a backward closure, and backward(loss) sweeps the
-graph once, accumulating full-shape gradients into the param() leaves. A
-package parameter that is no node is a constant; taped(model) makes them
-leaves. Its ops are the per-op reference paths of oracles.py and the loss
-reductions the tests differentiate. project_context, recurrence and
-masked_nll are one node per layer of the model, and layer_nll composes them
-into a batch's graph, the reference for SequenceModel.gradients;
-sequence_nll is one node whose backward is SequenceModel.gradients itself.
+graph once, accumulating full-shape gradients into the param() leaves. The
+package's parameters are plain arrays; taped(model) makes one leaf over
+each, and cell_nodes the model's cell over those leaves. Its ops are the
+per-op reference paths of oracles.py and the loss reductions the tests
+differentiate. project_context, recurrence and masked_nll are one node per
+layer of the model, and layer_nll composes them into a batch's graph, the
+reference for SequenceModel.gradients; sequence_nll is one node whose
+backward is SequenceModel.gradients itself.
 """
 
 import numpy as np
@@ -14,20 +15,27 @@ import numpy as np
 import mmlm.cells as C
 import mmlm.tensor as tz
 from mmlm.errors import DataError, DimensionError
-from mmlm.model import DecoderParams, SequenceModel
 from mmlm.tensor import _add_at_flat, _need_same_dtype, dot_t, logistic
 
 
-class Tensor(tz.Tensor):
-    """One node of the tape: a 2-D array plus, in the gradient flow, its
-    parents, its backward closure and its gradient."""
+class Tensor:
+    """One node of the tape: a 2-D array, data, plus, in the gradient flow,
+    its parents, its backward closure and its gradient."""
 
-    __slots__ = ("requires_grad", "_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        super().__init__(data)
+        self.data = np.asarray(data)  # no copy of an array
         self.requires_grad = requires_grad
         self._grad, self._parents, self._backward = None, (), None
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def grad(self):
@@ -102,15 +110,18 @@ def zero_grad(params) -> None:
         p._grad = None
 
 
-def taped(model) -> SequenceModel:
-    """The model with each parameter a tape leaf over the same array."""
-    def leaf(t):
-        return None if t is None else param(t.data)
+def taped(model) -> dict:
+    """Name -> a tape leaf over the model's own array, one per parameter, in
+    named_parameters() order: perturbing a leaf's data perturbs the model."""
+    return {name: param(a) for name, a in model.named_parameters().items()}
 
-    c, f, d = model.cell, model.cell.fusion, model.decoder
-    fusion = None if f is None else C.FusionParams(leaf(f.M), leaf(f.b_M), f.mode, f.use_bias)
-    cell = C.Cell(c.arch, {k: leaf(t) for k, t in c.params.items()}, fusion, c.activation)
-    return SequenceModel(model.config, cell, DecoderParams(leaf(d.U), leaf(d.b_U)), model.dtype)
+
+def cell_nodes(model, leaves: dict) -> C.Cell:
+    """The model's cell with each parameter its leaf in leaves (from taped):
+    the cell the per-op steps of oracles.py read."""
+    cfg = model.config
+    return C.from_named(cfg.arch, leaves, None if cfg.fusion == "none" else cfg.fusion,
+                        cfg.lstm_activation)
 
 
 def _need_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -389,7 +400,7 @@ def project_context(fusion, ctx, batch_size=None) -> Tensor:
         base = const(np.zeros((batch_size or 1, fusion.M.shape[0]), fusion.M.dtype))
     else:
         base = matmul_t(const(np.asarray(ctx, dtype=fusion.M.dtype)), fusion.M)
-    return add_row(base, fusion.b_M) if fusion.use_bias else base
+    return base if fusion.b_M is None else add_row(base, fusion.b_M)
 
 
 def const_state(state) -> C.StepState:
@@ -402,12 +413,13 @@ def array_state(state) -> C.StepState:
     return C.StepState(state.h.data, None if state.cell is None else state.cell.data)
 
 
-def start_state(model, batch_size: int = 1, contexts=None):
+def start_state(model, p, batch_size: int = 1, contexts=None):
     """model.start_state as nodes: the zero state as constants, and the gain
-    as projection nodes (None for a text-only model)."""
+    as projection nodes over p, the model's cell_nodes (None for a
+    text-only model)."""
     state, gain = model.start_state(batch_size, contexts)
     if gain is not None:
-        gain = project_context(model.cell.fusion, contexts, batch_size)
+        gain = project_context(p.fusion, contexts, batch_size)
     return const_state(state), gain
 
 
@@ -418,10 +430,11 @@ def _dense(block: np.ndarray, cols, shape: tuple) -> np.ndarray:
     return full
 
 
-def recurrence(p, tokens, gain, state):
-    """cells.recurrence as one node over the cell's parameters and the gain,
-    from a state of nodes; returns (hs, final state of constants)."""
-    hs, final, kept = C.recurrence(p, tokens, None if gain is None else gain.data,
+def recurrence(cell, p, tokens, gain, state):
+    """cells.recurrence of cell as one node over p's parameters, the same
+    cell's as nodes, and the gain, from a state of nodes; returns (hs,
+    final state of constants)."""
+    hs, final, kept = C.recurrence(cell, tokens, None if gain is None else gain.data,
                                    array_state(state), keep=True)
     def back(g):
         grads, cols, dgain = C.recurrence_backward(kept, g)
@@ -447,28 +460,28 @@ def masked_nll(hs: Tensor, w: Tensor, b, targets, mask) -> Tensor:
     return _result(np.full((1, 1), loss), parents, back)
 
 
-def layer_nll(model, batch):
+def layer_nll(model, leaves, batch):
     """(loss node, counted targets): model.sequence_nll as a graph of one
-    node per layer: the context projection (matmul_t and add_row), one
-    recurrence node, then one masked_nll node."""
+    node per layer over leaves (from taped): the context projection
+    (matmul_t and add_row), one recurrence node, then one masked_nll node."""
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
-    state, gain = start_state(model, batch.batch_size, batch.contexts)
-    hs, _ = recurrence(model.cell, batch.tokens[:last], gain, state)
-    loss = masked_nll(hs, model.decoder.U, model.decoder.b_U, batch.tokens[1:last + 1],
-                      batch.mask[1:last + 1])
-    return loss, int(batch.mask.sum())
+    p = cell_nodes(model, leaves)
+    state, gain = start_state(model, p, batch.batch_size, batch.contexts)
+    hs, _ = recurrence(model.cell, p, batch.tokens[:last], gain, state)
+    loss = masked_nll(hs, leaves["decoder.U"], leaves.get("decoder.b_U"),
+                      batch.tokens[1:last + 1], batch.mask[1:last + 1])
+    return loss, batch.target_count()
 
 
-def sequence_nll(model, batch):
-    """(loss node, counted targets): model.sequence_nll as one node over the
-    model's parameters, whose backward is model.gradients."""
+def sequence_nll(model, leaves, batch):
+    """(loss node, counted targets): model.sequence_nll as one node over
+    leaves (from taped), whose backward is model.gradients."""
     loss, count, kept = model.sequence_nll(batch, keep=True)
-    named = model.named_parameters()
 
     def back(g):
         grads, cols = model.gradients(kept)
         for name, d in grads.items():
-            _accum(named[name], _dense(d, cols.get(name), named[name].shape) * g[0, 0])
+            _accum(leaves[name], _dense(d, cols.get(name), leaves[name].shape) * g[0, 0])
 
-    parents = tuple(named.values()) if kept else ()  # nothing kept: nothing scored
+    parents = tuple(leaves.values()) if kept else ()  # nothing kept: nothing scored
     return _result(np.full((1, 1), loss), parents, back), count

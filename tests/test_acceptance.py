@@ -20,7 +20,6 @@ import pytest
 import mmlm.checkpoint as C
 import mmlm.data as D
 import mmlm.evaluate as E
-import mmlm.tensor as T
 import mmlm.train as TR
 from mmlm.data import BOS_ID, EOS_ID, PAD_ID
 from mmlm.errors import ConfigError
@@ -56,17 +55,18 @@ def test_criterion_1_gradients_match_finite_differences():
     for i, (arch, fusion, bias, param_seed) in enumerate(GRAD_CONFIGS):
         cfg = ModelConfig(arch=arch, hidden=8, vocab=20, context_dim=6,
                           fusion=fusion, fusion_bias=bias, unroll=5)
-        model = taped(build_model(cfg, seed=100 + i, dtype=np.float64))
+        model = build_model(cfg, seed=100 + i, dtype=np.float64)
+        leaves = taped(model)
         prng = np.random.default_rng(param_seed)
         for p in model.named_parameters().values():
-            p.data[:] = prng.uniform(-0.6, 0.6, p.data.shape)
+            p[:] = prng.uniform(-0.6, 0.6, p.shape)
         ctx = rng.uniform(-1.0, 1.0, (2, 6)) if fusion != "none" else None
         batch = D.encode_sequences([[4, 7, 9, 12], [5, 6, 8]], 5, contexts=ctx)
 
         def loss():
-            return sequence_nll(model, batch)[0]
+            return sequence_nll(model, leaves, batch)[0]
 
-        err = finite_diff_check(loss, model.named_parameters().values(), eps=1e-4)
+        err = finite_diff_check(loss, leaves.values(), eps=1e-4)
         print(f"{arch}/{fusion}/bias={bias}: max rel err {err:.3e}", flush=True)
         assert err <= 1e-4, (arch, fusion, bias, err)
         worst_overall = max(worst_overall, err)
@@ -83,9 +83,8 @@ def test_criterion_2_zeroed_decoder_gives_uniform_perplexity():
     for vocab_size in (10, 100, 1000):
         cfg = ModelConfig(arch="delta-rnn", hidden=8, vocab=vocab_size, unroll=10)
         model = build_model(cfg, seed=vocab_size, dtype=np.float64)
-        model.decoder.U.data[:] = 0.0
-        if model.decoder.b_U is not None:
-            model.decoder.b_U.data[:] = 0.0
+        model.params["decoder.U"][:] = 0.0
+        model.params["decoder.b_U"][:] = 0.0
         id_lists = [list(rng.integers(4, vocab_size, size=8)) for _ in range(6)]
         batch = D.encode_sequences(id_lists, 10)
         nll, ppl = TR.dataset_nll(model, [batch])
@@ -105,9 +104,9 @@ def test_criterion_3_identity_gating_reproduces_text_only():
         plain = build_model(plain_cfg, seed=22, dtype=np.float64)
         fused_params = fused.named_parameters()
         for name, p in plain.named_parameters().items():
-            p.data[:] = fused_params[name].data
-        fused_params["fusion.M"].data[:] = 0.0
-        fused_params["fusion.b_M"].data[:] = 1.0
+            p[:] = fused_params[name]
+        fused_params["fusion.M"][:] = 0.0
+        fused_params["fusion.b_M"][:] = 1.0
 
         ids = [[4, 6, 9, 11], [5, 13, 7], [10, 8, 12, 6]]
         ctx = rng.uniform(-2.0, 2.0, (3, 5))
@@ -344,7 +343,7 @@ def test_criterion_8_checkpoint_round_trip(tmp_path):
 
     manifest = C.render_manifest(ckpt)
     for name, p in model.named_parameters().items():
-        rows, cols = p.data.shape
+        rows, cols = p.shape
         assert f"  {name}  {rows} x {cols}" in manifest, name
 
 
@@ -368,23 +367,23 @@ def test_criterion_9_pretrained_initialization(tmp_path):
     pre = D.PretrainedEmbeddings.load(path)
     vocab = D.Vocabulary(["cat", "dog", "runs", "qx"])
 
-    w = T.Tensor(np.zeros((3, len(vocab)), dtype=np.float64))
+    w = np.zeros((3, len(vocab)))
     coverage = D.init_embeddings_from_pretrained(w, vocab, pre)
     # hand-computed piece means: cat = (ca + ##t)/2, runs = (ru + ##ns)/2;
     # "ca" beats the shorter match "c"; "qx" falls back to [UNK]
-    assert np.array_equal(w.data[:, vocab.lookup("cat")], [0.5, 1.0, -2.0])
-    assert np.array_equal(w.data[:, vocab.lookup("dog")], [1.0, 2.0, 3.0])
-    assert np.array_equal(w.data[:, vocab.lookup("runs")], [0.0, 0.5, 0.25])
-    assert np.array_equal(w.data[:, vocab.lookup("qx")], [8.0, 8.0, 8.0])
+    assert np.array_equal(w[:, vocab.lookup("cat")], [0.5, 1.0, -2.0])
+    assert np.array_equal(w[:, vocab.lookup("dog")], [1.0, 2.0, 3.0])
+    assert np.array_equal(w[:, vocab.lookup("runs")], [0.0, 0.5, 0.25])
+    assert np.array_equal(w[:, vocab.lookup("qx")], [8.0, 8.0, 8.0])
     assert coverage == 3 / 4  # qx is the one [UNK] fallback among 4 words
-    assert np.array_equal(w.data[:, :4], np.zeros((3, 4)))  # specials untouched
+    assert np.array_equal(w[:, :4], np.zeros((3, 4)))  # specials untouched
 
     with pytest.raises(ConfigError):
         D.init_embeddings_from_pretrained(
-            T.Tensor(np.zeros((5, len(vocab)))), vocab, pre)
-    a = T.Tensor(np.zeros((5, len(vocab))))
-    b = T.Tensor(np.zeros((5, len(vocab))))
+            np.zeros((5, len(vocab))), vocab, pre)
+    a = np.zeros((5, len(vocab)))
+    b = np.zeros((5, len(vocab)))
     cov_a = D.init_embeddings_from_pretrained(a, vocab, pre, project=True, seed=7)
     cov_b = D.init_embeddings_from_pretrained(b, vocab, pre, project=True, seed=7)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     assert cov_a == cov_b == 3 / 4

@@ -17,17 +17,32 @@ from oracles import delta_rnn_step, finite_diff_check, gru_step, logits, lstm_st
 from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, sum_all
 
 
-def init_cell(arch, hidden, vocab, rng, dtype=np.float32, fusion=None, lstm_activation="tanh"):
-    """A fresh cell drawn from rng in the spec table's order."""
-    params = {name: O.param(C.draw(init, rng, np.empty(shape, dtype)))
-              for name, (shape, init) in C.param_table(arch, hidden, vocab).items()}
-    return C.Cell(arch, params, fusion=fusion, activation=lstm_activation)
+def init_cell(arch, hidden, vocab, rng, dtype=np.float32, mode=None, cdim=3,
+              lstm_activation="tanh"):
+    """A fresh cell of tape leaves: with a fusion mode, M (H x cdim) is
+    drawn from rng first and b_M is ones; then the cell's parameters in the
+    spec table's order."""
+    named = {}
+    if mode is not None:
+        named["fusion.M"] = C.draw("uniform", rng, np.empty((hidden, cdim), dtype))
+        named["fusion.b_M"] = np.ones((1, hidden), dtype=dtype)
+    for name, (shape, init) in C.param_table(arch, hidden, vocab).items():
+        named[f"cell.{name}"] = C.draw(init, rng, np.empty(shape, dtype))
+    return C.from_named(arch, {k: O.param(a) for k, a in named.items()}, mode, lstm_activation)
 
 
-def init_fusion(rng, hidden, context_dim, mode, use_bias=True, dtype=np.float32):
-    return C.FusionParams(M=O.param(C.draw("uniform", rng, np.empty((hidden, context_dim), dtype))),
-                          b_M=O.param(np.ones((1, hidden), dtype=dtype)),
-                          mode=mode, use_bias=use_bias)
+def leaves_of(p):
+    """The leaves of a cell of nodes, by their model.parameter_table names."""
+    out = {f"cell.{name}": t for name, t in p.params.items()}
+    if p.fusion is not None:
+        out.update({"fusion.M": p.fusion.M, "fusion.b_M": p.fusion.b_M})
+    return out
+
+
+def arrays_of(p):
+    """The cell of the arrays under a cell of nodes, as the package runs it."""
+    return C.from_named(p.arch, {k: t.data for k, t in leaves_of(p).items()},
+                        p.fusion and p.fusion.mode, p.activation)
 
 
 def test_delta_rnn_zero_weights_halves_state():
@@ -91,42 +106,37 @@ def test_steps_match_numpy_oracle(arch, mode):
     hidden, vocab, cdim, batch = 5, 9, 3, 4
     for seed in range(5):
         rng = seed_stream(seed, "oracle")
-        fusion = None
-        if mode is not None:
-            fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
-        p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+        p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, mode=mode, cdim=cdim)
+        c = arrays_of(p)
         ids = rng.integers(0, vocab, size=batch)
         h_prev = rng.uniform(-1, 1, (batch, hidden))
         ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
-        gain = O.project_context(fusion, ctx) if fusion else None
+        gain = O.project_context(p.fusion, ctx) if mode else None
         gain_np = None if gain is None else gain.data
         if arch == "delta-rnn":
             emb = embed_columns(p.W, ids)
             got = delta_rnn_step(p, emb, O.const(h_prev), gain).h.data
-            want = delta_oracle(p, p.W.data[:, ids].T, h_prev, gain_np)
+            want = delta_oracle(c, c.W[:, ids].T, h_prev, gain_np)
         elif arch == "gru":
             embs = tuple(embed_columns(getattr(p, n), ids) for n in ("W_z", "W_r", "W_h"))
             got = gru_step(p, embs, O.const(h_prev), gain).h.data
-            embs_np = tuple(getattr(p, n).data[:, ids].T for n in ("W_z", "W_r", "W_h"))
-            want = gru_oracle(p, embs_np, h_prev, gain_np)
+            embs_np = tuple(getattr(c, n)[:, ids].T for n in ("W_z", "W_r", "W_h"))
+            want = gru_oracle(c, embs_np, h_prev, gain_np)
         else:
             c_prev = rng.uniform(-1, 1, (batch, hidden))
             names = ("W_z", "W_i", "W_f", "W_r")
             embs = tuple(embed_columns(getattr(p, n), ids) for n in names)
             st = lstm_step(p, embs, C.StepState(h=O.const(h_prev), cell=O.const(c_prev)), gain)
-            embs_np = tuple(getattr(p, n).data[:, ids].T for n in names)
-            want, want_c = lstm_oracle(p, embs_np, h_prev, c_prev, gain_np)
+            embs_np = tuple(getattr(c, n)[:, ids].T for n in names)
+            want, want_c = lstm_oracle(c, embs_np, h_prev, c_prev, gain_np)
             npt.assert_allclose(st.cell.data, want_c, atol=1e-14)
             got = st.h.data
         npt.assert_allclose(got, want, atol=1e-14)
 
 
 def test_project_context_hand_value_and_null():
-    f = C.FusionParams(
-        M=O.param([[1.0, 2.0], [3.0, 4.0]]),
-        b_M=O.param([[1.0, 1.0]]),
-        mode="outer",
-    )
+    f = C.FusionParams(M=np.array([[1.0, 2.0], [3.0, 4.0]]), b_M=np.array([[1.0, 1.0]]),
+                       mode="outer")
     out = C.project_context(f, np.array([1.0, 1.0]))
     npt.assert_array_equal(out, [[4.0, 8.0]])
     # null context behaves exactly like an explicit zero vector
@@ -135,12 +145,12 @@ def test_project_context_hand_value_and_null():
     npt.assert_array_equal(null, explicit)
     npt.assert_array_equal(null, np.ones((3, 2)))
     # without the bias the null gain is all zeros and annihilates outer cells
-    f.use_bias = False
+    f.b_M = None
     npt.assert_array_equal(C.project_context(f, None, batch_size=2), np.zeros((2, 2)))
 
 
 def test_project_context_rejects_wrong_width():
-    f = C.FusionParams(M=O.param(np.zeros((4, 3))), b_M=O.param(np.ones((1, 4))), mode="outer")
+    f = C.FusionParams(M=np.zeros((4, 3)), b_M=np.ones((1, 4)), mode="outer")
     with pytest.raises(DimensionError):
         C.project_context(f, np.zeros((2, 5)))
     with pytest.raises(DimensionError):
@@ -152,8 +162,7 @@ def test_outer_ones_gain_reproduces_text_only(arch):
     """Gain forced to all ones must leave the fused step bit-identical."""
     hidden, vocab, batch = 6, 8, 3
     rng = seed_stream(3, "gate")
-    fusion = init_fusion(rng, hidden, 4, "outer", dtype=np.float64)
-    fused = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+    fused = init_cell(arch, hidden, vocab, rng, dtype=np.float64, mode="outer", cdim=4)
     plain = init_cell(arch, hidden, vocab, seed_stream(99, "x"), dtype=np.float64)
     for name, t in plain.params.items():
         t.data[:] = fused.params[name].data
@@ -178,8 +187,7 @@ def test_outer_ones_gain_reproduces_text_only(arch):
 def test_inner_zero_gain_reproduces_text_only():
     hidden, vocab, batch = 6, 8, 3
     rng = seed_stream(3, "gate")
-    fusion = init_fusion(rng, hidden, 4, "inner", dtype=np.float64)
-    fused = init_cell("delta-rnn", hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+    fused = init_cell("delta-rnn", hidden, vocab, rng, dtype=np.float64, mode="inner", cdim=4)
     plain = init_cell("delta-rnn", hidden, vocab, seed_stream(99, "x"), dtype=np.float64)
     for name, t in plain.params.items():
         t.data[:] = fused.params[name].data
@@ -193,9 +201,7 @@ def test_inner_zero_gain_reproduces_text_only():
 
 def test_outer_zero_gain_annihilates_state():
     # this is why b_M starts at one: a zero projection would erase the state
-    rng = seed_stream(1, "z")
-    fusion = init_fusion(rng, 4, 3, "outer", dtype=np.float64)
-    p = init_cell("gru", 4, 5, rng, dtype=np.float64, fusion=fusion)
+    p = init_cell("gru", 4, 5, seed_stream(1, "z"), dtype=np.float64, mode="outer")
     e = tuple(embed_columns(getattr(p, n), np.array([1, 2])) for n in ("W_z", "W_r", "W_h"))
     st = gru_step(p, e, O.const(np.ones((2, 4))), O.const(np.zeros((2, 4))))
     npt.assert_array_equal(st.h.data, np.zeros((2, 4)))
@@ -204,10 +210,7 @@ def test_outer_zero_gain_annihilates_state():
 def test_fusion_usage_errors():
     rng = seed_stream(0, "u")
     plain = init_cell("delta-rnn", 3, 4, rng, dtype=np.float64)
-    fused = init_cell(
-        "delta-rnn", 3, 4, rng, dtype=np.float64,
-        fusion=init_fusion(rng, 3, 2, "outer", dtype=np.float64),
-    )
+    fused = init_cell("delta-rnn", 3, 4, rng, dtype=np.float64, mode="outer", cdim=2)
     emb = embed_columns(plain.W, np.array([0]))
     h = O.const(np.zeros((1, 3)))
     gain = O.const(np.ones((1, 3)))
@@ -219,19 +222,16 @@ def test_fusion_usage_errors():
 
 def test_inner_fusion_rejected_for_gated_cells():
     rng = seed_stream(0, "u")
-    fusion = init_fusion(rng, 3, 2, "inner", dtype=np.float64)
     for arch in ("gru", "lstm"):
         with pytest.raises(ConfigError):
-            init_cell(arch, 3, 4, rng, dtype=np.float64, fusion=fusion)
+            init_cell(arch, 3, 4, rng, dtype=np.float64, mode="inner", cdim=2)
 
 
 def test_init_ranges_and_determinism():
-    p1 = init_cell("lstm", 8, 12, seed_stream(11, "init"), dtype=np.float32,
-                     fusion=init_fusion(seed_stream(11, "f"), 8, 5, "outer"))
-    p2 = init_cell("lstm", 8, 12, seed_stream(11, "init"), dtype=np.float32,
-                     fusion=init_fusion(seed_stream(11, "f"), 8, 5, "outer"))
-    for name, t in p1.named_parameters().items():
-        other = p2.named_parameters()[name]
+    p1 = init_cell("lstm", 8, 12, seed_stream(11, "init"), mode="outer", cdim=5)
+    p2 = init_cell("lstm", 8, 12, seed_stream(11, "init"), mode="outer", cdim=5)
+    for name, t in leaves_of(p1).items():
+        other = leaves_of(p2)[name]
         npt.assert_array_equal(t.data, other.data)
         assert t.data.dtype == np.float32
         if name != "fusion.b_M":  # ones by design, everything else is uniform
@@ -242,7 +242,7 @@ def test_init_ranges_and_determinism():
     npt.assert_array_equal(d.alpha.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta1.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta2.data, np.ones((1, 4)))
-    f = init_fusion(seed_stream(0, "i"), 4, 3, "outer", dtype=np.float64)
+    f = init_cell("delta-rnn", 4, 4, seed_stream(0, "i"), dtype=np.float64, mode="outer").fusion
     npt.assert_array_equal(f.b_M.data, np.ones((1, 4)))
 
 
@@ -271,7 +271,7 @@ def test_cell_validates_its_wiring():
         init_cell("elman", 4, 4, rng)
     p = init_cell("gru", 4, 4, rng)
     with pytest.raises(ConfigError):
-        C.Cell("gru", p.params, fusion=init_fusion(rng, 4, 4, "none"))
+        C.Cell("gru", p.params, fusion=C.FusionParams(np.zeros((4, 4)), None, "none"))
     with pytest.raises(ConfigError):
         C.Cell("gru", {k: t for k, t in p.params.items() if k != "V_h"})
     with pytest.raises(ConfigError):
@@ -307,10 +307,7 @@ def test_lstm_peepholes_are_wired():
 def test_single_step_gradients(arch, mode):
     hidden, vocab, cdim, batch = 4, 6, 3, 2
     rng = seed_stream(17, "fd")
-    fusion = None
-    if mode is not None:
-        fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64)
-    p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion)
+    p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, mode=mode, cdim=cdim)
     ids = np.array([1, 4])
     h0 = rng.uniform(-1, 1, (batch, hidden))
     c0 = rng.uniform(-1, 1, (batch, hidden))
@@ -318,7 +315,7 @@ def test_single_step_gradients(arch, mode):
     probe = O.const(rng.uniform(-1, 1, (batch, hidden)))
 
     def loss():
-        gain = O.project_context(fusion, ctx) if fusion else None
+        gain = O.project_context(p.fusion, ctx) if mode else None
         if arch == "delta-rnn":
             st = delta_rnn_step(p, embed_columns(p.W, ids), O.const(h0), gain)
         elif arch == "gru":
@@ -329,7 +326,7 @@ def test_single_step_gradients(arch, mode):
             st = lstm_step(p, e, C.StepState(O.const(h0), O.const(c0)), gain)
         return sum_all(hadamard(st.h, probe))
 
-    err = finite_diff_check(loss, list(p.named_parameters().values()), eps=1e-5)
+    err = finite_diff_check(loss, list(leaves_of(p).values()), eps=1e-5)
     assert err < 1e-4, err
 
 
@@ -345,10 +342,9 @@ def op_setup(arch, mode, act, seed=0, hidden=5, vocab=9, cdim=3):
     """Float64 cell, a ragged batch plus an all-padding column, and a
     nonzero start state."""
     rng = seed_stream(seed, "op")
-    fusion = init_fusion(rng, hidden, cdim, mode, dtype=np.float64) if mode else None
-    p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, fusion=fusion,
-                    lstm_activation=act)
-    for t in p.named_parameters().values():  # a generic point, away from init symmetries
+    p = init_cell(arch, hidden, vocab, rng, dtype=np.float64, mode=mode, cdim=cdim,
+                  lstm_activation=act)
+    for t in leaves_of(p).values():  # a generic point, away from init symmetries
         t.data[:] = rng.uniform(-0.6, 0.6, t.shape)
     tokens = D.encode_sequences([[4, 5, 6, 7, 8], [5], [8, 6, 4]], 8).tokens
     tokens = np.hstack([tokens, np.zeros((tokens.shape[0], 1), np.int64)])[:-1]
@@ -380,7 +376,7 @@ def per_op_outputs(p, tokens, gain, state):
 @pytest.mark.parametrize("arch,mode,act", OP_WIRINGS)
 def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
     p, tokens, ctx, state = op_setup(arch, mode, act)
-    params = p.named_parameters()
+    params = leaves_of(p)
     probe = O.const(seed_stream(1, "probe").uniform(-1, 1, (tokens.size, state.h.cols)))
 
     def run(recur):
@@ -392,7 +388,8 @@ def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
         grads = {k: t.grad.copy() for k, t in params.items()}
         return loss.item(), hs.data, final, grads, None if gain is None else gain.grad.copy()
 
-    got, got_hs, got_final, got_g, got_dgain = run(O.recurrence)
+    got, got_hs, got_final, got_g, got_dgain = run(
+        lambda p, *args: O.recurrence(arrays_of(p), p, *args))
     want, want_hs, want_final, want_g, want_dgain = run(per_op_outputs)
     npt.assert_allclose(got, want, rtol=1e-10, atol=0)
     npt.assert_array_equal(got_hs, want_hs)  # the forward keeps the per-op arithmetic
@@ -416,8 +413,9 @@ def test_advance_matches_one_per_op_step(arch, mode, act):
     gain = m._gain(ctx, state.h.rows)
     ids = np.array([1, 4, 8, 4])
     got, logp = m.advance(O.array_state(state), gain, ids)
-    want = oracle_step(m, ids, state, None if gain is None else O.const(gain))
-    want_logp = log_softmax_rows(logits(m, want.h)).data
+    leaves = O.taped(m)
+    want = oracle_step(O.cell_nodes(m, leaves), ids, state, None if gain is None else O.const(gain))
+    want_logp = log_softmax_rows(logits(leaves, want.h)).data
     npt.assert_allclose(got.h, want.h.data, rtol=1e-12, atol=1e-12)
     if arch == "lstm":
         npt.assert_allclose(got.cell, want.cell.data, rtol=1e-12, atol=1e-12)
@@ -428,6 +426,7 @@ def test_advance_matches_one_per_op_step(arch, mode, act):
 def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
     # a recurrence run for no gradient, without keep, keeps no activations
     p, _, ctx, _ = op_setup(arch, mode, "tanh", hidden=16)
+    p = arrays_of(p)
     tokens = seed_stream(2, "ids").integers(0, 9, (40, 8))
     state = C.init_state(arch, 8, 16, np.float64)
     gain = C.project_context(p.fusion, ctx[:1].repeat(8, axis=0))
@@ -452,7 +451,7 @@ def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
 
 def test_recurrence_validates_its_inputs():
     p, tokens, ctx, state = op_setup("lstm", "outer", "tanh")
-    state = O.array_state(state)
+    p, state = arrays_of(p), O.array_state(state)
     gain = C.project_context(p.fusion, ctx)
     with pytest.raises(UsageError):
         C.recurrence(p, tokens, None, state)

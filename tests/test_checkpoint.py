@@ -67,8 +67,8 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert ckpt.train_config == tc
     assert ckpt.vocab.id_to_token == vocab.id_to_token
     assert ckpt.vocab.min_count == 2
-    for name, tensor in model.named_parameters().items():
-        npt.assert_array_equal(ckpt.tensors[name], tensor.data)
+    for name, arr in model.named_parameters().items():
+        npt.assert_array_equal(ckpt.tensors[name], arr)
     loaded = C.model_from_checkpoint(ckpt)
     batch = fixed_batch(len(vocab))
     a, na, _ = model.sequence_nll(batch)
@@ -155,7 +155,7 @@ def test_bias_free_decoder_round_trips(tmp_path):
     assert "decoder.b_U" not in ckpt.tensors
     assert "fusion.M" not in ckpt.tensors
     loaded = C.model_from_checkpoint(ckpt)
-    assert loaded.decoder.b_U is None
+    assert "decoder.b_U" not in loaded.named_parameters()
 
 
 def test_lstm_checkpoint_round_trips(tmp_path):
@@ -186,10 +186,10 @@ def test_loaded_parameters_are_owned_aligned_float32(tmp_path, arch, fusion, fus
     got = loaded.named_parameters()
     assert list(got) == list(want)
     for name, p in got.items():
-        flags = p.data.flags
+        flags = p.flags
         assert flags.owndata and flags.aligned and flags.c_contiguous and flags.writeable, name
-        assert p.data.dtype == np.float32, name
-        assert p.data.tobytes() == want[name].data.tobytes(), name
+        assert p.dtype == np.float32, name
+        assert p.tobytes() == want[name].tobytes(), name
     batch = fixed_batch(len(vocab))
     if fusion == "none":
         batch.contexts = None
@@ -210,7 +210,7 @@ def test_save_writes_the_documented_layout(tmp_path):
     for name, p in named.items():
         rows, cols = p.shape
         tail += struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", rows, cols)
-        tail += p.data.astype("<f4").tobytes()
+        tail += p.astype("<f4").tobytes()
     assert blob[end:] == struct.pack("<I", len(named)) + tail
 
 
@@ -254,8 +254,8 @@ def test_vocabulary_reads_across_read_ahead_chunks(tmp_path, monkeypatch, read_a
         path.write_bytes(raw)
         ckpt = C.load_checkpoint(path)
         assert ckpt.vocab.id_to_token == vocab.id_to_token
-        for name, tensor in model.named_parameters().items():
-            npt.assert_array_equal(ckpt.tensors[name], tensor.data)
+        for name, arr in model.named_parameters().items():
+            npt.assert_array_equal(ckpt.tensors[name], arr)
     # a version-1 file cut inside the block, or just past it, is truncated
     start = blob.index(struct.pack("<H", 2) + b"w0")
     end = start + sum(2 + len(w.encode()) for w in vocab.words)
@@ -277,6 +277,10 @@ def test_tensor_mismatch_is_refused(tmp_path):
     ckpt = C.load_checkpoint(path)
     ckpt.tensors["decoder.U"] = ckpt.tensors["decoder.U"][:, :-1]
     with pytest.raises(FormatError, match="shape"):
+        C.model_from_checkpoint(ckpt)
+    ckpt = C.load_checkpoint(path)
+    ckpt.tensors["decoder.W"] = np.zeros((1, 1), np.float32)
+    with pytest.raises(FormatError, match=r"extra \['decoder.W'\]"):
         C.model_from_checkpoint(ckpt)
 
 
@@ -561,4 +565,4 @@ def test_parameter_table_model_and_checkpoint_agree(tmp_path, arch, fusion, fusi
     loaded = C.model_from_checkpoint(ckpt).named_parameters()
     assert list(loaded) == list(table)
     for name, t in named.items():
-        assert loaded[name].data.tobytes() == t.data.tobytes(), name
+        assert loaded[name].tobytes() == t.tobytes(), name

@@ -216,7 +216,7 @@ def train_with_bests(monkeypatch, prep, out, bests):
     def fake_fit(model, *args, on_epoch, **kwargs):
         for epoch, best in enumerate(bests, start=1):
             for p in model.named_parameters().values():
-                p.data += 1
+                p += 1
             state = TrainState(epoch=epoch, best_epoch=best, best_valid_ppl=2.0,
                                curve=[(e, 1.0, 1.0, 2.0, 1.0) for e in range(1, epoch + 1)])
             on_epoch(state)

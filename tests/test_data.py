@@ -405,33 +405,33 @@ def test_pretrained_format_errors(tmp_path):
 def test_init_embeddings_exact_case(tmp_path):
     pre = _toy_pretrained(tmp_path)
     vocab = D.Vocabulary(["sun", "sunflower", "moon"])
-    w = T.Tensor(np.full((2, len(vocab)), 9.0))
+    w = np.full((2, len(vocab)), 9.0)
     coverage = D.init_embeddings_from_pretrained(w, vocab, pre)
-    npt.assert_array_equal(w.data[:, 4], [1.0, 0.0])
-    npt.assert_array_equal(w.data[:, 5], [0.5, 1.0])
-    npt.assert_array_equal(w.data[:, 6], [0.0, 0.0])  # [UNK] fallback
-    npt.assert_array_equal(w.data[:, :4], np.full((2, 4), 9.0))  # specials untouched
+    npt.assert_array_equal(w[:, 4], [1.0, 0.0])
+    npt.assert_array_equal(w[:, 5], [0.5, 1.0])
+    npt.assert_array_equal(w[:, 6], [0.0, 0.0])  # [UNK] fallback
+    npt.assert_array_equal(w[:, :4], np.full((2, 4), 9.0))  # specials untouched
     assert coverage == pytest.approx(2 / 3)
 
 
 def test_init_embeddings_projection(tmp_path):
     pre = _toy_pretrained(tmp_path)
     vocab = D.Vocabulary(["sun", "a"])
-    w1 = T.Tensor(np.zeros((5, len(vocab))))
+    w1 = np.zeros((5, len(vocab)))
     with pytest.raises(ConfigError):
         D.init_embeddings_from_pretrained(w1, vocab, pre)  # 2 != 5, no projection
     D.init_embeddings_from_pretrained(w1, vocab, pre, project=True, seed=3)
-    w2 = T.Tensor(np.zeros((5, len(vocab))))
+    w2 = np.zeros((5, len(vocab)))
     D.init_embeddings_from_pretrained(w2, vocab, pre, project=True, seed=3)
-    npt.assert_array_equal(w1.data, w2.data)
-    w3 = T.Tensor(np.zeros((5, len(vocab))))
+    npt.assert_array_equal(w1, w2)
+    w3 = np.zeros((5, len(vocab)))
     D.init_embeddings_from_pretrained(w3, vocab, pre, project=True, seed=4)
-    assert not np.array_equal(w1.data, w3.data)
+    assert not np.array_equal(w1, w3)
     # the projection of a known vector is linear in that vector
     rng = T.seed_stream(3, "pretrained-projection")
     proj = rng.standard_normal((5, 2)) / np.sqrt(2)
-    npt.assert_allclose(w1.data[:, 4], proj @ np.array([1.0, 0.0]), rtol=1e-12)
+    npt.assert_allclose(w1[:, 4], proj @ np.array([1.0, 0.0]), rtol=1e-12)
 
-    wbad = T.Tensor(np.zeros((2, 3)))
+    wbad = np.zeros((2, 3))
     with pytest.raises(DimensionError):
         D.init_embeddings_from_pretrained(wbad, vocab, pre)

@@ -51,7 +51,7 @@ def test_uniform_model_ppl_equals_vocab_size():
     for v in (10, 100):
         m = build(v)
         for t in m.named_parameters().values():
-            t.data[:] = 0.0
+            t[:] = 0.0
         nll, ppl = E.evaluate(m, batches_for(v), "L-L")
         npt.assert_allclose(ppl, v, atol=1e-6)
         npt.assert_allclose(nll, math.log(v), rtol=1e-12)
@@ -135,13 +135,11 @@ def test_eval_report_renders_table_one_shape():
 
 
 def crafted_decoder():
-    import mmlm.tensor as T
-    from mmlm.model import DecoderParams
     rows = np.zeros((7, 2))
     rows[4] = [1.0, 0.0]
     rows[5] = [0.9, 0.1]
     rows[6] = [0.0, 1.0]
-    return DecoderParams(U=T.Tensor(rows))
+    return rows
 
 
 def test_nearest_neighbors_hand_cosines():
@@ -164,15 +162,12 @@ def test_nearest_neighbors_excludes_self_and_specials():
 
 
 def test_nearest_neighbors_ties_break_by_id():
-    import mmlm.tensor as T
-    from mmlm.model import DecoderParams
     rows = np.zeros((7, 2))
     rows[4] = [2.0, 0.0]
     rows[5] = [1.0, 0.0]  # same direction as w2, different norm
     rows[6] = [3.0, 0.0]
-    dec = DecoderParams(U=T.Tensor(rows))
     vocab = D.Vocabulary(["a", "b", "c"])
-    rep = E.nearest_neighbors(dec, "a", vocab, k=2)
+    rep = E.nearest_neighbors(rows, "a", vocab, k=2)
     assert [w for w, _ in rep.neighbors] == ["b", "c"]  # cosine 1.0 both; id order
     npt.assert_allclose([c for _, c in rep.neighbors], [1.0, 1.0], rtol=1e-9)
 
@@ -200,8 +195,8 @@ def constant_dist_model(probs, unroll=6):
     """Zero-weight model whose every step emits softmax(log probs) = probs."""
     m = build(len(probs), unroll=unroll)
     for t in m.named_parameters().values():
-        t.data[:] = 0.0
-    m.decoder.b_U.data[:] = np.log(probs)
+        t[:] = 0.0
+    m.params["decoder.b_U"][:] = np.log(probs)
     return m
 
 
@@ -220,7 +215,7 @@ def test_beam_prefers_immediate_eos_when_it_dominates():
 def test_beam_exactness_small_case():
     rng = np.random.default_rng(7)
     m = build(6, seed=5)  # two real words
-    m.decoder.U.data[:] = rng.uniform(-1, 1, m.decoder.U.shape)
+    m.params["decoder.U"][:] = rng.uniform(-1, 1, m.params["decoder.U"].shape)
     got = E.beam_search(m, width=16, max_len=2)
     # brute force over word sequences of length < max_len via predict_next
     def chain_logprob(words):
@@ -247,7 +242,7 @@ def test_beam_max_len_bounds_generated_tokens():
 def test_beam_returns_only_completed_sentences():
     # even with EOS starved to ~nothing, every hypothesis still closes on EOS
     m = constant_dist_model([0.1, 0.1, 0.1, 0.2, 0.25, 0.25])
-    m.decoder.b_U.data[0, D.EOS_ID] = -30.0
+    m.params["decoder.b_U"][0, D.EOS_ID] = -30.0
     hyps = E.beam_search(m, width=2, max_len=3)
     assert all(len(h.ids) <= 2 for h in hyps)
     assert all(h.logprob < -25.0 for h in hyps)  # every score pays the EOS term
@@ -302,7 +297,7 @@ def test_beam_equals_per_candidate_loop(arch, fusion, dtype):
     cfg = ModelConfig(arch=arch, hidden=6, vocab=12, context_dim=3, fusion=fusion, unroll=8)
     m = build_model(cfg, seed=3, dtype=dtype)
     rng = np.random.default_rng(11)
-    m.decoder.U.data[:] = rng.uniform(-2, 2, m.decoder.U.shape)  # peaked distributions
+    m.params["decoder.U"][:] = rng.uniform(-2, 2, m.params["decoder.U"].shape)  # peaked distributions
     context = None if fusion == "none" else np.array([0.8, -0.3, 0.5])
     assert_beam_matches_per_candidate(m, context)
 
@@ -316,9 +311,9 @@ def test_beam_equals_per_candidate_loop_on_ties(dtype):
     probs = [0.01, 0.01, 0.01, 0.12, 0.1, 0.15, 0.15, 0.15, 0.1, 0.0, 0.1, 0.1]
     m = build_model(ModelConfig(hidden=6, vocab=len(probs), unroll=6), seed=0, dtype=dtype)
     for t in m.named_parameters().values():
-        t.data[:] = 0.0
+        t[:] = 0.0
     with np.errstate(divide="ignore"):
-        m.decoder.b_U.data[:] = np.log(probs)
+        m.params["decoder.b_U"][:] = np.log(probs)
     assert_beam_matches_per_candidate(m, widths=(1, 2, 3, 4, 13, 10_000))
 
 

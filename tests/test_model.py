@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import mmlm.data as D
 import mmlm.tensor as T
 import tape_ops as O
 from mmlm.errors import ConfigError, DataError, DimensionError, UsageError
-from mmlm.model import DecoderParams, ModelConfig, SequenceModel, build_model
+from mmlm.model import ModelConfig, SequenceModel, build_model, parameter_shapes
 from oracles import (finite_diff_check, forward_np, forward_sequence, predict_next,
                      sequence_nll_np, sequence_nll_per_step)
 
@@ -58,9 +59,9 @@ def test_build_model_deterministic():
     a = build_model(cfg, seed=5, dtype=np.float64)
     b = build_model(cfg, seed=5, dtype=np.float64)
     for name, t in a.named_parameters().items():
-        npt.assert_array_equal(t.data, b.named_parameters()[name].data)
+        npt.assert_array_equal(t, b.named_parameters()[name])
     c = build_model(cfg, seed=6, dtype=np.float64)
-    assert not np.array_equal(a.decoder.U.data, c.decoder.U.data)
+    assert not np.array_equal(a.params["decoder.U"], c.params["decoder.U"])
     assert set(a.named_parameters()) == {
         "cell.W", "cell.V", "cell.b_r", "cell.alpha", "cell.beta1", "cell.beta2",
         "fusion.M", "fusion.b_M", "decoder.U", "decoder.b_U",
@@ -75,23 +76,22 @@ def test_init_equals_one_full_shape_draw(dtype):
     cell_rng = T.seed_stream(5, "init/cell")
     for name, shape in (("W", (100, 700)), ("V", (100, 100))):
         want = cell_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
-        npt.assert_array_equal(getattr(m.cell, name).data, want)
+        npt.assert_array_equal(getattr(m.cell, name), want)
     want = T.seed_stream(5, "init/decoder").uniform(-0.1, 0.1, size=(700, 100)).astype(dtype)
-    npt.assert_array_equal(m.decoder.U.data, want)
+    npt.assert_array_equal(m.params["decoder.U"], want)
     want = T.seed_stream(5, "init/fusion").uniform(-0.1, 0.1, size=(100, 3)).astype(dtype)
-    npt.assert_array_equal(m.cell.fusion.M.data, want)
+    npt.assert_array_equal(m.cell.fusion.M, want)
 
 
 def test_decoder_bias_flag():
     m = build_model(tiny_config(decoder_bias=False), seed=0)
-    assert m.decoder.b_U is None
     assert "decoder.b_U" not in m.named_parameters()
 
 
 def test_uniform_model_distributions():
     m = build_model(tiny_config(), seed=1, dtype=np.float64)
-    m.decoder.U.data[:] = 0.0
-    m.decoder.b_U.data[:] = 0.0
+    m.params["decoder.U"][:] = 0.0
+    m.params["decoder.b_U"][:] = 0.0
     batch = make_batch([[4, 5, 6], [7, 8, 9]])
     for dist in forward_sequence(m, batch):
         npt.assert_allclose(dist.data, np.full((2, 11), 1.0 / 11.0), rtol=1e-12)
@@ -135,7 +135,8 @@ WIRINGS = [(arch, fusion) for arch in ("delta-rnn", "gru", "lstm")
 
 @pytest.mark.parametrize("arch,fusion", WIRINGS)
 def test_batched_decoder_matches_per_step_loop(arch, fusion):
-    m = O.taped(build_model(tiny_config(arch=arch, fusion=fusion), seed=16, dtype=np.float64))
+    m = build_model(tiny_config(arch=arch, fusion=fusion), seed=16, dtype=np.float64)
+    leaves = O.taped(m)
     rng = np.random.default_rng(1)
     ctx = None if fusion == "none" else rng.uniform(-1, 1, (3, 3))
     batch = make_batch([[4, 5, 6, 7, 8], [9, 10], [6, 4, 5]], contexts=ctx)
@@ -147,13 +148,13 @@ def test_batched_decoder_matches_per_step_loop(arch, fusion):
         batch.contexts = np.vstack([batch.contexts, rng.uniform(-1, 1, (1, 3))])
 
     def loss_and_grads(nll):
-        O.zero_grad(m.named_parameters().values())
-        loss, count = nll(batch)
+        O.zero_grad(leaves.values())
+        loss, count = nll(m, leaves, batch)
         O.backward(loss)
-        return loss.item(), count, {k: p.grad.copy() for k, p in m.named_parameters().items()}
+        return loss.item(), count, {k: p.grad.copy() for k, p in leaves.items()}
 
-    got, got_n, got_g = loss_and_grads(lambda b: O.sequence_nll(m, b))
-    want, want_n, want_g = loss_and_grads(lambda b: sequence_nll_per_step(m, b))
+    got, got_n, got_g = loss_and_grads(O.sequence_nll)
+    want, want_n, want_g = loss_and_grads(sequence_nll_per_step)
     assert got_n == want_n == 5 + 1 + 2 + 1 + 3 + 1
     npt.assert_allclose(got, want, rtol=1e-10, atol=0)
     for name, g in want_g.items():
@@ -192,8 +193,8 @@ def test_hand_computed_two_token_nll():
     # zero cell weights keep h at zero, so every step's logits equal b_U
     m = build_model(tiny_config(vocab=4 + 2), seed=4, dtype=np.float64)
     for t in m.named_parameters().values():
-        t.data[:] = 0.0
-    m.decoder.b_U.data[:] = np.log([1.0, 1.0, 1.0, 2.0, 4.0, 8.0])
+        t[:] = 0.0
+    m.params["decoder.b_U"][:] = np.log([1.0, 1.0, 1.0, 2.0, 4.0, 8.0])
     batch = make_batch([[4, 5]])  # targets: 4, 5, EOS(3)
     loss, count, _ = m.sequence_nll(batch)
     assert count == 3
@@ -386,23 +387,42 @@ def test_single_row_batch_runs():
 
 def test_end_to_end_gradcheck_smoke():
     cfg = tiny_config(arch="delta-rnn", fusion="outer", hidden=4, vocab=8)
-    m = O.taped(build_model(cfg, seed=15, dtype=np.float64))
+    m = build_model(cfg, seed=15, dtype=np.float64)
+    leaves = O.taped(m)
     rng = np.random.default_rng(3)
     ctx = rng.uniform(-1, 1, (2, 3))
     batch = make_batch([[4, 5, 6], [7, 5]], contexts=ctx)
 
     def loss():
-        return O.sequence_nll(m, batch)[0]
+        return O.sequence_nll(m, leaves, batch)[0]
 
-    err = finite_diff_check(loss, m.named_parameters().values(), eps=1e-5)
+    err = finite_diff_check(loss, leaves.values(), eps=1e-5)
     assert err < 1e-4, err
 
 
 def test_decoder_shape_mismatch_rejected():
     cfg = tiny_config()
-    m = build_model(cfg, seed=0)
-    with pytest.raises(DimensionError):
-        SequenceModel(cfg, m.cell, DecoderParams(U=T.Tensor(np.zeros((3, 3)))))
+    arrays = dict(build_model(cfg, seed=0).named_parameters())
+    with pytest.raises(DimensionError, match="'decoder.U' has shape"):
+        SequenceModel(cfg, {**arrays, "decoder.U": np.zeros((3, 3), np.float32)})
+    missing = {k: a for k, a in arrays.items() if k != "cell.V"}
+    with pytest.raises(DimensionError, match=r"missing \['cell.V'\], extra \[\]"):
+        SequenceModel(cfg, missing)
+    with pytest.raises(DimensionError, match=r"missing \[\], extra \['fusion.M'\]"):
+        SequenceModel(cfg, {**arrays, "fusion.M": np.zeros((6, 3), np.float32)})
+
+
+def test_the_model_holds_the_given_arrays_in_table_order():
+    cfg = tiny_config(fusion="outer")
+    arrays = dict(reversed(build_model(cfg, seed=0).named_parameters().items()))
+    m = SequenceModel(cfg, arrays)
+    assert list(m.named_parameters()) == list(parameter_shapes(cfg))
+    assert all(m.named_parameters()[k] is a for k, a in arrays.items())
+    assert m.cell.W is arrays["cell.W"] and m.cell.fusion.b_M is arrays["fusion.b_M"]
+    assert m.dtype == np.float32
+    bias_free = SequenceModel(replace(cfg, fusion_bias=False),
+                              {k: a for k, a in arrays.items() if k != "fusion.b_M"})
+    assert bias_free.cell.fusion.b_M is None
 
 
 # criterion 1's nine wirings: (arch, fusion, fusion bias)
@@ -431,8 +451,8 @@ def test_gradients_equal_the_layer_graph_bit_for_bit(monkeypatch, hidden, vocab,
     # A 4104 x 256 decoder is above the size where its softmax splits by rows.
     cfg = ModelConfig(arch=arch, hidden=hidden, vocab=vocab, context_dim=3, fusion=fusion,
                       fusion_bias=bias, unroll=30)
-    m = O.taped(build_model(cfg, seed=18, dtype=dtype))
-    named = m.named_parameters()
+    m = build_model(cfg, seed=18, dtype=dtype)
+    named = O.taped(m)
     rng = np.random.default_rng(2)
     seqs = [list(rng.integers(4, vocab, n)) for n in (29, 3, 17, 24, 11, 20)]
     batches = [make_batch(seqs, unroll=30)]
@@ -440,7 +460,7 @@ def test_gradients_equal_the_layer_graph_bit_for_bit(monkeypatch, hidden, vocab,
         batches.insert(0, make_batch(seqs, unroll=30, contexts=rng.uniform(-1, 1, (6, 3))))
     for batch in batches:
         if vocab * hidden > T._SPLIT_MIN_SIZE:  # split wherever the probe lets it
-            cut = T._row_cut(int(batch.mask.sum()), m.decoder.U.data)
+            cut = T._row_cut(batch.target_count(), m.params["decoder.U"])
             assert (cut > 0) == T._row_split_agrees(np.dtype(dtype))
         loss, count, kept = m.sequence_nll(batch, keep=True)
         grads, cols = m.gradients(kept)
@@ -448,7 +468,7 @@ def test_gradients_equal_the_layer_graph_bit_for_bit(monkeypatch, hidden, vocab,
         with monkeypatch.context() as patch:
             patch.setattr(T, "column_blocks",
                           lambda ids, grads: dense_column_blocks(ids, grads, vocab))
-            want_loss, want_count = O.layer_nll(m, batch)
+            want_loss, want_count = O.layer_nll(m, named, batch)
             O.backward(want_loss)
         assert np.asarray(loss).tobytes() == want_loss.data.tobytes() and count == want_count
         assert list(grads) == [name for name, p in named.items() if p._grad is not None]

@@ -41,7 +41,7 @@ def fused_setup(arch, fusion, captions_per_batch=10):
 
 
 def param_bytes(model) -> dict:
-    return {name: p.data.tobytes() for name, p in model.named_parameters().items()}
+    return {name: p.tobytes() for name, p in model.named_parameters().items()}
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ def test_a_whole_softmax_starts_no_thread_and_gives_the_same_bytes(gate, monkeyp
     if gate == "probe":
         monkeypatch.setattr(T, "_row_split_agrees", lambda dtype: False)
     else:
-        monkeypatch.setattr(T, "_SPLIT_MIN_SIZE", model.decoder.U.data.size + 1)
+        monkeypatch.setattr(T, "_SPLIT_MIN_SIZE", model.params["decoder.U"].size + 1)
 
     def no_thread(*args, **kwargs):
         raise AssertionError("a second thread started")

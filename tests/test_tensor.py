@@ -16,23 +16,6 @@ from oracles import finite_diff_check, sigmoid_piecewise
 TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def test_tensor_wraps_2d_and_promotes():
-    t = T.Tensor([[1, 2], [3, 4]])
-    assert t.shape == (2, 2)
-    assert t.dtype == np.float64
-    row = T.Tensor([1.0, 2.0, 3.0])
-    assert row.shape == (1, 3)
-    scalar = T.Tensor(5.0)
-    assert scalar.shape == (1, 1)
-    assert scalar.data[0, 0] == 5.0
-    assert T.Tensor(np.zeros(2, np.float32)).dtype == np.float32
-
-
-def test_tensor_rejects_higher_rank():
-    with pytest.raises(DimensionError):
-        T.Tensor(np.zeros((2, 2, 2)))
-
-
 def test_matmul_known_value():
     a = O.const([[1.0, 2.0]])
     b = O.const([[3.0], [4.0]])

@@ -81,16 +81,16 @@ def test_schedule_halving_is_exact_power_of_two():
 
 
 def test_sgd_step_known_values():
-    p = {"w": T.Tensor([[1.0]]), "b": T.Tensor([[5.0]])}
+    p = {"w": np.array([[1.0]]), "b": np.array([[5.0]])}
     TR.sgd_step(p, {"w": np.array([[0.25]]), "b": np.array([[0.0]])}, 1.0)
-    assert p["w"].data[0, 0] == 0.75
-    assert p["b"].data[0, 0] == 5.0  # zero gradient leaves it alone
+    assert p["w"][0, 0] == 0.75
+    assert p["b"][0, 0] == 5.0  # zero gradient leaves it alone
     with pytest.raises(DimensionError):
         TR.sgd_step(p, {"w": np.zeros((2, 2)), "b": np.zeros((1, 1))}, 1.0)
     # a gradient block of the given columns steps only those columns
-    m = {"m": T.Tensor(np.ones((2, 4)))}
+    m = {"m": np.ones((2, 4))}
     TR.sgd_step(m, {"m": np.array([[1.0, 2.0], [3.0, 4.0]])}, 0.5, {"m": np.array([1, 3])})
-    npt.assert_array_equal(m["m"].data, [[1.0, 0.5, 1.0, 0.0], [1.0, -0.5, 1.0, -1.0]])
+    npt.assert_array_equal(m["m"], [[1.0, 0.5, 1.0, 0.0], [1.0, -0.5, 1.0, -1.0]])
     with pytest.raises(DimensionError):
         TR.sgd_step(m, {"m": np.zeros((2, 4))}, 0.5, {"m": np.array([1, 3])})
 
@@ -101,10 +101,10 @@ def test_sgd_step_bits_and_consumed_grads():
         w = rng.uniform(-1, 1, (40, 30)).astype(dtype)
         g = rng.uniform(-2, 2, (40, 30)).astype(dtype)
         want = w - dtype(0.37) * g
-        p = {"w": T.Tensor(w.copy())}
+        p = {"w": w.copy()}
         grads = {"w": g.copy()}
         TR.sgd_step(p, grads, 0.37)
-        npt.assert_array_equal(p["w"].data, want)
+        npt.assert_array_equal(p["w"], want)
         npt.assert_array_equal(grads["w"], dtype(0.37) * g)  # scaled in place
 
 
@@ -115,13 +115,12 @@ def test_clip_then_update_rule():
     shapes = {"W": (300, 500), "V": (40, 40), "b": (1, 500)}
     for lr in (1.0, 0.37):
         for trial in range(5):
-            p = {k: T.Tensor(rng.uniform(-0.5, 0.5, s).astype(np.float32))
-                 for k, s in shapes.items()}
+            p = {k: rng.uniform(-0.5, 0.5, s).astype(np.float32) for k, s in shapes.items()}
             grads = {k: (rng.standard_normal(s) * 10.0 ** trial).astype(np.float32)
                      for k, s in shapes.items()}
-            before = {k: t.data.astype(np.float64) for k, t in p.items()}
+            before = {k: t.astype(np.float64) for k, t in p.items()}
             TR.sgd_step(p, T.clip_gradients(grads, 2.0), lr)
-            step = math.sqrt(sum(float(np.sum((p[k].data - before[k]) ** 2)) for k in p))
+            step = math.sqrt(sum(float(np.sum((p[k] - before[k]) ** 2)) for k in p))
             assert lr * 2.0 * (1 - 1e-4) <= step <= lr * 2.0, (lr, trial, step)
 
 
@@ -129,15 +128,15 @@ def _dense_reference_step(model, batch, lr, clip):
     """p - lr * g from the full-shape gradients of the batch's graph of
     nodes, clipped to the global norm; returns (parameters after the step,
     gradient norm)."""
-    model = O.taped(model)
-    O.backward(O.layer_nll(model, batch)[0])
-    grads = {k: p.grad for k, p in model.named_parameters().items()}
+    leaves = O.taped(model)
+    O.backward(O.layer_nll(model, leaves, batch)[0])
+    grads = {k: p.grad for k, p in leaves.items()}
     norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
     factor = clip / norm * (1.0 - 1e-5) if norm > clip else None
     out = {}
     for k, p in model.named_parameters().items():
         g = grads[k] if factor is None else grads[k] * p.dtype.type(factor)
-        out[k] = p.data - p.dtype.type(lr) * g
+        out[k] = p - p.dtype.type(lr) * g
     return out, norm
 
 
@@ -148,10 +147,14 @@ def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
     fresh = build_model(cfg, seed=5)
     path = str(tmp_path / "m.mmlm")
     CK.save_checkpoint(path, fresh, vocab, TR.TrainConfig(), TR.TrainState())
-    # a parameter holds its array and nothing else: no gradient buffer
-    assert T.Tensor.__slots__ == ("data",)
-    for model in (fresh, CK.model_from_checkpoint(CK.load_checkpoint(path))):
-        assert all(type(p) is T.Tensor for p in model.named_parameters().values())
+    # a parameter is its array and nothing else: no wrapper, no gradient buffer
+    ckpt = CK.load_checkpoint(path)
+    loaded = CK.model_from_checkpoint(ckpt)
+    for model in (fresh, loaded):
+        assert all(type(p) is np.ndarray for p in model.named_parameters().values())
+    # a loaded model trains the checkpoint's own arrays
+    assert all(p is ckpt.tensors[k] for k, p in loaded.named_parameters().items())
+    saved = {k: a.copy() for k, a in ckpt.tensors.items()}
 
     batch = D.encode_batches(recs, vocab, 8, 2)[0]
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
@@ -162,6 +165,8 @@ def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
     for name, ids in cols.items():
         npt.assert_array_equal(ids, looked_up)
         assert grads[name].shape == (cfg.hidden, looked_up.size)
+    TR.train_epoch(loaded, [batch], 0.5, 2.0)
+    assert all(not np.array_equal(ckpt.tensors[k], a) for k, a in saved.items())
     lr = 0.5
     _, norm = _dense_reference_step(build_model(cfg, seed=5), batch, lr, math.inf)
     # below the bound, at it (up to the float64 summation order of the
@@ -172,9 +177,9 @@ def test_train_step_keeps_compact_input_gradients_and_no_idle_buffers(tmp_path):
         TR.train_epoch(model, [batch], lr, clip)
         for k, p in model.named_parameters().items():
             if clip >= norm:
-                npt.assert_array_equal(p.data, want[k], err_msg=k)
+                npt.assert_array_equal(p, want[k], err_msg=k)
             else:
-                npt.assert_allclose(p.data, want[k], rtol=1e-6, err_msg=k)
+                npt.assert_allclose(p, want[k], rtol=1e-6, err_msg=k)
 
 
 def test_zero_lr_epoch_leaves_params_bit_identical():
@@ -210,7 +215,7 @@ def test_epoch_improves_memorizable_corpus_for_most_seeds():
 
 def test_non_finite_loss_aborts_with_diagnostics():
     recs, vocab, model = small_setup()
-    model.decoder.U.data[0, 0] = np.nan
+    model.params["decoder.U"][0, 0] = np.nan
     batches = D.encode_batches(recs, vocab, 8, 2)
     with pytest.raises(TrainingAbort) as ei:
         TR.train_epoch(model, batches, lr=0.25, clip=2.0, epoch=7)
@@ -237,7 +242,7 @@ def test_dataset_nll_equals_the_taped_loss_and_builds_no_tape(monkeypatch):
 def test_dataset_nll_uniform_model():
     recs, vocab, model = small_setup()
     for t in model.named_parameters().values():
-        t.data[:] = 0.0
+        t[:] = 0.0
     batches = D.encode_batches(recs, vocab, 8, 2)
     nll, ppl = TR.dataset_nll(model, batches)
     npt.assert_allclose(nll, math.log(len(vocab)), rtol=1e-12)
