@@ -5,8 +5,6 @@ vocabulary block (u32 count, u32 byte length, then the words in id order
 joined by "\n" in UTF-8), tensor block (u32 count, then u16 name length +
 name + u32 rows + u32 cols + row-major little-endian f32 data per tensor).
 Parameters are stored as 32-bit floats; saving a 64-bit model truncates.
-Version 1 files, whose vocabulary block is a u32 count and then a u16
-length + UTF-8 per word, still load.
 """
 
 import contextlib
@@ -19,14 +17,13 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .data import Vocabulary
+from .data import Vocabulary, read_exact
 from .errors import DataError, DimensionError, FormatError
 from .model import ModelConfig, SequenceModel
 from .train import TrainConfig, TrainState, format_curve_row
 
 CHECKPOINT_MAGIC = b"MMLM"
 CHECKPOINT_VERSION = 2
-_READ_AHEAD = 1 << 16  # bytes of a version-1 vocabulary block read per call
 
 
 def parse_value(kind: type, text: str):
@@ -107,7 +104,6 @@ def compute_config_hash(model_config: ModelConfig, train_config: TrainConfig) ->
 
 @dataclass
 class Checkpoint:
-    version: int
     model_config: ModelConfig
     train_config: TrainConfig
     vocab: Vocabulary
@@ -212,27 +208,18 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
-    offset = 0
+    def take(fmt, what):
+        return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), size, spath, what))
 
-    def take_bytes(n):
-        nonlocal offset
-        out = fh.read(n) if offset + n <= size else b""  # no allocation past the end
-        if len(out) != n:
-            raise FormatError(f"{spath}: truncated checkpoint")
-        offset += n
-        return out
-
-    def take(fmt):
-        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
-
-    if take_bytes(4) != CHECKPOINT_MAGIC:
+    if read_exact(fh, 4, size, spath, "magic") != CHECKPOINT_MAGIC:
         raise FormatError(f"{spath}: not a checkpoint file (bad magic)")
-    (version,) = take("<H")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise FormatError(f"{spath}: unsupported checkpoint version {version}")
-    (text_len,) = take("<I")
-    values = read_key_values(take_bytes(text_len).decode("utf-8"), spath, FormatError,
-                             repeated=("curve",))
+    (version,) = take("<H", "version")
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{spath}: unsupported checkpoint version {version}; "
+                          f"convert a version 1 file with tools/checkpoint_v1_to_v2.py")
+    (text_len,) = take("<I", "config length")
+    values = read_key_values(read_exact(fh, text_len, size, spath, "config").decode("utf-8"),
+                             spath, FormatError, repeated=("curve",))
 
     def need(key):
         if key not in values:
@@ -244,54 +231,32 @@ def _read_checkpoint(fh, spath: str, size: int) -> Checkpoint:
     state = _from_fields(TrainState, "state", values, spath,
                          curve=_parse_curve(values["curve"], spath))
 
-    if version == 1:
-        (word_count,) = take("<I")
-        words = []
-        buf, pos = b"", 0  # read-ahead bytes of the block, and the next field's start in buf
-        while len(words) < word_count:
-            # u16 little-endian length, then the word
-            end = pos + 2 + (buf[pos] | buf[pos + 1] << 8) if pos + 2 <= len(buf) else pos + 2
-            if end > len(buf):
-                # read on: a chunk, or what the field lacks if that is more;
-                # take_bytes refuses to read past the end of the file
-                buf = buf[pos:] + take_bytes(max(end - len(buf),
-                                                 min(_READ_AHEAD, size - offset)))
-                pos = 0
-                continue
-            words.append(buf[pos + 2:end].decode("utf-8"))
-            pos = end
-        offset -= len(buf) - pos  # the block ends at the first unwalked byte
-        fh.seek(offset)
-    else:
-        word_count, block_len = take("<II")
-        block = take_bytes(block_len).decode("utf-8")
-        words = block.split("\n") if block or word_count else []
-        if len(words) != word_count:
-            raise FormatError(f"{spath}: vocabulary block holds {len(words)} words, "
-                              f"its count says {word_count}")
+    word_count, block_len = take("<II", "vocabulary header")
+    block = read_exact(fh, block_len, size, spath, "vocabulary").decode("utf-8")
+    words = block.split("\n") if block or word_count else []
+    if len(words) != word_count:
+        raise FormatError(f"{spath}: vocabulary block holds {len(words)} words, "
+                          f"its count says {word_count}")
     vocab = Vocabulary(words, min_count=int(need("vocab_min_count")))
 
-    (tensor_count,) = take("<I")
+    (tensor_count,) = take("<I", "tensor count")
     tensors = {}
     for _ in range(tensor_count):
-        (nlen,) = take("<H")
-        name = take_bytes(nlen).decode("utf-8")
+        (nlen,) = take("<H", "tensor name length")
+        name = read_exact(fh, nlen, size, spath, "tensor name").decode("utf-8")
         if name in tensors:
             raise FormatError(f"{spath}: duplicate tensor {name!r}")
-        rows, cols = take("<II")
-        if offset + rows * cols * 4 > size:
-            raise FormatError(f"{spath}: truncated checkpoint")
+        rows, cols = take("<II", f"tensor {name} shape")
+        if rows * cols * 4 > size - fh.tell():
+            raise FormatError(f"{spath}: truncated while reading tensor {name}")
         # the bytes land in the tensor's only allocation: owned, aligned, writable
         arr = np.empty((rows, cols), dtype="<f4")
         if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise FormatError(f"{spath}: truncated checkpoint")
-        offset += arr.nbytes
+            raise FormatError(f"{spath}: truncated while reading tensor {name}")
         tensors[name] = arr
-    rest = fh.read()
-    if rest:
-        raise FormatError(f"{spath}: {len(rest)} trailing bytes")
-    return Checkpoint(version, model_config, train_config, vocab, state,
-                      tensors, need("config_hash"))
+    if fh.tell() != size:
+        raise FormatError(f"{spath}: {size - fh.tell()} trailing bytes")
+    return Checkpoint(model_config, train_config, vocab, state, tensors, need("config_hash"))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> SequenceModel:
@@ -307,7 +272,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> SequenceModel:
 
 
 def render_manifest(ckpt: Checkpoint) -> str:
-    lines = [f"checkpoint version {ckpt.version}",
+    lines = [f"checkpoint version {CHECKPOINT_VERSION}",
              f"config hash {ckpt.config_hash}"]
     lines += _field_lines("model", ckpt.model_config) + _field_lines("train", ckpt.train_config)
     lines.append(f"vocabulary: {len(ckpt.vocab.words)} words "

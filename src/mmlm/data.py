@@ -239,21 +239,21 @@ def save_contexts_binary(path, store: ContextStore) -> None:
             fh.write(store.get(image_id).astype("<f4").tobytes())
 
 
-def _read_exact(fh, n: int, size: int, path, what: str) -> bytes:
+def read_exact(fh, n: int, size: int, path, what: str) -> bytes:
     """The next n bytes of a file of `size` bytes. The bytes left are
     checked first, so a corrupt length cannot ask for gigabytes."""
-    if n > size - fh.tell():
+    if n > size - fh.tell() or len(out := fh.read(n)) != n:  # or it shrank
         raise FormatError(f"{path}: truncated while reading {what}")
-    return fh.read(n)
+    return out
 
 
 def load_contexts_binary(path) -> ContextStore:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = _read_exact(fh, 4, size, path, "magic")
+        magic = read_exact(fh, 4, size, path, "magic")
         if magic != CONTEXT_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {CONTEXT_MAGIC!r}")
-        version, dim, count = struct.unpack("<HIQ", _read_exact(fh, 14, size, path, "header"))
+        version, dim, count = struct.unpack("<HIQ", read_exact(fh, 14, size, path, "header"))
         if version != CONTEXT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if dim < 1:
@@ -261,12 +261,12 @@ def load_contexts_binary(path) -> ContextStore:
         store = ContextStore(dim)
         for i in range(count):
             what = f"record {i + 1}"
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, size, path, f"{what} id length"))
+            (id_len,) = struct.unpack("<H", read_exact(fh, 2, size, path, f"{what} id length"))
             try:
-                image_id = _read_exact(fh, id_len, size, path, f"{what} id").decode("utf-8")
+                image_id = read_exact(fh, id_len, size, path, f"{what} id").decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError(f"{path}: {what}: id is not UTF-8") from None
-            vec = np.frombuffer(_read_exact(fh, 4 * dim, size, path, f"{what} vector"),
+            vec = np.frombuffer(read_exact(fh, 4 * dim, size, path, f"{what} vector"),
                                 dtype="<f4")
             try:
                 store.add(image_id, vec)

@@ -2,8 +2,9 @@
 nearest-neighbor analysis, and beam-search sampling.
 
 Conditions: L-L is a text-only model on text; LV-LV is a fused model with
-its stored context vectors; LV-L is the same fused model with every context
-replaced by the zero vector (evaluating without the visual channel).
+its stored context vectors; LV-L is the same fused model scored with the
+null context, which equals the zero vector (evaluating without the visual
+channel).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from .model import SequenceModel
 CONDITIONS = ("L-L", "LV-LV", "LV-L")
 
 
-def _condition_batch(batch: SequenceBatch, condition: str, dim: int) -> SequenceBatch:
-    if condition == "L-L":
+def _condition_batch(batch: SequenceBatch, condition: str) -> SequenceBatch:
+    if condition != "LV-LV":
         return replace(batch, contexts=None) if batch.contexts is not None else batch
-    if condition == "LV-L":
-        return replace(batch, contexts=np.zeros((batch.batch_size, dim), dtype=np.float32))
     if batch.contexts is None:
         raise UsageError("LV-LV needs stored context vectors; use LV-L for the null condition")
     return batch
@@ -50,17 +49,15 @@ def evaluate(model: SequenceModel, batches, condition: str):
     """(mean per-token NLL, PPL) on the batches under one condition.
 
     Pure: parameters are read, never written, and nothing is kept for a
-    backward; repeated calls are bit-identical. L-L strips any stored contexts (on a
-    fused model that coincides with LV-L, since a missing context is the
-    zero vector); LV-L substitutes zero vectors; LV-LV requires stored
-    contexts.
+    backward; repeated calls are bit-identical. L-L and LV-L strip any stored
+    contexts, so a fused model sees the null context, which equals the zero
+    vector; LV-LV requires stored contexts.
     """
     if condition not in CONDITIONS:
         raise UsageError(f"condition must be one of {CONDITIONS}, got {condition!r}")
     if condition != "L-L" and model.config.fusion == "none":
         raise UsageError(f"{condition} needs a fused model; this one has fusion=none")
-    dim = model.config.context_dim
-    return dataset_nll(model, (_condition_batch(b, condition, dim) for b in batches))
+    return dataset_nll(model, (_condition_batch(b, condition) for b in batches))
 
 
 @dataclass

@@ -3,7 +3,10 @@ import json
 import math
 import os
 import pathlib
+import runpy
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -31,6 +34,8 @@ def small_setup(fusion="outer", decoder_bias=True):
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+CONVERTER = DATA.parent.parent / "tools" / "checkpoint_v1_to_v2.py"
+convert = runpy.run_path(str(CONVERTER))["convert"]
 
 
 def vocab_block_at(blob):
@@ -62,7 +67,6 @@ def test_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "m.mmlm"
     C.save_checkpoint(path, model, vocab, tc, state)
     ckpt = C.load_checkpoint(path)
-    assert ckpt.version == C.CHECKPOINT_VERSION
     assert ckpt.model_config == model.config
     assert ckpt.train_config == tc
     assert ckpt.vocab.id_to_token == vocab.id_to_token
@@ -229,6 +233,10 @@ def test_truncated_and_corrupt_files(tmp_path):
     with pytest.raises(FormatError, match="version"):
         C.load_checkpoint(bad)
 
+    bad.write_bytes(as_version_1(blob))
+    with pytest.raises(FormatError, match="version 1; convert .*tools/checkpoint_v1_to_v2.py"):
+        C.load_checkpoint(bad)
+
     bad.write_bytes(blob[:-3])
     with pytest.raises(FormatError, match="truncated"):
         C.load_checkpoint(bad)
@@ -238,32 +246,26 @@ def test_truncated_and_corrupt_files(tmp_path):
         C.load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("read_ahead", [1, 7, None])
-def test_vocabulary_reads_across_read_ahead_chunks(tmp_path, monkeypatch, read_ahead):
-    if read_ahead is not None:
-        monkeypatch.setattr(C, "_READ_AHEAD", read_ahead)
-    # 3,000 words of 2 to 86 UTF-8 bytes make a version-1 block of about
-    # 140 KB, so fields cross the read-ahead chunks' ends at every size
+def test_a_3000_word_utf8_vocabulary_round_trips(tmp_path):
+    # 3,000 words of 2 to 86 UTF-8 bytes make a vocabulary block of about 140 KB
     vocab = D.Vocabulary([f"w{i}" + "é" * (i % 41) for i in range(3000)])
     model = build_model(ModelConfig(hidden=2, vocab=len(vocab), unroll=4), seed=0)
     path = tmp_path / "m.mmlm"
     C.save_checkpoint(path, model, vocab, TrainConfig(), TrainState())
+    ckpt = C.load_checkpoint(path)
+    assert ckpt.vocab.id_to_token == vocab.id_to_token
+    for name, arr in model.named_parameters().items():
+        npt.assert_array_equal(ckpt.tensors[name], arr)
+    # the converter walks the same words in the version 1 layout back to
+    # these bytes, and refuses that layout cut inside its vocabulary block
     v2 = path.read_bytes()
     blob = as_version_1(v2)
-    for raw in (v2, blob):
-        path.write_bytes(raw)
-        ckpt = C.load_checkpoint(path)
-        assert ckpt.vocab.id_to_token == vocab.id_to_token
-        for name, arr in model.named_parameters().items():
-            npt.assert_array_equal(ckpt.tensors[name], arr)
-    # a version-1 file cut inside the block, or just past it, is truncated
+    assert convert(blob) == v2
     start = blob.index(struct.pack("<H", 2) + b"w0")
     end = start + sum(2 + len(w.encode()) for w in vocab.words)
-    bad = tmp_path / "bad.mmlm"
-    for cut in [*range(start, start + 40), end - 1, end, end + 3]:
-        bad.write_bytes(blob[:cut])
-        with pytest.raises(FormatError, match="truncated"):
-            C.load_checkpoint(bad)
+    for cut in [*range(start - 4, start + 40), end - 1]:
+        with pytest.raises((ValueError, struct.error)):
+            convert(blob[:cut])
 
 
 def test_tensor_mismatch_is_refused(tmp_path):
@@ -298,9 +300,11 @@ def test_manifest_lists_every_tensor(tmp_path):
     assert "epoch 2" in text and "8.250" in text
 
 
-def mutation_outcomes(blob, tmp_path):
+def mutation_outcomes(blob, tmp_path, prepare=bytes):
     """{"loaded": k, "refused": m} over 2,000 seeded one-byte mutations of blob:
-    every one loads or raises a package error, never a traceback."""
+    every one loads or raises a package error, never a traceback. Each
+    mutation goes through prepare first; a ValueError or struct.error there
+    counts as refused."""
     rng = np.random.default_rng(0)
     bad = tmp_path / "bad.mmlm"
     outcomes = {"loaded": 0, "refused": 0}
@@ -308,7 +312,11 @@ def mutation_outcomes(blob, tmp_path):
         mutated = bytearray(blob)
         at = int(rng.integers(len(blob)))
         mutated[at] = (mutated[at] + int(rng.integers(1, 256))) % 256
-        bad.write_bytes(bytes(mutated))
+        try:
+            bad.write_bytes(prepare(bytes(mutated)))
+        except (ValueError, struct.error):
+            outcomes["refused"] += 1
+            continue
         try:
             C.model_from_checkpoint(C.load_checkpoint(bad))
             outcomes["loaded"] += 1
@@ -333,16 +341,23 @@ def test_every_mutated_byte_loads_or_raises_a_package_error(tmp_path):
 
 
 def test_every_mutated_byte_of_the_version_1_file_loads_or_raises_a_package_error(tmp_path):
-    outcomes = mutation_outcomes((DATA / "v1_lstm.mmlm").read_bytes(), tmp_path)
+    # loaded as it is, a version 1 file is refused; converted first, a
+    # mutation is refused by the converter or the loader, or it loads
+    blob = (DATA / "v1_lstm.mmlm").read_bytes()
+    assert mutation_outcomes(blob, tmp_path)["loaded"] == 0
+    outcomes = mutation_outcomes(blob, tmp_path, convert)
     assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
 
 
-def test_version_1_file_loads_with_its_recorded_values():
+def test_a_converted_version_1_file_loads_with_its_recorded_values(tmp_path):
     # tests/data/v1_lstm.mmlm was written by save_checkpoint before format
     # version 2; v1_lstm.json records what went into it
     want = json.loads((DATA / "v1_lstm.json").read_text(encoding="utf-8"))
-    ckpt = C.load_checkpoint(DATA / "v1_lstm.mmlm")
-    assert ckpt.version == want["version"] == 1
+    assert want["version"] == 1
+    path = tmp_path / "m.mmlm"
+    subprocess.run([sys.executable, str(CONVERTER), str(DATA / "v1_lstm.mmlm"), str(path)],
+                   check=True)
+    ckpt = C.load_checkpoint(path)
     assert ckpt.model_config == ModelConfig(**want["model_config"])
     assert ckpt.train_config == TrainConfig(**want["train_config"])
     state = dict(want["state"], curve=[tuple(row) for row in want["state"]["curve"]])
@@ -360,15 +375,31 @@ def test_version_1_file_loads_with_its_recorded_values():
 
 
 def test_a_version_1_file_saves_again_as_version_2_with_the_same_contents(tmp_path):
-    ckpt = C.load_checkpoint(DATA / "v1_lstm.mmlm")
+    # the converter writes, byte for byte, what save_checkpoint writes for
+    # the model the converted file loads to
+    converted = convert((DATA / "v1_lstm.mmlm").read_bytes())
     path = tmp_path / "m.mmlm"
-    C.save_checkpoint(path, C.model_from_checkpoint(ckpt), ckpt.vocab, ckpt.train_config,
+    path.write_bytes(converted)
+    ckpt = C.load_checkpoint(path)
+    again = tmp_path / "again.mmlm"
+    C.save_checkpoint(again, C.model_from_checkpoint(ckpt), ckpt.vocab, ckpt.train_config,
                       ckpt.state)
-    assert as_version_1(path.read_bytes()) == (DATA / "v1_lstm.mmlm").read_bytes()
-    again = C.load_checkpoint(path)
-    assert again.version == C.CHECKPOINT_VERSION == 2
-    assert again.vocab.id_to_token == ckpt.vocab.id_to_token
-    assert again.state == ckpt.state and again.config_hash == ckpt.config_hash
+    assert again.read_bytes() == converted
+
+
+def test_the_converter_refuses_a_version_2_file_and_a_word_with_a_newline(tmp_path):
+    v1 = (DATA / "v1_lstm.mmlm").read_bytes()
+    with pytest.raises(ValueError, match="not a version 1 checkpoint"):
+        convert(convert(v1))
+    assert struct.pack("<H", 3) + b"dog" in v1
+    with pytest.raises(ValueError, match="newline"):
+        convert(v1.replace(struct.pack("<H", 3) + b"dog", struct.pack("<H", 3) + b"d\ng"))
+    path = tmp_path / "v2.mmlm"
+    path.write_bytes(convert(v1))
+    done = subprocess.run([sys.executable, str(CONVERTER), str(path), str(tmp_path / "x.mmlm")],
+                          capture_output=True, text=True)
+    assert done.returncode == 1 and "not a version 1 checkpoint" in done.stderr
+    assert not (tmp_path / "x.mmlm").exists()
 
 
 @pytest.mark.parametrize("words", [[], [""], ["a", ""], ["", "b"], ["x y", "\r", "é"]])

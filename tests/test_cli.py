@@ -1,4 +1,5 @@
 import os
+import pathlib
 import struct
 
 import numpy as np
@@ -547,6 +548,14 @@ def test_inspect_lists_tensors(prep, capsys):
     for name in ("cell.W  6 x 16", "fusion.M  6 x 3", "decoder.U  16 x 6"):
         assert name in out
     assert "state: epoch 2" in out
+
+
+def test_a_version_1_checkpoint_exits_2_and_names_the_converter(capsys):
+    v1 = pathlib.Path(__file__).resolve().parent / "data" / "v1_lstm.mmlm"
+    assert cli.main(["inspect", str(v1)]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported checkpoint version 1" in err
+    assert "tools/checkpoint_v1_to_v2.py" in err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
