@@ -52,11 +52,11 @@ def spec(arch: str) -> CellSpec:
     return SPECS[arch]
 
 
-def check_fusion(arch: str, mode: str | None) -> None:
-    """ConfigError unless arch is known and defines fusion `mode` (None:
+def check_fusion(arch: str, mode: str) -> None:
+    """ConfigError unless arch is known and defines fusion `mode` ("none":
     text-only)."""
     fusions = spec(arch).fusions
-    if mode is not None and mode not in fusions:
+    if mode != "none" and mode not in fusions:
         raise ConfigError(f"fusion for {arch} must be none or one of {fusions}, got {mode!r}")
 
 
@@ -98,44 +98,19 @@ DRAW_BLOCK = 1 << 16  # float64 draws per block: 512 KiB, well inside L2
 
 
 @dataclass
-class FusionParams:
-    """Context projection: gain = M c + b_M, with b_M None for a
-    projection without a bias."""
-
-    M: np.ndarray  # H x D
-    b_M: np.ndarray | None  # 1 x H, initialized to ones
-    mode: str = "outer"
-
-
-@dataclass
 class Cell:
     """One recurrent cell: its architecture, its parameters by name (also
-    set as attributes, so the math reads cell.W), the fusion block, and the
-    LSTM's block input and cell output nonlinearity."""
+    set as attributes, so the math reads cell.W), the model's fusion mode
+    ("none", "inner" or "outer"), and the LSTM's block input and cell
+    output nonlinearity. SequenceModel checks the wiring it builds."""
 
     arch: str
     params: dict
-    fusion: FusionParams | None = None
+    fusion: str = "none"
     activation: str = "tanh"
 
     def __post_init__(self):
-        check_fusion(self.arch, None if self.fusion is None else self.fusion.mode)
-        names = [name for name, _ in spec(self.arch).params]
-        if sorted(self.params) != sorted(names):
-            raise ConfigError(f"{self.arch} takes parameters {names}, got {list(self.params)}")
-        self.params = {name: self.params[name] for name in names}
         self.__dict__.update(self.params)  # cell.W is cell.params["W"]
-
-
-def from_named(arch: str, named: dict, mode: str | None = None,
-               activation: str = "tanh") -> Cell:
-    """The Cell over the values of named, keyed as in model.parameter_table:
-    "cell.<name>" for its own parameters and, with a fusion mode, "fusion.M"
-    and "fusion.b_M" (absent without a bias). Other names are ignored."""
-    fusion = None if mode is None else FusionParams(named["fusion.M"], named.get("fusion.b_M"),
-                                                    mode)
-    return Cell(arch, {name[len("cell."):]: v for name, v in named.items()
-                       if name.startswith("cell.")}, fusion, activation)
 
 
 @dataclass
@@ -157,35 +132,11 @@ def init_state(arch: str, batch_size: int, hidden: int, dtype) -> StepState:
     return StepState(h=np.zeros((batch_size, hidden), dtype=dtype), cell=cell)
 
 
-def project_context(fusion: FusionParams, ctx, batch_size: int | None = None) -> np.ndarray:
-    """Project context vectors to the hidden width: rows of ctx @ M.T (+ b_M).
-
-    ctx may be an array of shape B x D (or a single D-vector), or None for
-    the null context, which equals an explicit all-zeros vector. The
-    gradients of M and b_M are taken in model.SequenceModel.gradients.
-    """
-    h_dim, c_dim = fusion.M.shape
-    if ctx is None:
-        gain = np.zeros((batch_size or 1, h_dim), dtype=fusion.M.dtype)
-    else:
-        ctx = np.atleast_2d(np.asarray(ctx, dtype=fusion.M.dtype))
-        if ctx.shape[1] != c_dim:
-            raise DimensionError(f"context width {ctx.shape[1]} does not match projection"
-                                 f" input {c_dim}")
-        if batch_size is not None and ctx.shape[0] != batch_size:
-            raise DimensionError(f"context rows {ctx.shape[0]} do not match batch size"
-                                 f" {batch_size}")
-        gain = tz.dot_t(ctx, fusion.M)
-    if fusion.b_M is not None:
-        gain += fusion.b_M
-    return gain
-
-
-def _check_gain(fusion: FusionParams | None, ctx_gain, arch: str) -> None:
-    if fusion is None and ctx_gain is not None:
+def _check_gain(fusion: str, ctx_gain, arch: str) -> None:
+    if fusion == "none" and ctx_gain is not None:
         raise UsageError(f"text-only {arch} step was given a context gain")
-    if fusion is not None and ctx_gain is None:
-        raise UsageError(f"fused {arch} step needs a context gain; pass project_context(...)")
+    if fusion != "none" and ctx_gain is None:
+        raise UsageError(f"fused {arch} step needs a context gain; pass SequenceModel._gain(...)")
 
 
 _LSTM_ACTIVATIONS = {  # name -> (phi, phi' written in terms of phi's output)
@@ -273,7 +224,7 @@ def _delta_forward(p, xs, g, h, c, kept):
     squashed by tanh; a data-driven rate gate r then interpolates with the
     previous state and the result passes through a linear rectifier."""
     (x,) = xs
-    inner = p.fusion is not None and p.fusion.mode == "inner"
+    inner = p.fusion == "inner"
     r = tz.logistic(x + p.b_r)
     one_minus_r = 1.0 - r
     dat = x * p.beta2
@@ -296,7 +247,7 @@ def _delta_forward(p, xs, g, h, c, kept):
 def _delta_backward(p, xs, g, hprev, c0, acts, G):
     (x,) = xs
     d_rec, z, mixed = acts
-    outer = p.fusion is not None and p.fusion.mode == "outer"
+    outer = p.fusion == "outer"
     r = tz.logistic(x + p.b_r)
     live = ((mixed * g if outer else mixed) > 0).astype(x.dtype)
     dz_dm = (1.0 - r) * (1.0 - z * z)

@@ -73,9 +73,6 @@ class Vocabulary:
     def encode(self, tokens) -> list:
         return [self.lookup(t) for t in tokens]
 
-    def decode(self, ids) -> list:
-        return [self.word(i) for i in ids]
-
     @property
     def words(self) -> list:
         """Non-special tokens in id order."""

@@ -13,7 +13,8 @@ tensor.masked_nll, over the stacked hidden states; sampling takes full
 log-probability rows from tensor.log_probs, which shares its arithmetic.
 A training batch keeps what the backwards need, and
 SequenceModel.gradients runs them in their one fixed order: the decoder,
-the recurrence, then the context projection.
+the recurrence, then the context projection, whose forward is
+SequenceModel._gain.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ModelConfig:
     lstm_activation: str = "tanh"
 
     def validate(self) -> None:
-        cells.check_fusion(self.arch, None if self.fusion == "none" else self.fusion)
+        cells.check_fusion(self.arch, self.fusion)
         cells.lstm_activation(self.lstm_activation)
         if self.hidden < 1:
             raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
@@ -57,24 +58,28 @@ class SequenceModel:
     """A recurrent cell plus decoder operating on SequenceBatch inputs.
 
     Its parameters are the arrays of params, keyed as in
-    parameter_shapes(config): checked for names and shapes, then held
-    without a copy in parameter_table order. Their dtype is the model's
-    precision."""
+    parameter_shapes(config): checked for names, shapes and one dtype,
+    float32 or float64, then held without a copy in parameter_table order.
+    Their dtype is the model's precision."""
 
     def __init__(self, config: ModelConfig, params: dict):
         shapes = parameter_shapes(config)
         missing, extra = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
         if missing or extra:
             raise DimensionError(f"parameters missing {missing}, extra {extra}")
+        dtype = params["decoder.U"].dtype
         for name, shape in shapes.items():
             if params[name].shape != shape:
                 raise DimensionError(f"parameter {name!r} has shape {params[name].shape},"
                                      f" expected {shape}")
+            if params[name].dtype != dtype or dtype not in (np.float32, np.float64):
+                raise ConfigError(f"parameter {name!r} is {params[name].dtype}, decoder.U {dtype}:"
+                                  f" a model's parameters share one dtype, float32 or float64")
         self.config = config
         self.params = {name: params[name] for name in shapes}
-        self.dtype = self.params["decoder.U"].dtype
-        self.cell = cells.from_named(config.arch, self.params, None if config.fusion == "none"
-                                     else config.fusion, config.lstm_activation)
+        self.dtype = dtype
+        cell = {name: self.params[f"cell.{name}"] for name, _ in cells.spec(config.arch).params}
+        self.cell = cells.Cell(config.arch, cell, config.fusion, config.lstm_activation)
 
     def named_parameters(self) -> dict:
         """Name -> array of every parameter, in parameter_table order."""
@@ -92,15 +97,28 @@ class SequenceModel:
             )
 
     def _gain(self, contexts, batch_size: int) -> np.ndarray | None:
-        """Per-sequence context gain, or None for a text-only model."""
+        """The context projection's forward, gain = ctx Mᵀ + b_M, B x H; None
+        for a text-only model. The null context (None) equals all-zeros
+        rows. The backward is in gradients."""
         if self.config.fusion == "none":
             if contexts is not None:
                 raise UsageError("text-only model got context vectors; drop them or build a fused model")
             return None
-        ctx = None
-        if contexts is not None:
-            ctx = np.asarray(contexts, dtype=self.dtype)
-        return cells.project_context(self.cell.fusion, ctx, batch_size=batch_size)
+        M, b_M = self.params["fusion.M"], self.params.get("fusion.b_M")
+        if contexts is None:
+            gain = np.zeros((batch_size, M.shape[0]), dtype=self.dtype)
+        else:
+            ctx = np.atleast_2d(np.asarray(contexts, dtype=self.dtype))
+            if ctx.shape[1] != M.shape[1]:
+                raise DimensionError(f"context width {ctx.shape[1]} does not match projection"
+                                     f" input {M.shape[1]}")
+            if ctx.shape[0] != batch_size:
+                raise DimensionError(f"context rows {ctx.shape[0]} do not match batch size"
+                                     f" {batch_size}")
+            gain = tz.dot_t(ctx, M)
+        if b_M is not None:
+            gain += b_M
+        return gain
 
     def start_state(self, batch_size: int = 1, contexts=None):
         """(zero recurrent state, context gain) for incremental decoding."""

@@ -44,12 +44,12 @@ def delta_step_np(p, emb, h_prev, gain=None):
     d_rec = h_prev @ p.V.T
     d_dat = emb
     pre = p.alpha * d_rec * d_dat + p.beta1 * d_rec + p.beta2 * d_dat
-    if p.fusion is not None and p.fusion.mode == "inner":
+    if p.fusion == "inner":
         pre = pre + gain
     z = np.tanh(pre)
     r = np_sigmoid(d_dat + p.b_r)
     mixed = (1.0 - r) * z + r * h_prev
-    if p.fusion is not None and p.fusion.mode == "outer":
+    if p.fusion == "outer":
         mixed = mixed * gain
     return np.maximum(mixed, 0.0)
 
@@ -60,7 +60,7 @@ def gru_step_np(p, embs, h_prev, gain=None):
     r = np_sigmoid(e_r + h_prev @ p.V_r.T)
     cand = np.tanh(e_h + (r * h_prev) @ p.V_h.T)
     h = z * h_prev + (1.0 - z) * cand
-    if p.fusion is not None:
+    if p.fusion != "none":
         h = h * gain
     return h
 
@@ -73,7 +73,7 @@ def lstm_step_np(p, embs, h_prev, c_prev, gain=None):
     c = f * c_prev + i * z
     r = np_sigmoid(e_r + h_prev @ p.V_r.T + c * p.U_r)
     h = r * np.tanh(c)
-    if p.fusion is not None:
+    if p.fusion != "none":
         h = h * gain
     return h, c
 
@@ -102,12 +102,12 @@ def delta_rnn_step(p, emb, h_prev, ctx_gain=None):
     d1 = mul_row(hadamard(d_rec, d_dat), p.alpha)
     d2 = add(mul_row(d_rec, p.beta1), mul_row(d_dat, p.beta2))
     pre = add(d1, d2)
-    if p.fusion is not None and p.fusion.mode == "inner":
+    if p.fusion == "inner":
         pre = add(pre, ctx_gain)
     z = tanh(pre)
     r = sigmoid(add_row(d_dat, p.b_r))
     mixed = add(hadamard(one_minus(r), z), hadamard(r, h_prev))
-    if p.fusion is not None and p.fusion.mode == "outer":
+    if p.fusion == "outer":
         mixed = hadamard(mixed, ctx_gain)
     return C.StepState(h=relu(mixed))
 
@@ -124,7 +124,7 @@ def gru_step(p, embs, h_prev, ctx_gain=None):
     r = sigmoid(add(e_r, matmul_t(h_prev, p.V_r)))
     cand = tanh(add(e_h, matmul_t(hadamard(r, h_prev), p.V_h)))
     h = add(hadamard(z, h_prev), hadamard(one_minus(z), cand))
-    if p.fusion is not None:
+    if p.fusion != "none":
         h = hadamard(h, ctx_gain)
     return C.StepState(h=h)
 
@@ -149,7 +149,7 @@ def lstm_step(p, embs, state, ctx_gain=None):
     c = add(hadamard(f, c_prev), hadamard(i, z))
     r = sigmoid(add(add(e_r, matmul_t(h_prev, p.V_r)), mul_row(c, p.U_r)))
     h = hadamard(r, phi(c))
-    if p.fusion is not None:
+    if p.fusion != "none":
         h = hadamard(h, ctx_gain)
     return C.StepState(h=h, cell=c)
 
@@ -196,7 +196,7 @@ def predict_next(model, prefix, context=None):
     ctx = None if context is None else np.atleast_2d(np.asarray(context, dtype=model.dtype))
     leaves = taped(model)
     p = cell_nodes(model, leaves)
-    state, gain = start_state(model, p, 1, ctx)
+    state, gain = start_state(model, leaves, 1, ctx)
     dist = None
     for t in range(ids.size):
         state = step(p, ids[t: t + 1], state, gain)
@@ -208,13 +208,13 @@ def gain_np(model, contexts, batch):
     """Context gain as plain numpy; None for text-only models."""
     if model.config.fusion == "none":
         return None
-    f = model.cell.fusion
+    M, b_M = model.params["fusion.M"], model.params.get("fusion.b_M")
     if contexts is None:
-        base = np.zeros((batch, f.M.shape[0]))
+        base = np.zeros((batch, M.shape[0]))
     else:
-        base = np.asarray(contexts, dtype=np.float64) @ f.M.T
-    if f.b_M is not None:
-        base = base + f.b_M
+        base = np.asarray(contexts, dtype=np.float64) @ M.T
+    if b_M is not None:
+        base = base + b_M
     return base
 
 
@@ -269,7 +269,7 @@ def sequence_nll_per_step(model, leaves, batch):
     """
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
     p = cell_nodes(model, leaves)
-    state, gain = start_state(model, p, batch.batch_size, batch.contexts)
+    state, gain = start_state(model, leaves, batch.batch_size, batch.contexts)
     total = None
     for t in range(last):
         state = step(p, batch.tokens[t], state, gain)

@@ -120,8 +120,8 @@ def cell_nodes(model, leaves: dict) -> C.Cell:
     """The model's cell with each parameter its leaf in leaves (from taped):
     the cell the per-op steps of oracles.py read."""
     cfg = model.config
-    return C.from_named(cfg.arch, leaves, None if cfg.fusion == "none" else cfg.fusion,
-                        cfg.lstm_activation)
+    cell = {name: leaves[f"cell.{name}"] for name, _ in C.spec(cfg.arch).params}
+    return C.Cell(cfg.arch, cell, cfg.fusion, cfg.lstm_activation)
 
 
 def _need_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -394,13 +394,15 @@ def add_row(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data + v.data, (x, v), back)
 
 
-def project_context(fusion, ctx, batch_size=None) -> Tensor:
-    """cells.project_context as matmul_t and add_row nodes."""
+def project_context(leaves, ctx, batch_size=None) -> Tensor:
+    """SequenceModel._gain as matmul_t and add_row nodes over the leaves
+    "fusion.M" and, when present, "fusion.b_M"."""
+    M, b_M = leaves["fusion.M"], leaves.get("fusion.b_M")
     if ctx is None:
-        base = const(np.zeros((batch_size or 1, fusion.M.shape[0]), fusion.M.dtype))
+        base = const(np.zeros((batch_size or 1, M.shape[0]), M.dtype))
     else:
-        base = matmul_t(const(np.asarray(ctx, dtype=fusion.M.dtype)), fusion.M)
-    return base if fusion.b_M is None else add_row(base, fusion.b_M)
+        base = matmul_t(const(np.asarray(ctx, dtype=M.dtype)), M)
+    return base if b_M is None else add_row(base, b_M)
 
 
 def const_state(state) -> C.StepState:
@@ -413,13 +415,13 @@ def array_state(state) -> C.StepState:
     return C.StepState(state.h.data, None if state.cell is None else state.cell.data)
 
 
-def start_state(model, p, batch_size: int = 1, contexts=None):
+def start_state(model, leaves, batch_size: int = 1, contexts=None):
     """model.start_state as nodes: the zero state as constants, and the gain
-    as projection nodes over p, the model's cell_nodes (None for a
-    text-only model)."""
+    as projection nodes over leaves (from taped; None for a text-only
+    model)."""
     state, gain = model.start_state(batch_size, contexts)
     if gain is not None:
-        gain = project_context(p.fusion, contexts, batch_size)
+        gain = project_context(leaves, contexts, batch_size)
     return const_state(state), gain
 
 
@@ -465,9 +467,8 @@ def layer_nll(model, leaves, batch):
     node per layer over leaves (from taped): the context projection
     (matmul_t and add_row), one recurrence node, then one masked_nll node."""
     last = int(np.flatnonzero(batch.mask.any(axis=1))[-1])
-    p = cell_nodes(model, leaves)
-    state, gain = start_state(model, p, batch.batch_size, batch.contexts)
-    hs, _ = recurrence(model.cell, p, batch.tokens[:last], gain, state)
+    state, gain = start_state(model, leaves, batch.batch_size, batch.contexts)
+    hs, _ = recurrence(model.cell, cell_nodes(model, leaves), batch.tokens[:last], gain, state)
     loss = masked_nll(hs, leaves["decoder.U"], leaves.get("decoder.b_U"),
                       batch.tokens[1:last + 1], batch.mask[1:last + 1])
     return loss, batch.target_count()

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.testing as npt
@@ -17,32 +18,40 @@ from oracles import delta_rnn_step, finite_diff_check, gru_step, logits, lstm_st
 from tape_ops import add, embed_columns, hadamard, log_softmax_rows, put_rows, sum_all
 
 
+@dataclass
+class NodeCell(C.Cell):
+    """A cell of tape leaves, plus the leaves of the context projection,
+    which the model holds beside its cell: "fusion.M" and "fusion.b_M",
+    none for a text-only cell."""
+
+    projection: dict = field(default_factory=dict)
+
+
 def init_cell(arch, hidden, vocab, rng, dtype=np.float32, mode=None, cdim=3,
               lstm_activation="tanh"):
-    """A fresh cell of tape leaves: with a fusion mode, M (H x cdim) is
-    drawn from rng first and b_M is ones; then the cell's parameters in the
-    spec table's order."""
-    named = {}
+    """A fresh NodeCell of a wiring the model accepts: with a fusion mode,
+    M (H x cdim) is drawn from rng first and b_M is ones; then the cell's
+    parameters in the spec table's order."""
+    fusion = mode or "none"
+    C.check_fusion(arch, fusion)
+    projection = {}
     if mode is not None:
-        named["fusion.M"] = C.draw("uniform", rng, np.empty((hidden, cdim), dtype))
-        named["fusion.b_M"] = np.ones((1, hidden), dtype=dtype)
-    for name, (shape, init) in C.param_table(arch, hidden, vocab).items():
-        named[f"cell.{name}"] = C.draw(init, rng, np.empty(shape, dtype))
-    return C.from_named(arch, {k: O.param(a) for k, a in named.items()}, mode, lstm_activation)
+        projection["fusion.M"] = O.param(C.draw("uniform", rng, np.empty((hidden, cdim), dtype)))
+        projection["fusion.b_M"] = O.param(np.ones((1, hidden), dtype=dtype))
+    params = {name: O.param(C.draw(init, rng, np.empty(shape, dtype)))
+              for name, (shape, init) in C.param_table(arch, hidden, vocab).items()}
+    return NodeCell(arch, params, fusion, lstm_activation, projection)
 
 
 def leaves_of(p):
-    """The leaves of a cell of nodes, by their model.parameter_table names."""
-    out = {f"cell.{name}": t for name, t in p.params.items()}
-    if p.fusion is not None:
-        out.update({"fusion.M": p.fusion.M, "fusion.b_M": p.fusion.b_M})
-    return out
+    """The leaves of a NodeCell, by their model.parameter_table names."""
+    return {**{f"cell.{name}": t for name, t in p.params.items()}, **p.projection}
 
 
 def arrays_of(p):
     """The cell of the arrays under a cell of nodes, as the package runs it."""
-    return C.from_named(p.arch, {k: t.data for k, t in leaves_of(p).items()},
-                        p.fusion and p.fusion.mode, p.activation)
+    return C.Cell(p.arch, {name: t.data for name, t in p.params.items()}, p.fusion,
+                  p.activation)
 
 
 def test_delta_rnn_zero_weights_halves_state():
@@ -98,11 +107,9 @@ def test_delta_rnn_hand_computed_step():
     assert st.h.data[0, 1] == 0.0  # second unit is rectified away
 
 
-@pytest.mark.parametrize("arch", ["delta-rnn", "gru", "lstm"])
-@pytest.mark.parametrize("mode", [None, "inner", "outer"])
+@pytest.mark.parametrize("mode,arch", [(mode, arch) for arch, sp in C.SPECS.items()
+                                       for mode in (None,) + sp.fusions])
 def test_steps_match_numpy_oracle(arch, mode):
-    if mode == "inner" and arch != "delta-rnn":
-        pytest.skip("inner fusion is delta-rnn only")
     hidden, vocab, cdim, batch = 5, 9, 3, 4
     for seed in range(5):
         rng = seed_stream(seed, "oracle")
@@ -111,7 +118,7 @@ def test_steps_match_numpy_oracle(arch, mode):
         ids = rng.integers(0, vocab, size=batch)
         h_prev = rng.uniform(-1, 1, (batch, hidden))
         ctx = rng.uniform(-1, 1, (batch, cdim)) if mode else None
-        gain = O.project_context(p.fusion, ctx) if mode else None
+        gain = O.project_context(p.projection, ctx) if mode else None
         gain_np = None if gain is None else gain.data
         if arch == "delta-rnn":
             emb = embed_columns(p.W, ids)
@@ -134,27 +141,31 @@ def test_steps_match_numpy_oracle(arch, mode):
         npt.assert_allclose(got, want, atol=1e-14)
 
 
+def fused_model(hidden, cdim, bias=True):
+    cfg = ModelConfig(hidden=hidden, vocab=4, context_dim=cdim, fusion="outer", fusion_bias=bias)
+    return build_model(cfg, seed=0, dtype=np.float64)
+
+
 def test_project_context_hand_value_and_null():
-    f = C.FusionParams(M=np.array([[1.0, 2.0], [3.0, 4.0]]), b_M=np.array([[1.0, 1.0]]),
-                       mode="outer")
-    out = C.project_context(f, np.array([1.0, 1.0]))
+    m = fused_model(2, 2)
+    m.params["fusion.M"][:] = [[1.0, 2.0], [3.0, 4.0]]
+    out = m._gain(np.array([1.0, 1.0]), 1)
     npt.assert_array_equal(out, [[4.0, 8.0]])
     # null context behaves exactly like an explicit zero vector
-    null = C.project_context(f, None, batch_size=3)
-    explicit = C.project_context(f, np.zeros((3, 2)))
+    null = m._gain(None, 3)
+    explicit = m._gain(np.zeros((3, 2)), 3)
     npt.assert_array_equal(null, explicit)
     npt.assert_array_equal(null, np.ones((3, 2)))
     # without the bias the null gain is all zeros and annihilates outer cells
-    f.b_M = None
-    npt.assert_array_equal(C.project_context(f, None, batch_size=2), np.zeros((2, 2)))
+    npt.assert_array_equal(fused_model(2, 2, bias=False)._gain(None, 2), np.zeros((2, 2)))
 
 
 def test_project_context_rejects_wrong_width():
-    f = C.FusionParams(M=np.zeros((4, 3)), b_M=np.ones((1, 4)), mode="outer")
+    m = fused_model(4, 3)
     with pytest.raises(DimensionError):
-        C.project_context(f, np.zeros((2, 5)))
+        m._gain(np.zeros((2, 5)), 2)
     with pytest.raises(DimensionError):
-        C.project_context(f, np.zeros((2, 3)), batch_size=4)
+        m._gain(np.zeros((2, 3)), 4)
 
 
 @pytest.mark.parametrize("arch", ["delta-rnn", "gru", "lstm"])
@@ -242,8 +253,8 @@ def test_init_ranges_and_determinism():
     npt.assert_array_equal(d.alpha.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta1.data, np.ones((1, 4)))
     npt.assert_array_equal(d.beta2.data, np.ones((1, 4)))
-    f = init_cell("delta-rnn", 4, 4, seed_stream(0, "i"), dtype=np.float64, mode="outer").fusion
-    npt.assert_array_equal(f.b_M.data, np.ones((1, 4)))
+    f = init_cell("delta-rnn", 4, 4, seed_stream(0, "i"), dtype=np.float64, mode="outer")
+    npt.assert_array_equal(f.projection["fusion.b_M"].data, np.ones((1, 4)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -269,13 +280,6 @@ def test_cell_validates_its_wiring():
         C.spec("elman")
     with pytest.raises(ConfigError):
         init_cell("elman", 4, 4, rng)
-    p = init_cell("gru", 4, 4, rng)
-    with pytest.raises(ConfigError):
-        C.Cell("gru", p.params, fusion=C.FusionParams(np.zeros((4, 4)), None, "none"))
-    with pytest.raises(ConfigError):
-        C.Cell("gru", {k: t for k, t in p.params.items() if k != "V_h"})
-    with pytest.raises(ConfigError):
-        C.Cell("lstm", p.params)
 
 
 def test_lstm_unknown_activation_rejected():
@@ -315,7 +319,7 @@ def test_single_step_gradients(arch, mode):
     probe = O.const(rng.uniform(-1, 1, (batch, hidden)))
 
     def loss():
-        gain = O.project_context(p.fusion, ctx) if mode else None
+        gain = O.project_context(p.projection, ctx) if mode else None
         if arch == "delta-rnn":
             st = delta_rnn_step(p, embed_columns(p.W, ids), O.const(h0), gain)
         elif arch == "gru":
@@ -381,7 +385,7 @@ def test_recurrence_gradients_match_per_op_chain(arch, mode, act):
 
     def run(recur):
         O.zero_grad(params.values())
-        gain = O.project_context(p.fusion, ctx) if mode else None
+        gain = O.project_context(p.projection, ctx) if mode else None
         hs, final = recur(p, tokens, gain, state)
         loss = sum_all(hadamard(hs, probe))
         O.backward(loss)
@@ -426,10 +430,10 @@ def test_advance_matches_one_per_op_step(arch, mode, act):
 def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
     # a recurrence run for no gradient, without keep, keeps no activations
     p, _, ctx, _ = op_setup(arch, mode, "tanh", hidden=16)
+    gain = O.project_context(p.projection, ctx[:1].repeat(8, axis=0)).data
     p = arrays_of(p)
     tokens = seed_stream(2, "ids").integers(0, 9, (40, 8))
     state = C.init_state(arch, 8, 16, np.float64)
-    gain = C.project_context(p.fusion, ctx[:1].repeat(8, axis=0))
 
     def retained(keep):
         tracemalloc.start()
@@ -451,8 +455,8 @@ def test_recurrence_under_no_grad_keeps_nothing(arch, mode):
 
 def test_recurrence_validates_its_inputs():
     p, tokens, ctx, state = op_setup("lstm", "outer", "tanh")
+    gain = O.project_context(p.projection, ctx).data
     p, state = arrays_of(p), O.array_state(state)
-    gain = C.project_context(p.fusion, ctx)
     with pytest.raises(UsageError):
         C.recurrence(p, tokens, None, state)
     with pytest.raises(DataError):

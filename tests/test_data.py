@@ -21,7 +21,7 @@ def save_contexts_text(path, store: D.ContextStore) -> None:
 def test_specials_fixed():
     assert (D.PAD_ID, D.UNK_ID, D.BOS_ID, D.EOS_ID) == (0, 1, 2, 3)
     v = D.build_vocab([["a", "a", "b"]], min_count=1)
-    assert v.decode([0, 1, 2, 3]) == ["<pad>", "<unk>", "<bos>", "<eos>"]
+    assert [v.word(i) for i in [0, 1, 2, 3]] == ["<pad>", "<unk>", "<bos>", "<eos>"]
 
 
 def test_build_vocab_threshold_and_order():
@@ -128,7 +128,7 @@ def test_encode_decode_roundtrip():
     ids = v.encode(["blue", "red"])
     batch = D.encode_sequences([ids], 49)
     framed = [int(x) for x in batch.tokens[:4, 0]]
-    assert v.decode(framed) == ["<bos>", "blue", "red", "<eos>"]
+    assert [v.word(i) for i in framed] == ["<bos>", "blue", "red", "<eos>"]
 
 
 def test_encode_sequences_validates():

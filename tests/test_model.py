@@ -80,7 +80,7 @@ def test_init_equals_one_full_shape_draw(dtype):
     want = T.seed_stream(5, "init/decoder").uniform(-0.1, 0.1, size=(700, 100)).astype(dtype)
     npt.assert_array_equal(m.params["decoder.U"], want)
     want = T.seed_stream(5, "init/fusion").uniform(-0.1, 0.1, size=(100, 3)).astype(dtype)
-    npt.assert_array_equal(m.cell.fusion.M, want)
+    npt.assert_array_equal(m.params["fusion.M"], want)
 
 
 def test_decoder_bias_flag():
@@ -418,11 +418,24 @@ def test_the_model_holds_the_given_arrays_in_table_order():
     m = SequenceModel(cfg, arrays)
     assert list(m.named_parameters()) == list(parameter_shapes(cfg))
     assert all(m.named_parameters()[k] is a for k, a in arrays.items())
-    assert m.cell.W is arrays["cell.W"] and m.cell.fusion.b_M is arrays["fusion.b_M"]
+    assert m.cell.W is arrays["cell.W"] and m.cell.fusion == "outer"
     assert m.dtype == np.float32
     bias_free = SequenceModel(replace(cfg, fusion_bias=False),
                               {k: a for k, a in arrays.items() if k != "fusion.b_M"})
-    assert bias_free.cell.fusion.b_M is None
+    assert "fusion.b_M" not in bias_free.params
+    npt.assert_array_equal(bias_free._gain(None, 2), np.zeros((2, 6), np.float32))
+
+
+def test_the_model_refuses_mixed_precision():
+    # float32 and float64 never meet in one model; float16 is neither
+    cfg = tiny_config(arch="gru", hidden=4, vocab=10)
+    arrays = dict(build_model(cfg, seed=0).named_parameters())
+    with pytest.raises(ConfigError, match="'cell.V_z' is float64, decoder.U float32"):
+        SequenceModel(cfg, {**arrays, "cell.V_z": arrays["cell.V_z"].astype(np.float64)})
+    with pytest.raises(ConfigError, match="'cell.W_z' is float16"):
+        SequenceModel(cfg, {k: a.astype(np.float16) for k, a in arrays.items()})
+    double = SequenceModel(cfg, {k: a.astype(np.float64) for k, a in arrays.items()})
+    assert double.dtype == np.float64
 
 
 # criterion 1's nine wirings: (arch, fusion, fusion bias)
