@@ -245,9 +245,9 @@ def cmd_eval(args) -> int:
                                ckpt.train_config.batch_size, contexts=store)
     model_id = args.model_id or (f"mm-{model.config.arch}" if fused
                                  else model.config.arch)
-    rows = []
+    rows, scored = [], {}  # on a fused model, L-L and LV-L are one pass
     for cond in conditions:
-        nll, ppl = E.evaluate(model, batches, cond)
+        nll, ppl = E.evaluate(model, batches, cond, scored=scored)
         rows.append(E.EvalRow(model_id, cond, language, nll, ppl))
     text = E.render_eval_text(rows)
     os.makedirs(args.out, exist_ok=True)

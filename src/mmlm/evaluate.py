@@ -45,19 +45,30 @@ def dataset_nll(model: SequenceModel, batches):
     return nll, math.exp(nll) if nll < 709.0 else math.inf
 
 
-def evaluate(model: SequenceModel, batches, condition: str):
+def evaluate(model: SequenceModel, batches, condition: str, scored=None):
     """(mean per-token NLL, PPL) on the batches under one condition.
 
     Pure: parameters are read, never written, and nothing is kept for a
     backward; repeated calls are bit-identical. L-L and LV-L strip any stored
     contexts, so a fused model sees the null context, which equals the zero
     vector; LV-LV requires stored contexts.
+
+    scored, one dict for calls on the same model and batches, maps each pass
+    already run to its (NLL, PPL), so no pass is run twice.
     """
     if condition not in CONDITIONS:
         raise UsageError(f"condition must be one of {CONDITIONS}, got {condition!r}")
     if condition != "L-L" and model.config.fusion == "none":
         raise UsageError(f"{condition} needs a fused model; this one has fusion=none")
-    return dataset_nll(model, (_condition_batch(b, condition) for b in batches))
+    pairs = [(b.contexts, _condition_batch(b, condition)) for b in batches]
+    runs = [r for _, r in pairs]
+    # a pass is what it scores: per batch, its stored contexts or none
+    key = tuple(r.contexts is c for c, r in pairs)
+    if scored is None or any(r.contexts is not None and not k for r, k in zip(runs, key)):
+        return dataset_nll(model, runs)
+    if key not in scored:
+        scored[key] = dataset_nll(model, runs)
+    return scored[key]
 
 
 @dataclass

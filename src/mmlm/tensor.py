@@ -181,9 +181,10 @@ def _row_split_agrees(dtype: np.dtype) -> bool:
 
 
 def _logit_rows(h, w, b, z, lse, buf) -> None:
-    """Rows of _shifted_logits into z and lse, exponentials through buf; it
-    allocates nothing but dot_t's weight-major rows, which never split."""
-    dot_t(h, w, out=z)
+    """Rows of _shifted_logits into z and lse, exponentials through buf, with
+    z already holding h wᵀ where h is None; it allocates nothing."""
+    if h is not None:
+        dot_t(h, w, out=z)
     if b is not None:
         z += b
     np.max(z, axis=1, keepdims=True, out=lse)
@@ -203,13 +204,15 @@ def _shifted_logits(h: np.ndarray, w: np.ndarray, b) -> tuple:
     all of w again), with its exponentials in its half of one 2 MiB scratch:
     a scratch per part made later evals and checkpoint loads fault more."""
     n, classes = h.shape[0], w.shape[0]
-    z, lse = np.empty((n, classes), h.dtype), np.empty((n, 1), h.dtype)
     cut = _row_cut(n, w)
+    # unsplit, dot_t makes z, so a weight-major temporary comes before every buffer
+    z = np.empty((n, classes), h.dtype) if cut else dot_t(h, w)
+    lse = np.empty((n, 1), h.dtype)
     buf = np.empty((max(2, min(n, _EXP_BLOCK_BYTES // (classes * z.itemsize))), classes), z.dtype)
     half = buf.shape[0] // 2 if cut else buf.shape[0]
     with beside(_logit_rows, h[cut:], w, b, z[cut:], lse[cut:], buf[half:]) if cut \
             else contextlib.nullcontext():
-        _logit_rows(h[:cut or n], w, b, z[:cut or n], lse[:cut or n], buf[:half])
+        _logit_rows(h[:cut] if cut else None, w, b, z[:cut or n], lse[:cut or n], buf[:half])
     return z, lse
 
 

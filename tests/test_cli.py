@@ -7,8 +7,9 @@ import pytest
 
 import mmlm.cli as cli
 import mmlm.data as D
+import mmlm.evaluate as E
 from mmlm.checkpoint import load_checkpoint
-from mmlm.model import ModelConfig
+from mmlm.model import ModelConfig, SequenceModel
 from mmlm.train import TrainState
 
 TOY_RAW = """\
@@ -466,6 +467,53 @@ def test_eval_rejects_bad_condition(prep, capsys):
                    "--conditions", "L-V", "--out", str(prep / "ev")])
     assert rc == 2
     assert "condition" in capsys.readouterr().err
+
+
+def spy_on_eval(monkeypatch):
+    """(calls, passes): each evaluate.evaluate call of an `mmlm eval` as
+    (condition, model, batches, result), and each batch that
+    SequenceModel.sequence_nll scored, in order."""
+    calls, passes = [], []
+    evaluate, sequence_nll = E.evaluate, SequenceModel.sequence_nll
+
+    def evaluate_spy(model, batches, condition, **kwargs):
+        out = evaluate(model, batches, condition, **kwargs)
+        calls.append((condition, model, batches, out))
+        return out
+
+    def sequence_nll_spy(model, batch, *args, **kwargs):
+        passes.append(batch)
+        return sequence_nll(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(E, "evaluate", evaluate_spy)
+    monkeypatch.setattr(SequenceModel, "sequence_nll", sequence_nll_spy)
+    return calls, passes
+
+
+@pytest.mark.parametrize("conditions", ["L-L,LV-LV,LV-L", "LV-L,LV-LV,L-L,LV-L"])
+def test_eval_scores_each_distinct_pass_once(prep, monkeypatch, conditions):
+    # on a fused model L-L and LV-L are one null-context pass, scored once;
+    # every row is still one evaluate call, in the order asked
+    fused = fused_run(prep)
+    evaluate = E.evaluate
+    calls, passes = spy_on_eval(monkeypatch)
+    eval_rows(prep, fused, "ev", ["--split", "train", "--conditions", conditions,
+                                  "--contexts", str(prep / "prep/contexts.mmcv")])
+    assert [c for c, *_ in calls] == conditions.split(",")
+    n = len(calls[0][2])
+    assert n == 3 and len(passes) == 2 * n
+    rows = [E.EvalRow("mm-delta-rnn", c, "english", *evaluate(m, b, c)) for c, m, b, _ in calls]
+    assert [repr(out) for *_, out in calls] == [repr((r.nll, r.ppl)) for r in rows]
+    assert (prep / "ev/eval.csv").read_text() == E.render_eval_csv(rows)
+    assert (prep / "ev/eval.txt").read_text() == E.render_eval_text(rows)
+
+
+def test_text_only_eval_runs_one_pass(prep, monkeypatch):
+    assert cli.main(train_args(prep, prep / "run")) == 0
+    calls, passes = spy_on_eval(monkeypatch)
+    eval_rows(prep, prep / "run/model_last.mmlm", "ev", ["--split", "train"])
+    assert [c for c, *_ in calls] == ["L-L"]
+    assert len(passes) == len(calls[0][2]) == 3
 
 
 def test_eval_two_languages_need_flag(tmp_path, capsys):

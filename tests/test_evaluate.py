@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,7 @@ import pytest
 import mmlm.data as D
 import mmlm.evaluate as E
 from mmlm.errors import ConfigError, DataError, UsageError
-from mmlm.model import ModelConfig, build_model
+from mmlm.model import ModelConfig, SequenceModel, build_model
 from oracles import beam_search_per_candidate, predict_next
 from snapshots import snapshot_params
 
@@ -45,6 +46,69 @@ def test_condition_compatibility():
     # a fused model under L-L sees no contexts at all, which is the null
     # condition by definition: the two rows must agree bit-exactly
     assert E.evaluate(fused, b_ctx, "L-L") == E.evaluate(fused, b_ctx, "LV-L")
+
+
+def count_passes(monkeypatch) -> list:
+    """A list that grows by one per SequenceModel.sequence_nll call."""
+    calls, sequence_nll = [], SequenceModel.sequence_nll
+
+    def counted(model, batch, *args, **kwargs):
+        calls.append(batch)
+        return sequence_nll(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(SequenceModel, "sequence_nll", counted)
+    return calls
+
+
+def two_batches_with_contexts():
+    return batches_for(10, ctx_dim=3, seed=1) + batches_for(10, ctx_dim=3, seed=2)
+
+
+def test_scored_runs_each_pass_once(monkeypatch):
+    m = build(10, fusion="outer")
+    batches = two_batches_with_contexts()
+    conditions = ["LV-L", "LV-LV", "L-L", "LV-L"]
+    alone = [E.evaluate(m, batches, c) for c in conditions]
+    passes = count_passes(monkeypatch)
+    scored = {}
+    assert [E.evaluate(m, batches, c, scored=scored) for c in conditions] == alone
+    assert len(passes) == 2 * len(batches) and len(scored) == 2
+
+
+def test_scored_passes_are_keyed_by_what_they_score(monkeypatch):
+    # were LV-L to score some other contexts, it would get a pass of its
+    # own, not L-L's row
+    m = build(10, fusion="outer")
+    batches = two_batches_with_contexts()
+    condition_batch = E._condition_batch
+
+    def ones_for_lv_l(batch, condition):
+        if condition == "LV-L":
+            return replace(batch, contexts=np.ones_like(batch.contexts))
+        return condition_batch(batch, condition)
+
+    monkeypatch.setattr(E, "_condition_batch", ones_for_lv_l)
+    conditions = ["L-L", "LV-LV", "LV-L", "LV-L"]
+    alone = [E.evaluate(m, batches, c) for c in conditions]
+    assert alone[2] != alone[0]
+    passes = count_passes(monkeypatch)
+    scored = {}
+    assert [E.evaluate(m, batches, c, scored=scored) for c in conditions] == alone
+    assert len(passes) == 4 * len(batches) and len(scored) == 2
+
+
+def test_scored_checks_the_condition_first():
+    text, fused = build(10), build(10, fusion="outer")
+    plain = batches_for(10)
+    scored = {}
+    E.evaluate(text, plain, "L-L", scored=scored)
+    for condition in ("LV-L", "LV-LV", "V-V"):
+        with pytest.raises(UsageError):
+            E.evaluate(text, plain, condition, scored=scored)
+    scored = {}
+    E.evaluate(fused, plain, "L-L", scored=scored)
+    with pytest.raises(UsageError, match="LV-LV needs stored context vectors"):
+        E.evaluate(fused, plain, "LV-LV", scored=scored)
 
 
 def test_uniform_model_ppl_equals_vocab_size():
